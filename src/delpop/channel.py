@@ -191,24 +191,31 @@ def write_trace_file(path, traces, n: int, p: float, seed: int) -> None:
 
 
 def read_trace_file(path):
-    """Returns (header dict, list of Trace). Retained counts are recomputed
-    as the position after the last 1 is unknowable; we store the padded
-    string only, so retained_count is taken as the full prefix length up to
-    trailing zeros (a safe upper bound is not needed downstream)."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise ParameterError("trace file missing header line")
-        fields = dict(kv.split("=") for kv in header[1:].split())
+    """Returns (header dict, (N, n) int8 array of padded traces).
+
+    The header line is `#key=value ...` and must give n; every other
+    non-blank line is one trace of exactly n characters 0/1."""
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("ascii", "replace").strip()
+        lines = [line.strip() for line in fh]
+    if not header.startswith("#"):
+        raise ParameterError("trace file missing header line")
+    fields = {}
+    for token in header[1:].split():
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise ParameterError(f"trace file header token {token!r} is not key=value")
+        fields[key] = value
+    try:
         n = int(fields["n"])
-        traces = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            bits = tuple(int(c) for c in line)
-            if len(bits) != n:
-                raise ParameterError("trace line length disagrees with header n")
-            last_one = max((i + 1 for i, b in enumerate(bits) if b), default=0)
-            traces.append(Trace(bits, last_one))
-    return fields, traces
+    except (KeyError, ValueError):
+        n = 0
+    if n < 1:
+        raise ParameterError("trace file header must give a positive integer n=")
+    lines = [line for line in lines if line]
+    if any(len(line) != n for line in lines):
+        raise ParameterError("trace line length disagrees with header n")
+    rows = np.frombuffer(b"".join(lines), dtype=np.uint8).reshape(len(lines), n) - ord("0")
+    if rows.size and rows.max() > 1:
+        raise ParameterError("trace lines may hold only the characters 0 and 1")
+    return fields, rows.astype(np.int8)

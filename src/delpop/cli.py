@@ -75,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--eps", type=float, default=None)
     common.add_argument("--grid-points", type=int, default=None)
     common.add_argument("--grid-spacing", type=float, default=None)
-    common.add_argument("--workers", type=int, default=None)
     common.add_argument("--out", default=None)
     common.add_argument("--dist", help="distribution JSON file")
     common.add_argument("--traces", help="trace file")
@@ -98,7 +97,6 @@ _DEFAULTS = {
     "eps": 0.1,
     "grid_points": 25,
     "grid_spacing": 0.23,
-    "workers": 1,
     "out": "out.json",
     "dist": None,
     "traces": None,
@@ -174,9 +172,11 @@ def _cmd_estimate(opts) -> int:
     if not opts["traces"]:
         raise ParameterError("estimate requires --traces")
     header, traces = read_trace_file(opts["traces"])
-    n = int(header["n"])
-    p = float(header["p"])
-    params = ProblemParams(n=n, ell=opts["ell"], p=p, eps=opts["eps"])
+    try:
+        p = float(header["p"])
+    except (KeyError, ValueError):
+        raise ParameterError("trace file header must give a numeric p=")
+    params = ProblemParams(n=traces.shape[1], ell=opts["ell"], p=p, eps=opts["eps"])
     config = RecoveryConfig(
         sample_count=min(opts["samples"], len(traces)),
         grid_points=opts["grid_points"],
@@ -184,8 +184,7 @@ def _cmd_estimate(opts) -> int:
         seed=opts["seed"],
     )
     grid = build_arc_grid(config.grid_spec())
-    batch = np.array([t.bits for t in traces], dtype=np.int8)
-    est = accumulate_moments([batch], grid, 2 * params.ell - 1, params, config.sample_count)
+    est = accumulate_moments([traces], grid, 2 * params.ell - 1, params, config.sample_count)
     with open(opts["out"], "w") as fh:
         fh.write(est.to_json() + "\n")
     return EXIT_OK
@@ -201,7 +200,6 @@ def _cmd_recover(opts) -> int:
         grid_points=opts["grid_points"],
         grid_spacing=opts["grid_spacing"],
         seed=opts["seed"],
-        workers=opts["workers"],
     )
     result = recover_from_channel(d, params, config)
     emit_report(result, opts["out"])

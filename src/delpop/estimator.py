@@ -29,8 +29,6 @@ from .channel import Trace
 from .zgrid import GridPoint
 
 SINGULAR_TOL = 1e-12
-_CHUNK = 1 << 16
-_JACKKNIFE_GROUPS = 10
 
 
 class SingularGridPointError(ParameterError):
@@ -92,6 +90,8 @@ def f_sum_batch(X: np.ndarray, w) -> np.ndarray:
     Prefix recurrence over chain length r: S_r(j) holds the weighted sum of
     all r-chains ending at index j; the accumulator carries
     sum_{j' < j} S_{r-1}(j') * w_r^(j - j'), updated multiplicatively.
+    Column j of S_{r-1} is last read just before column j of S_r is
+    written, so S is updated in place.
     """
     N, n = X.shape
     k = len(w)
@@ -107,11 +107,10 @@ def f_sum_batch(X: np.ndarray, w) -> np.ndarray:
     S = X * powers[None, :]
     for r in range(1, k):
         acc = np.zeros(N, dtype=complex)
-        S_next = np.empty((N, n), dtype=complex)
         for j in range(n):
-            S_next[:, j] = X[:, j] * acc
+            chained = X[:, j] * acc
             acc = (acc + S[:, j]) * w[r]
-        S = S_next
+            S[:, j] = chained
     return S.sum(axis=1)
 
 
@@ -146,6 +145,60 @@ def g_estimate(trace: Trace, z: complex, m: int, params: ProblemParams) -> compl
     return complex(g_batch(X, z, m, params)[0])
 
 
+@dataclass(frozen=True)
+class TraceHistogram:
+    """A trace sample reduced to its distinct padded rows.
+
+    g_k depends on a trace only through its padded bits, so the distinct
+    rows (a (U, n) int8 array) and their weights (summing to 1) describe a
+    sample completely.  `count` is the number of traces N behind the
+    weights; an exact trace law has none."""
+
+    rows: np.ndarray
+    weights: np.ndarray
+    count: int | None = None
+
+    @classmethod
+    def from_batches(cls, batches, n: int, limit: int) -> "TraceHistogram":
+        """Histogram of the first `limit` traces of an iterable of 0/1
+        arrays of shape (batch, n).  Batches are reduced one at a time, so
+        memory stays O(distinct rows + one batch); rows are kept in packed
+        byte order, so the result does not depend on how the traces were
+        ordered or batched."""
+        width = (n + 7) // 8
+        keys = np.empty(0, dtype=np.dtype((np.void, width)))
+        counts = np.empty(0)
+        total = 0
+        for batch in batches:
+            batch = np.asarray(batch, dtype=np.int8)
+            if batch.ndim != 2 or batch.shape[1] != n:
+                raise ParameterError("trace batch must have shape (count, n)")
+            batch = batch[: limit - total]
+            if len(batch) and (batch.min() < 0 or batch.max() > 1):
+                raise ParameterError("trace bits must be 0 or 1")
+            total += len(batch)
+            new, new_counts = np.unique(
+                np.packbits(batch, axis=1).view(keys.dtype).ravel(), return_counts=True
+            )
+            keys, inverse = np.unique(np.concatenate([keys, new]), return_inverse=True)
+            counts = np.bincount(inverse, weights=np.concatenate([counts, new_counts]))
+            if total >= limit:
+                break
+        if total < limit:
+            raise ParameterError(f"trace source exhausted after {total} of {limit} traces")
+        rows = np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1, count=n)
+        return cls(rows.astype(np.int8), counts / total, total)
+
+    def g_moments(self, z: complex, k_max: int, params: ProblemParams):
+        """Weighted means of g_1..g_{k_max} at z, and their Hermitian
+        covariance over one trace, C[i, j] = E[(g_{i+1} - b_{i+1})
+        conj(g_{j+1} - b_{j+1})]."""
+        G = np.stack([g_batch(self.rows, z, k, params) for k in range(1, k_max + 1)], axis=1)
+        means = self.weights @ G
+        D = G - means
+        return means, (D.T * self.weights) @ D.conj()
+
+
 @dataclass
 class MomentEstimates:
     """Sample means of g_k per (grid point, k), with counts and standard
@@ -158,9 +211,9 @@ class MomentEstimates:
     counts: dict = field(default_factory=dict)  # (point index, k) -> int
     stderrs: dict = field(default_factory=dict)  # (point index, k) -> float
     dropped: dict = field(default_factory=dict)  # point index -> reason string
-    # per-group partial sums for jackknife error estimates downstream:
-    # (point index, k) -> list of (complex sum, count) over sample groups
-    group_sums: dict = field(default_factory=dict)
+    # point index -> (k_max, k_max) Hermitian covariance of (g_1..g_{k_max})
+    # over one trace, for the delta-method error model downstream
+    covariances: dict = field(default_factory=dict)
 
     def usable_points(self):
         return [gp for gp in self.grid if gp.index not in self.dropped]
@@ -189,13 +242,15 @@ class MomentEstimates:
 
 def moments_from_values(grid, k_max: int, value_fn) -> MomentEstimates:
     """Build MomentEstimates from a callable (z, k) -> complex (e.g. exact
-    power sums, or a noisy wrapper in tests); counts are set to 1."""
+    power sums, or a noisy wrapper in tests); counts are set to 1 and the
+    covariances to zero."""
     est = MomentEstimates(grid=tuple(grid), k_max=k_max)
     for gp in grid:
         for k in range(k_max + 1):
             est.means[(gp.index, k)] = 1.0 + 0j if k == 0 else complex(value_fn(gp.z, k))
             est.counts[(gp.index, k)] = 1
             est.stderrs[(gp.index, k)] = 0.0
+        est.covariances[gp.index] = np.zeros((k_max, k_max), dtype=complex)
     return est
 
 
@@ -207,36 +262,18 @@ def accumulate_moments(
     sample_count: int,
 ) -> MomentEstimates:
     """Mean of g_k over the same sample_count traces, per grid point and
-    0 <= k <= k_max (g_0 := 1).
+    0 <= k <= k_max (g_0 := 1), with the covariance of (g_1..g_{k_max}).
 
-    trace_source is an iterable of 0/1 arrays of shape (batch, n); the same
-    traces feed every (z, k).  Chunks are reduced in a fixed order, so
-    results are reproducible.  A singular grid point is dropped and flagged,
-    never silently skipped.
+    trace_source is an iterable of 0/1 arrays of shape (batch, n); the
+    traces are reduced to a TraceHistogram and the same histogram feeds
+    every (z, k).  A singular grid point is dropped and flagged, never
+    silently skipped.
     """
     if sample_count < 1:
         raise ParameterError("sample_count must be >= 1")
     if k_max < 1:
         raise ParameterError("k_max must be >= 1")
-    chunks = []
-    total = 0
-    for batch in trace_source:
-        batch = np.asarray(batch, dtype=np.int8)
-        if batch.ndim != 2 or batch.shape[1] != params.n:
-            raise ParameterError("trace batch must have shape (count, n)")
-        if total + len(batch) > sample_count:
-            batch = batch[: sample_count - total]
-        for lo in range(0, len(batch), _CHUNK):
-            chunks.append(batch[lo : lo + _CHUNK])
-        total += len(batch)
-        if total >= sample_count:
-            break
-    if total < sample_count:
-        raise ParameterError(
-            f"trace source exhausted after {total} of {sample_count} traces"
-        )
-
-    n_groups = min(len(chunks), _JACKKNIFE_GROUPS)
+    hist = TraceHistogram.from_batches(trace_source, params.n, sample_count)
     est = MomentEstimates(grid=tuple(grid), k_max=k_max)
     # traces and channel parameters are real, so g_k(x~, conj(z)) is the
     # conjugate of g_k(x~, z); conjugate grid points reuse earlier work
@@ -252,40 +289,20 @@ def accumulate_moments(
                 est.means[(gp.index, k)] = est.means[(src, k)].conjugate()
                 est.counts[(gp.index, k)] = est.counts[(src, k)]
                 est.stderrs[(gp.index, k)] = est.stderrs[(src, k)]
-                if (src, k) in est.group_sums:
-                    est.group_sums[(gp.index, k)] = [
-                        (s.conjugate(), c) for s, c in est.group_sums[(src, k)]
-                    ]
+            est.covariances[gp.index] = est.covariances[src].conj()
             continue
         done[(round(gp.z.real, 15), round(gp.z.imag, 15))] = gp.index
         try:
-            for k in range(1, k_max + 1):
-                s = 0.0 + 0.0j
-                s2 = 0.0
-                groups = [[0.0 + 0.0j, 0] for _ in range(n_groups)]
-                for ci, chunk in enumerate(chunks):
-                    vals = g_batch(chunk, gp.z, k, params)
-                    part = vals.sum()
-                    s += part
-                    s2 += float((np.abs(vals) ** 2).sum())
-                    g = groups[ci % n_groups]
-                    g[0] += part
-                    g[1] += len(chunk)
-                mean = s / sample_count
-                var = max(s2 / sample_count - abs(mean) ** 2, 0.0)
-                est.means[(gp.index, k)] = mean
-                est.counts[(gp.index, k)] = sample_count
-                est.stderrs[(gp.index, k)] = math.sqrt(var / sample_count)
-                est.group_sums[(gp.index, k)] = [(g[0], g[1]) for g in groups]
+            means, cov = hist.g_moments(gp.z, k_max, params)
         except SingularGridPointError as exc:
-            for k in range(1, k_max + 1):
-                est.means.pop((gp.index, k), None)
-                est.counts.pop((gp.index, k), None)
-                est.stderrs.pop((gp.index, k), None)
-                est.group_sums.pop((gp.index, k), None)
             est.dropped[gp.index] = str(exc)
             continue
         est.means[(gp.index, 0)] = 1.0 + 0.0j
-        est.counts[(gp.index, 0)] = sample_count
+        est.counts[(gp.index, 0)] = hist.count
         est.stderrs[(gp.index, 0)] = 0.0
+        for k in range(1, k_max + 1):
+            est.means[(gp.index, k)] = complex(means[k - 1])
+            est.counts[(gp.index, k)] = hist.count
+            est.stderrs[(gp.index, k)] = math.sqrt(cov[k - 1, k - 1].real / hist.count)
+        est.covariances[gp.index] = cov
     return est

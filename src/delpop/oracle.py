@@ -1,8 +1,9 @@
 """Brute-force ground truth for tests: exact channel laws by enumerating
 all 2^n retention subsets, exact estimator expectations, and exact
-elementary symmetric values.  Cost guards keep everything under a second;
-sums are compensated (math.fsum) so oracle error stays far below test
-tolerances.
+elementary symmetric values.  Cost guards keep everything under a second.
+Law probabilities are compensated sums (math.fsum); estimator expectations
+are the weighted mean of a law's TraceHistogram, the path sampled moments
+take, and stay far below test tolerances.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .core import (
     SparseDistribution,
     eval_poly,
 )
-from .estimator import MomentEstimates, g_batch, moments_from_values
+from .estimator import MomentEstimates, TraceHistogram, moments_from_values
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,11 @@ class ExactTraceLaw:
 
     def total(self) -> float:
         return math.fsum(p for _, p in self.probs)
+
+    def histogram(self) -> TraceHistogram:
+        """The law as a trace histogram, with the probabilities as weights."""
+        rows = np.array([bits for bits, _ in self.probs], dtype=np.int8)
+        return TraceHistogram(rows, np.array([prob for _, prob in self.probs]))
 
 
 def _pack(bits, keep_mask, n):
@@ -73,14 +79,9 @@ def exact_g_expectation(x: BitString, z: complex, m: int, p: float) -> complex:
     n = x.n
     if n > 12:
         raise ParameterError("exact_g_expectation limited to n <= 12")
-    law = exact_trace_law(x, p)
-    traces = np.array([bits for bits, _ in law.probs], dtype=np.int8)
-    weights = [prob for _, prob in law.probs]
-    params = ProblemParams(n=n, ell=1, p=p)
-    vals = g_batch(traces, z, m, params)
-    re = math.fsum(w * v.real for w, v in zip(weights, vals))
-    im = math.fsum(w * v.imag for w, v in zip(weights, vals))
-    return complex(re, im)
+    hist = exact_trace_law(x, p).histogram()
+    means, _ = hist.g_moments(z, m, ProblemParams(n=n, ell=1, p=p))
+    return complex(means[m - 1])
 
 
 def exact_sigma(d: SparseDistribution, z: complex):

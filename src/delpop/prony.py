@@ -112,21 +112,23 @@ def solve_sigma(sys: HankelSystem, th: PronyThresholds) -> SigmaEstimates:
     return SigmaEstimates(sigma, lp)
 
 
-def sigma_error_stds(sys: HankelSystem, stderrs) -> tuple:
-    """First-order standard deviation of each sigma_j estimate given the
-    standard errors of b~_0..b~_{2l'-1}.
+def sigma_error_stds(sys: HankelSystem, cov, count: int) -> tuple:
+    """Delta-method standard deviation of each sigma_j estimate.
 
-    Linearizes w = B^{-1} v around the estimates: perturbing b_k moves w by
-    B^{-1} (dv/db_k - dB/db_k w); independent b-errors then add in
-    quadrature.  (The b_k are correlated in practice, so this is a guide
-    for weighting, not a certified bound.)"""
+    `cov` is the Hermitian covariance over one trace of the estimators of
+    b_1..b_{2l'-1} (b~_0 = 1 is exact) and `count` the number of traces
+    averaged.  Linearizes w = B^{-1} v around the estimates: perturbing b_k
+    moves w by B^{-1} (dv/db_k - dB/db_k w), the k-th column of the
+    Jacobian J, so the errors of w have covariance J cov J^H / count.
+    The b~_k share traces, so the off-diagonal terms matter."""
     lp = sys.ell_prime
-    if len(stderrs) != 2 * lp:
-        raise ParameterError("need one stderr per power sum")
+    cov = np.asarray(cov)
+    if cov.shape != (2 * lp - 1, 2 * lp - 1):
+        raise ParameterError("need the covariance of b_1..b_{2l'-1}")
     Binv = np.linalg.inv(sys.B_tilde)
     w = Binv @ sys.v_tilde
-    var = np.zeros(lp)
-    for k in range(2 * lp):
+    J = np.empty((lp, 2 * lp - 1), dtype=complex)
+    for k in range(1, 2 * lp):
         dv = np.zeros(lp, dtype=complex)
         dB = np.zeros((lp, lp), dtype=complex)
         for i in range(lp):
@@ -135,10 +137,10 @@ def sigma_error_stds(sys: HankelSystem, stderrs) -> tuple:
             for j in range(lp):
                 if i + j == k:
                     dB[i, j] = 1.0
-        dw = Binv @ (dv - dB @ w)
-        var += np.abs(dw) ** 2 * float(stderrs[k]) ** 2
+        J[:, k - 1] = Binv @ (dv - dB @ w)
+    var = np.einsum("ik,kl,il->i", J, cov, J.conj()).real / count
     # w components map to sigma in reverse order (sigma_j from w_{l'+1-j})
-    return tuple(float(v) for v in np.sqrt(var)[::-1])
+    return tuple(float(v) for v in np.sqrt(np.maximum(var, 0.0))[::-1])
 
 
 def recurrence_check(b, r) -> float:

@@ -99,7 +99,6 @@ class RecoveryConfig:
     weight_floor: float = 1e-6
     subsample_budget: float = 0.05
     seed: int = 0
-    workers: int = 1
 
     def grid_spec(self) -> GridSpec:
         # spacing * (points-1)/2 is the arc half-width; expressed through L
@@ -154,56 +153,6 @@ def _gate_filter(estimates: MomentEstimates, enum: CandidateEnumeration, config:
     return kept
 
 
-def _sigma_errors(estimates: MomentEstimates, idx: int, sys: HankelSystem, ell_prime: int):
-    """Per-sigma_j error estimate at one grid point.
-
-    Prefers a leave-one-group-out jackknife over the sample groups recorded
-    by the accumulator (which captures the strong correlations between the
-    b~_k, since they share traces); falls back to the independent-error
-    linearization when group sums are unavailable (e.g. oracle-built
-    estimates, where it returns zeros anyway)."""
-    groups = estimates.group_sums.get((idx, 1))
-    if not groups or len(groups) < 3:
-        stderrs = [estimates.stderrs.get((idx, k), 0.0) for k in range(2 * ell_prime)]
-        return sigma_error_stds(sys, stderrs)
-    n_groups = len(groups)
-    total = estimates.counts[(idx, 1)]
-    sums = {
-        k: estimates.means[(idx, k)] * total for k in range(2 * ell_prime)
-    }
-    reps = []
-    for g in range(n_groups):
-        b = []
-        ok = True
-        for k in range(2 * ell_prime):
-            if k == 0:
-                b.append(1.0 + 0.0j)
-                continue
-            part, cnt = estimates.group_sums[(idx, k)][g]
-            if total - cnt <= 0:
-                ok = False
-                break
-            b.append((sums[k] - part) / (total - cnt))
-        if not ok:
-            continue
-        try:
-            w = np.linalg.solve(
-                HankelSystem.from_power_sums(b).B_tilde,
-                HankelSystem.from_power_sums(b).v_tilde,
-            )
-        except np.linalg.LinAlgError:
-            return (float("inf"),) * ell_prime
-        lp = ell_prime
-        reps.append([(-1) ** (j - 1) * w[lp - j] for j in range(1, lp + 1)])
-    if len(reps) < 3:
-        return (float("inf"),) * ell_prime
-    reps = np.array(reps)
-    center = reps.mean(axis=0)
-    m = len(reps)
-    var = ((m - 1) / m) * (np.abs(reps - center) ** 2).sum(axis=0)
-    return tuple(float(v) for v in np.sqrt(var))
-
-
 def recover_support_candidates(
     estimates: MomentEstimates,
     params: ProblemParams,
@@ -211,10 +160,9 @@ def recover_support_candidates(
     config: RecoveryConfig | None = None,
 ):
     """Run prony -> coefficient LP -> factoring for every enumerated
-    (l', m1, m2); returns [(enumeration, support strings)].  Per-tuple
-    failures are collected in the returned diagnostics via
-    recover_support_candidates.last_failures (also raised in aggregate by
-    the caller when nothing succeeds)."""
+    (l', m1, m2); returns ([(enumeration, support strings)], [(enumeration,
+    failure message)]).  When nothing succeeds the failures are raised in
+    aggregate instead."""
     config = config or RecoveryConfig()
     failures = []
     results = []
@@ -234,13 +182,12 @@ def recover_support_candidates(
             failures.append((enum, outcome))
         else:
             results.append((enum, outcome))
-    recover_support_candidates.last_failures = failures
     if not results:
         raise RecoveryFailedError(
             "no support candidate survived the pipeline",
             {"failures": [(asdict(e), msg) for e, msg in failures]},
         )
-    return results
+    return results, failures
 
 
 def _candidate_from_points(kept, ell_prime, estimates, params, config):
@@ -256,7 +203,8 @@ def _candidate_from_points(kept, ell_prime, estimates, params, config):
     for idx in sorted(kept):
         z, sys = kept[idx]
         est = solve_sigma(sys, th)
-        stds = _sigma_errors(estimates, idx, sys, ell_prime)
+        cov = estimates.covariances[idx][: 2 * ell_prime - 1, : 2 * ell_prime - 1]
+        stds = sigma_error_stds(sys, cov, estimates.counts[(idx, 1)])
         for k in range(1, ell_prime + 1):
             tol = max(config.coeff_tol, config.coeff_safety * stds[k - 1])
             if tol > config.coeff_cap:
@@ -363,10 +311,8 @@ def recover(
         "dropped_points": dict(estimates.dropped),
         "candidates": [],
     }
-    candidates = recover_support_candidates(estimates, params, alpha_known, config)
-    diagnostics["failures"] = [
-        (asdict(e), msg) for e, msg in recover_support_candidates.last_failures
-    ]
+    candidates, failures = recover_support_candidates(estimates, params, alpha_known, config)
+    diagnostics["failures"] = [(asdict(e), msg) for e, msg in failures]
     seen = set()
     for enum, strings in candidates:
         key = tuple(strings)

@@ -187,4 +187,5 @@ def test_trace_file_roundtrip(tmp_path):
     write_trace_file(path, rows, 4, 0.5, 9)
     header, traces = read_trace_file(path)
     assert header == {"n": "4", "p": "0.5", "seed": "9"}
-    assert [str(t) for t in traces] == rows
+    assert traces.dtype == np.int8
+    assert ["".join(map(str, t)) for t in traces] == rows

@@ -48,6 +48,23 @@ def test_missing_traces_file_is_io_error(tmp_path):
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "#p=0.9 seed=0\n1010\n",  # header without n=
+        "#n=4 p=0.9 seed\n1010\n",  # header token without =
+        "#n=4 p=0.9 seed=0\n1012\n",  # a 2 in a row
+        "#n=4 p=0.9 seed=0\n1010\n101\n",  # a short row
+    ],
+    ids=["missing-n", "bad-token", "bad-char", "short-row"],
+)
+def test_estimate_rejects_malformed_trace_file(tmp_path, text):
+    traces = tmp_path / "traces.txt"
+    traces.write_text(text)
+    code = run(["estimate", "--traces", str(traces), "--out", str(tmp_path / "m.json")])
+    assert code == EXIT_PARAMETER
+
+
 def test_estimate_roundtrip(tmp_path, dist_file):
     d, dist_path = dist_file
     traces = tmp_path / "traces.txt"

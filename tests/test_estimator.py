@@ -201,6 +201,30 @@ def test_accumulate_moments_conjugate_symmetry():
             )
 
 
+def test_accumulate_moments_histogram_matches_raw_rows():
+    grid = _arc(5, 0.3)
+    params = ProblemParams(6, 2, 0.7)
+    rng = np.random.default_rng(43)
+    distinct = rng.integers(0, 2, size=(40, 6)).astype(np.int8)
+    rows = distinct[rng.integers(0, 40, size=3000)]
+    est = accumulate_moments([rows], grid, 3, params, len(rows))
+    for gp in grid:
+        for k in range(1, 4):
+            vals = g_batch(rows, gp.z, k, params)
+            mean = vals.mean()
+            stderr = math.sqrt(float(np.mean(np.abs(vals - mean) ** 2)) / len(rows))
+            assert abs(est.means[(gp.index, k)] - mean) <= 1e-12 * max(1.0, abs(mean))
+            assert abs(est.stderrs[(gp.index, k)] - stderr) <= 1e-12 * max(1.0, stderr)
+            assert est.counts[(gp.index, k)] == len(rows)
+    shuffled = rows[rng.permutation(len(rows))]
+    batches = [shuffled[:7], shuffled[7:1000], shuffled[1000:]]
+    again = accumulate_moments(batches, grid, 3, params, len(rows))
+    assert again.means == est.means
+    assert again.stderrs == est.stderrs
+    for gp in grid:
+        assert np.array_equal(again.covariances[gp.index], est.covariances[gp.index])
+
+
 def test_accumulate_moments_exhausted_source():
     grid = _arc(3, 0.3)
     params = ProblemParams(3, 1, 0.5)

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from delpop.channel import ChannelConfig, sample_trace_batch
 from delpop.core import InternalInconsistencyError, ParameterError, SparseDistribution, BitString
-from delpop.estimator import moments_from_values
+from delpop.core import ProblemParams
+from delpop.estimator import accumulate_moments, moments_from_values
 from delpop.core import power_sum
 from delpop.prony import (
     HankelSystem,
@@ -15,6 +17,7 @@ from delpop.prony import (
     estimate_sigma_at_point,
     gate_stage,
     recurrence_check,
+    sigma_error_stds,
     sigma_record_json,
     sigma_to_recurrence,
     solve_sigma,
@@ -197,3 +200,39 @@ def test_sigma_record_json_shape():
     rec = json.loads(sigma_record_json(1 + 0j, None, 2, stage="det"))
     assert rec["gate"] == "no:det"
     assert rec["sigma"] == []
+
+
+def test_sigma_error_stds_match_replicate_spread():
+    """The delta-method std of each sigma_j is within 25% of the spread of
+    sigma_j over 200 independent samples (n=6, l=2, p=0.8)."""
+    d = SparseDistribution(
+        (BitString.from_string("110100"), BitString.from_string("011011")), (0.6, 0.4)
+    )
+    params = ProblemParams(6, 2, 0.8)
+    grid = [GridPoint(cmath.exp(0.6j), "arc", 0)]
+    th = PronyThresholds(0.5, 0.5)
+    rng = np.random.default_rng(7)
+    count = 5000
+    sigmas, predicted = [], []
+    for _ in range(200):
+        bits, _ = sample_trace_batch(d, ChannelConfig(0.8), count, rng)
+        est = accumulate_moments([bits], grid, 3, params, count)
+        sys = HankelSystem.from_power_sums([est.means[(0, k)] for k in range(4)])
+        sigmas.append(solve_sigma(sys, th).values)
+        predicted.append(sigma_error_stds(sys, est.covariances[0], count))
+    sigmas = np.array(sigmas)
+    empirical = np.sqrt(np.mean(np.abs(sigmas - sigmas.mean(axis=0)) ** 2, axis=0))
+    for j in range(2):
+        stds = [s[j] for s in predicted]
+        assert min(stds) >= 0.75 * empirical[j]
+        assert max(stds) <= 1.25 * empirical[j]
+
+
+def test_sigma_error_stds_zero_for_exact_moments():
+    d = SparseDistribution(
+        (BitString.from_string("110100"), BitString.from_string("011011")), (0.6, 0.4)
+    )
+    grid = [GridPoint(cmath.exp(0.6j), "arc", 0)]
+    est = moments_from_values(grid, 3, lambda z, k: power_sum(d, z, k))
+    sys = HankelSystem.from_power_sums([est.means[(0, k)] for k in range(4)])
+    assert sigma_error_stds(sys, est.covariances[0], est.counts[(0, 1)]) == (0.0, 0.0)

@@ -60,7 +60,7 @@ def test_support_candidates_from_exact_moments():
     d = random_distribution(rng, 6, 2)
     params = ProblemParams(6, 2, 0.9)
     est = exact_moments(d, default_grid(), 3)
-    results = recover_support_candidates(est, params)
+    results, _ = recover_support_candidates(est, params)
     supports = {strings for _, strings in results}
     assert d.support in supports
 
@@ -69,7 +69,7 @@ def test_support_candidates_single_string():
     d = SparseDistribution((BitString.from_string("110101"),), (1.0,))
     params = ProblemParams(6, 1, 0.9)
     est = exact_moments(d, default_grid(), 1)
-    results = recover_support_candidates(est, params)
+    results, _ = recover_support_candidates(est, params)
     assert all(strings == d.support for _, strings in results)
 
 
