@@ -2,7 +2,8 @@
 
 The pipeline: unbiased moment estimators evaluated on a complex grid,
 a conditioned Hankel (Prony) solve for elementary symmetric polynomial
-values, LP-based recovery of their integer coefficients, and exact
+values, recovery of their integer coefficients by weighted least squares
+and rounding, and exact
 integer factoring to read the support strings back out.
 """
 

@@ -2,53 +2,41 @@
 
 sigma_k(z) of a mixture of n-bit strings is a polynomial in z with
 nonnegative integer coefficients: degree <= k*n, each coefficient at most
-binom(l, k) * n^k, and zero constant term (P has no constant term).
-Coefficients are recovered one at a time, lowest index first: with
-t_0..t_{i-1} already known, t_i is the unique integer for which the linear
-program "some real choice of the remaining coefficients keeps every
-|Re/Im residual| at every usable grid point within tol" stays feasible.
-
-Instead of scanning candidate integers one by one, we minimize and
-maximize t_i over the relaxed (all-real) program; feasibility of the
-relaxation is an interval in t_i by convexity, so the feasible integers
-are exactly those inside [min, max].  An empty set and a set with more
-than one integer are distinct, explicit errors.
+binom(l, k) * n^k, and t_0..t_{k-1} = 0 because P has no constant term.
+So once sigma_k is estimated at enough grid points, one weighted
+least-squares solve of the Vandermonde system for t_k..t_{kn}, followed
+by rounding, gives its coefficients.  The exact factoring and moment
+validation downstream certify the answer; near-full-circle arcs keep the
+system well conditioned (Moitra, STOC 2015).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import ParameterError, ProblemParams
 
-FEAS_MARGIN = 1e-9
-_ROUND_SLACK = 1e-7
 
+class CoefficientRecoveryError(RuntimeError):
+    """sigma_k could not be recovered; the message gives the reason."""
 
-class NoFeasibleCoefficientError(RuntimeError):
-    """No integer candidate is feasible (tolerance too tight or grid too poor)."""
-
-    def __init__(self, k, i, message):
-        super().__init__(f"sigma_{k}, coefficient {i}: {message}")
+    def __init__(self, k, message):
+        super().__init__(f"sigma_{k}: {message}")
         self.k = k
-        self.i = i
 
 
-class AmbiguousCoefficientError(RuntimeError):
-    """Several integer candidates are feasible (grid insufficient)."""
+class NoFeasibleCoefficientError(CoefficientRecoveryError):
+    """The rounded polynomial breaks the coefficient bound or misses a point
+    by more than its tolerance (tolerance too tight or estimates too noisy)."""
 
-    def __init__(self, k, i, candidates):
-        super().__init__(
-            f"sigma_{k}, coefficient {i}: ambiguous candidates {sorted(candidates)}"
-        )
-        self.k = k
-        self.i = i
-        self.candidates = tuple(sorted(candidates))
+
+class AmbiguousCoefficientError(CoefficientRecoveryError):
+    """The grid points do not determine the coefficients (too few points or
+    a numerically rank-deficient system)."""
 
 
 @dataclass(frozen=True)
@@ -85,134 +73,52 @@ class SymmetricPolynomial:
         return cls(int(obj["k"]), tuple(int(c) for c in obj["coeffs"]))
 
 
-@dataclass(frozen=True)
-class FeasibilityProblem:
-    """A box-constrained linear feasibility instance with some variables
-    pinned to integers.  constraint_rows are (coefficient vector, bound)
-    pairs encoding row . t <= bound."""
-
-    num_vars: int
-    equality_fixes: dict
-    box_upper: float
-    constraint_rows: tuple
-
-    def __post_init__(self):
-        if self.box_upper < 0:
-            raise ParameterError("box bound must be nonnegative")
-        for row, _ in self.constraint_rows:
-            if len(row) != self.num_vars:
-                raise ParameterError("constraint row length mismatch")
-
-
-def feasible(problem: FeasibilityProblem) -> bool:
-    """Phase-one feasibility with a safeguard margin: minimize the worst
-    constraint violation s; feasible iff s* <= 1e-9."""
-    fixes = problem.equality_fixes
-    free = [j for j in range(problem.num_vars) if j not in fixes]
-    rows, rhs = [], []
-    for row, bound in problem.constraint_rows:
-        row = np.asarray(row, dtype=float)
-        if not np.all(np.isfinite(row)) or not math.isfinite(bound):
-            raise ParameterError("non-finite constraint row")
-        shift = sum(row[j] * fixes[j] for j in fixes)
-        rows.append(row[free])
-        rhs.append(bound - shift)
-    if not free:
-        worst = max((-b for b in rhs), default=0.0)
-        return bool(worst <= FEAS_MARGIN)
-    if not rows:
-        return True
-    nf = len(free)
-    # variables: free coefficients, then the violation s
-    A = np.hstack([np.array(rows).reshape(len(rows), nf), -np.ones((len(rows), 1))])
-    c = np.zeros(nf + 1)
-    c[-1] = 1.0
-    bounds = [(0.0, problem.box_upper)] * nf + [(0.0, None)]
-    res = linprog(c, A_ub=A, b_ub=np.array(rhs), bounds=bounds, method="highs")
-    if not res.success:
-        return False
-    return float(res.x[-1]) <= FEAS_MARGIN
-
-
 def coefficient_bound(params: ProblemParams, k: int) -> int:
     return math.comb(params.ell, k) * params.n ** k
 
 
-def _interval_lp(i, deg, bound, zs, targets, tols):
-    """Min and max of t_i over the relaxed program with t_{>i} free in the
-    box; returns (lo, hi) or None when even the relaxation is infeasible."""
-    nv = deg - i + 1
-    powers = np.array([[z ** j for j in range(i, deg + 1)] for z in zs])
-    rows, rhs = [], []
-    for prow, t, tol in zip(powers, targets, tols):
-        for sgn in (1.0, -1.0):
-            rows.append(sgn * prow.real)
-            rhs.append(sgn * t.real + tol)
-            rows.append(sgn * prow.imag)
-            rhs.append(sgn * t.imag + tol)
-    A = np.array(rows)
-    b = np.array(rhs)
-    bounds = [(0.0, float(bound))] * nv
-    c = np.zeros(nv)
-    c[0] = 1.0
-    lo = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
-    if not lo.success:
-        return None
-    hi = linprog(-c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
-    if not hi.success:
-        return None
-    return float(lo.x[0]), float(hi.x[0])
-
-
-def recover_coefficient(k, i, known, sigma_points, tol, params: ProblemParams) -> int:
-    """The unique feasible integer value of t_i given the known prefix.
-
-    sigma_points entries are (z, sigma_k estimate) pairs, optionally with a
-    third element giving a per-point tolerance that overrides tol; each
-    point contributes real and imaginary residual rows."""
-    if not sigma_points:
-        raise ParameterError("need at least one grid point")
-    if len(known) != i:
-        raise ParameterError("known prefix must have length i")
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
-    deg = k * params.n
-    bound = coefficient_bound(params, k)
-    zs, targets, tols = [], [], []
-    for rec in sigma_points:
-        z, h = complex(rec[0]), complex(rec[1])
-        point_tol = float(rec[2]) if len(rec) > 2 else tol
-        if point_tol <= 0:
-            raise ParameterError("per-point tolerance must be positive")
-        prefix = sum(known[j] * z ** j for j in range(i))
-        zs.append(z)
-        targets.append(h - prefix)
-        tols.append(point_tol)
-    interval = _interval_lp(i, deg, bound, zs, targets, tols)
-    if interval is None:
-        raise NoFeasibleCoefficientError(k, i, "relaxed program infeasible")
-    lo, hi = interval
-    cands = [
-        c
-        for c in range(math.ceil(lo - _ROUND_SLACK), math.floor(hi + _ROUND_SLACK) + 1)
-        if 0 <= c <= bound
-    ]
-    if not cands:
-        raise NoFeasibleCoefficientError(
-            k, i, f"no integer in feasible interval [{lo:.6g}, {hi:.6g}]"
-        )
-    if len(cands) > 1:
-        raise AmbiguousCoefficientError(k, i, cands)
-    return cands[0]
-
-
 def recover_polynomial(k, sigma_records, tol, params: ProblemParams) -> SymmetricPolynomial:
-    """Recover all coefficients of sigma_k from per-point estimates,
-    ascending in index and threading the known prefix.
+    """Recover the integer coefficients of sigma_k from per-point estimates.
 
-    sigma_records: sequence of (z, sigma_k estimate) from gate-YES points."""
-    deg = k * params.n
-    known = []
-    for i in range(deg + 1):
-        known.append(recover_coefficient(k, i, known, sigma_records, tol, params))
-    return SymmetricPolynomial(k, tuple(known))
+    sigma_records entries are (z, sigma_k estimate) pairs from gate-YES
+    points, optionally with a third element giving a per-point tolerance
+    that overrides tol.  t_0..t_{k-1} are zero; t_k..t_{kn} solve the
+    Vandermonde system in the least-squares sense, with each point's real
+    and imaginary rows divided by its tolerance, and are then rounded.
+    The integer answer must lie in [0, coefficient_bound] and match every
+    point's real and imaginary parts within that point's tolerance."""
+    if not sigma_records:
+        raise ParameterError("need at least one grid point")
+    if not tol > 0:
+        raise ParameterError("tol must be positive")
+    zs = np.array([complex(rec[0]) for rec in sigma_records])
+    values = np.array([complex(rec[1]) for rec in sigma_records])
+    tols = np.array([float(rec[2]) if len(rec) > 2 else tol for rec in sigma_records])
+    if not np.all(tols > 0):
+        raise ParameterError("per-point tolerance must be positive")
+    powers = zs[:, None] ** np.arange(k, k * params.n + 1)
+    unknowns = powers.shape[1]
+    row_weights = 1.0 / np.concatenate([tols, tols])
+    A = np.vstack([powers.real, powers.imag]) * row_weights[:, None]
+    rhs = np.concatenate([values.real, values.imag]) * row_weights
+    solution, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
+    if rank < unknowns:
+        raise AmbiguousCoefficientError(
+            k, f"{len(rhs)} real equations of rank {rank} for {unknowns} unknown coefficients"
+        )
+    rounded = np.rint(solution)
+    bound = coefficient_bound(params, k)
+    outside = np.flatnonzero((rounded < 0) | (rounded > bound))
+    if outside.size:
+        i = k + int(outside[0])
+        raise NoFeasibleCoefficientError(
+            k, f"coefficient {i} rounds to {rounded[outside[0]]:.0f}, outside [0, {bound}]"
+        )
+    resid = values - powers @ rounded
+    miss = np.maximum(np.abs(resid.real), np.abs(resid.imag)) / tols
+    worst = int(np.argmax(miss))
+    if miss[worst] > 1.0:
+        raise NoFeasibleCoefficientError(
+            k, f"integer polynomial misses z={zs[worst]:.4g} by {miss[worst]:.3g} tolerances"
+        )
+    return SymmetricPolynomial(k, (0,) * k + tuple(int(c) for c in rounded))

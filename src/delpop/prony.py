@@ -17,7 +17,6 @@ singular for the solve to be trusted.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,13 +75,6 @@ class SigmaEstimates:
     values: tuple
     ell_prime: int
     gate: str = "yes"
-
-
-def conditioning_gate(sys: HankelSystem, th: PronyThresholds) -> bool:
-    """Two-stage test: smallest singular value, then determinant."""
-    if gate_stage(sys, th) is not None:
-        return False
-    return True
 
 
 def gate_stage(sys: HankelSystem, th: PronyThresholds) -> str | None:
@@ -183,15 +175,3 @@ def estimate_sigma_at_point(
         return None
     out = solve_sigma(sys, th)
     return out
-
-
-def sigma_record_json(z: complex, result: SigmaEstimates | None, ell_prime: int, stage=None) -> str:
-    rec = {
-        "z": [z.real, z.imag],
-        "ell_prime": ell_prime,
-        "gate": "yes" if result is not None else f"no:{stage or 'singular'}",
-        "sigma": []
-        if result is None
-        else [[s.real, s.imag] for s in result.values],
-    }
-    return json.dumps(rec)

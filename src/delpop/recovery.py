@@ -4,8 +4,8 @@ support -> weight fitting -> moment-matching validation.
 The sparsity l', the minimum-weight bound alpha = 2^(-m1), and the
 weight-product bound beta = 2^(-m2) are unknown, so all plausible
 (l', m1, m2) tuples are enumerated; each produces at most one candidate
-support through the Prony/LP/factoring chain, failures are recorded
-rather than fatal, and the first candidate whose fitted mixture
+support through the Prony/coefficient/factoring chain, failures are
+recorded rather than fatal, and the first candidate whose fitted mixture
 reproduces every usable moment estimate within the validation margin is
 returned.  Wrong guesses are harmless: their candidates fail the fit or
 the validation.
@@ -35,11 +35,7 @@ from .core import (
     power_sum,
 )
 from .channel import ChannelConfig, SubsampleConfig, choose_threshold, sample_trace_batch
-from .coeffs import (
-    AmbiguousCoefficientError,
-    NoFeasibleCoefficientError,
-    recover_polynomial,
-)
+from .coeffs import CoefficientRecoveryError, recover_polynomial
 from .estimator import MomentEstimates, accumulate_moments
 from .prony import (
     HankelSystem,
@@ -78,9 +74,9 @@ class RecoveryConfig:
 
     The default grid is a wide symmetric arc: for moderate-to-large p the
     estimator weights stay bounded by (1 + q)/p over the whole unit circle,
-    so wide arcs cost little variance and make the integer LP recovery
-    unambiguous, whereas the narrow theoretical arcs are only forced when p
-    is small.
+    so wide arcs cost little variance and keep the Vandermonde system of
+    the integer coefficient recovery well conditioned, whereas the narrow
+    theoretical arcs are only forced when p is small.
     """
 
     sample_count: int = 100_000
@@ -91,7 +87,6 @@ class RecoveryConfig:
     m1_max: int | None = None
     coeff_tol: float = 0.02  # floor of the per-point coefficient tolerance
     coeff_safety: float = 4.0  # multiplier on the predicted sigma error
-    coeff_cap: float = 2.0  # points with larger predicted error are skipped
     min_gate_points: int = 3
     fit_tol: float = 0.25
     validation_abs: float = 0.03
@@ -159,7 +154,7 @@ def recover_support_candidates(
     alpha_known: float | None = None,
     config: RecoveryConfig | None = None,
 ):
-    """Run prony -> coefficient LP -> factoring for every enumerated
+    """Run prony -> coefficient recovery -> factoring for every enumerated
     (l', m1, m2); returns ([(enumeration, support strings)], [(enumeration,
     failure message)]).  When nothing succeeds the failures are raised in
     aggregate instead."""
@@ -194,10 +189,11 @@ def _candidate_from_points(kept, ell_prime, estimates, params, config):
     """Solve sigma at each gate-YES point, recover each sigma_k polynomial,
     and factor.  Returns the support tuple or a failure string.
 
-    Each point enters the coefficient LP with its own tolerance: a floor
-    plus a safety multiple of the point's predicted sigma error, so poorly
+    Each point enters the coefficient solve with its own tolerance: a floor
+    plus a safety multiple of the point's predicted sigma error.  The solve
+    weights each point by the inverse of its tolerance, so poorly
     conditioned points contribute weak-but-valid rows instead of either
-    poisoning the program or being thrown away."""
+    poisoning the solve or being thrown away."""
     th = PronyThresholds(0.5, 0.5, delta=config.delta, eta=config.eta)
     sigma_by_k = {k: [] for k in range(1, ell_prime + 1)}
     for idx in sorted(kept):
@@ -207,16 +203,12 @@ def _candidate_from_points(kept, ell_prime, estimates, params, config):
         stds = sigma_error_stds(sys, cov, estimates.counts[(idx, 1)])
         for k in range(1, ell_prime + 1):
             tol = max(config.coeff_tol, config.coeff_safety * stds[k - 1])
-            if tol > config.coeff_cap:
-                continue
             sigma_by_k[k].append((z, est.values[k - 1], tol))
-    if any(len(pts) < config.min_gate_points for pts in sigma_by_k.values()):
-        return "too few well-conditioned points for some sigma_k"
     polys = []
     for k in range(1, ell_prime + 1):
         try:
             polys.append(recover_polynomial(k, sigma_by_k[k], config.coeff_tol, params))
-        except (NoFeasibleCoefficientError, AmbiguousCoefficientError) as exc:
+        except CoefficientRecoveryError as exc:
             return f"coefficient recovery failed: {exc}"
     try:
         char = assemble_char_poly(polys)

@@ -183,9 +183,10 @@ def test_binomial_pmf_reduction_inequality():
 
 def test_trace_file_roundtrip(tmp_path):
     path = tmp_path / "traces.txt"
-    rows = ["1010", "1100", "0000"]
-    write_trace_file(path, rows, 4, 0.5, 9)
+    rows = np.array([[1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 0]], dtype=np.int8)
+    write_trace_file(path, rows, 0.5, 9)
+    assert path.read_text() == "#n=4 p=0.5 seed=9\n1010\n1100\n0000\n"
     header, traces = read_trace_file(path)
     assert header == {"n": "4", "p": "0.5", "seed": "9"}
     assert traces.dtype == np.int8
-    assert ["".join(map(str, t)) for t in traces] == rows
+    assert np.array_equal(traces, rows)

@@ -134,6 +134,15 @@ def test_oracle_check_mode(tmp_path):
     assert report["max_unbiasedness_deviation"] <= 1e-8
 
 
+@pytest.mark.parametrize("n, code", [(13, EXIT_PARAMETER), (9, EXIT_OK)])
+def test_oracle_check_runs_at_requested_n(tmp_path, n, code):
+    out = tmp_path / "oracle.json"
+    got = run(["oracle-check", "--n", str(n), "--m", "1", "--p", "0.5", "--out", str(out)])
+    assert got == code
+    if code == EXIT_OK:
+        assert json.loads(out.read_text())["n"] == n
+
+
 def test_distinguish_mode(tmp_path):
     d = SparseDistribution(
         (BitString.from_string("1010"), BitString.from_string("0101")), (0.5, 0.5)

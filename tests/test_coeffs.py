@@ -7,12 +7,9 @@ import pytest
 
 from delpop.coeffs import (
     AmbiguousCoefficientError,
-    FeasibilityProblem,
     NoFeasibleCoefficientError,
     SymmetricPolynomial,
     coefficient_bound,
-    feasible,
-    recover_coefficient,
     recover_polynomial,
 )
 from delpop.core import BitString, ParameterError, ProblemParams, SparseDistribution
@@ -53,25 +50,6 @@ def test_symmetric_polynomial_json_uses_decimal_strings():
     assert SymmetricPolynomial.from_json(poly.to_json()) == poly
 
 
-def test_feasible_trivial_cases():
-    assert feasible(FeasibilityProblem(2, {0: 1}, 5.0, ())) is True
-    # fix t_0 = 1 against a row forcing t_0 <= 0.5
-    prob = FeasibilityProblem(1, {0: 1}, 5.0, (((1.0,), 0.5),))
-    assert feasible(prob) is False
-
-
-def test_feasible_truth_assignment():
-    rng = np.random.default_rng(2)
-    t = rng.integers(0, 5, size=4)
-    rows = []
-    for _ in range(6):
-        row = rng.normal(size=4)
-        rows.append((tuple(row), float(row @ t) + 0.1))
-        rows.append((tuple(-row), -float(row @ t) + 0.1))
-    prob = FeasibilityProblem(4, {i: int(v) for i, v in enumerate(t)}, 10.0, tuple(rows))
-    assert feasible(prob) is True
-
-
 def test_coefficient_bound():
     params = ProblemParams(10, 3, 0.9)
     assert coefficient_bound(params, 1) == 30
@@ -85,15 +63,13 @@ def two_string_cross():
     )
 
 
-def test_recover_coefficient_example_sigma1():
+def test_recover_polynomial_example_sigma1():
     # sigma_1 = z + z^2 for the {10, 01} mixture
     d = two_string_cross()
     params = ProblemParams(2, 2, 0.9)
     grid = arc_grid(9, 0.5)
     pts = sigma_points_for(d, grid, 1)
-    assert recover_coefficient(1, 0, [], pts, 0.05, params) == 0
-    assert recover_coefficient(1, 1, [0], pts, 0.05, params) == 1
-    assert recover_coefficient(1, 2, [0, 1], pts, 0.05, params) == 1
+    assert recover_polynomial(1, pts, 0.05, params).coeffs == (0, 1, 1)
 
 
 def test_recover_polynomial_examples():
@@ -175,20 +151,51 @@ def test_infeasible_and_ambiguous_errors():
     params = ProblemParams(2, 2, 0.9)
     grid = arc_grid(9, 0.5)
     pts = sigma_points_for(d, grid, 1)
-    # shift every value by a constant 0.9: no integer t_0 within tol 0.01
+    # shift every value by a constant 0.9: with t_0 pinned at 0 no integer
+    # polynomial comes within tol 0.01
     shifted = [(z, v + 0.9) for z, v in pts]
     with pytest.raises(NoFeasibleCoefficientError):
-        recover_coefficient(1, 0, [], shifted, 0.01, params)
-    # a single grid point cannot pin three coefficients
-    with pytest.raises((AmbiguousCoefficientError, NoFeasibleCoefficientError)):
-        recover_polynomial(1, pts[:1], 0.05, params)
+        recover_polynomial(1, shifted, 0.01, params)
+    # at n=3 a single grid point gives 2 real rows for 3 unknowns t_1..t_3
+    d3 = SparseDistribution((BitString.from_string("101"),), (1.0,))
+    pts3 = sigma_points_for(d3, arc_grid(9, 0.5), 1)
+    with pytest.raises(AmbiguousCoefficientError):
+        recover_polynomial(1, pts3[:1], 0.05, ProblemParams(3, 1, 0.9))
+
+
+def test_rounded_coefficient_above_bound_is_rejected():
+    # l=1, n=2: coefficients of sigma_1 are at most 2, but these values are 3z
+    params = ProblemParams(2, 1, 0.9)
+    assert coefficient_bound(params, 1) == 2
+    pts = [(gp.z, 3 * gp.z) for gp in arc_grid(9, 0.5)]
+    with pytest.raises(NoFeasibleCoefficientError, match="outside"):
+        recover_polynomial(1, pts, 0.05, params)
+
+
+def test_low_coefficients_are_pinned():
+    d = two_string_cross()
+    params = ProblemParams(2, 2, 0.9)
+    grid = arc_grid(9, 0.5)
+    # sigma_2 = z^3: only t_2..t_4 are unknowns, t_0 and t_1 come back zero
+    assert recover_polynomial(2, sigma_points_for(d, grid, 2), 0.05, params).coeffs == (
+        0, 0, 0, 1, 0,
+    )
+    # one off-axis point (2 real rows) determines the 2 unknowns t_1, t_2
+    z = grid[0].z
+    assert z.imag != 0
+    one = [(z, exact_sigma(d, z)[0])]
+    assert recover_polynomial(1, one, 0.05, params).coeffs == (0, 1, 1)
+    # values 1 + z + z^2 need t_0 = 1, which is pinned at 0
+    with_constant = [(gp.z, 1 + gp.z + gp.z ** 2) for gp in grid]
+    with pytest.raises(NoFeasibleCoefficientError):
+        recover_polynomial(1, with_constant, 0.05, params)
 
 
 def test_input_validation():
     params = ProblemParams(2, 2, 0.9)
     with pytest.raises(ParameterError):
-        recover_coefficient(1, 0, [], [], 0.05, params)
+        recover_polynomial(1, [], 0.05, params)
     with pytest.raises(ParameterError):
-        recover_coefficient(1, 1, [], [(1.0, 2.0)], 0.05, params)
+        recover_polynomial(1, [(1.0, 2.0)], 0.0, params)
     with pytest.raises(ParameterError):
-        recover_coefficient(1, 0, [], [(1.0, 2.0)], 0.0, params)
+        recover_polynomial(1, [(1.0, 2.0, 0.0)], 0.05, params)

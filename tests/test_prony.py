@@ -12,13 +12,10 @@ from delpop.core import power_sum
 from delpop.prony import (
     HankelSystem,
     PronyThresholds,
-    SigmaEstimates,
-    conditioning_gate,
     estimate_sigma_at_point,
     gate_stage,
     recurrence_check,
     sigma_error_stds,
-    sigma_record_json,
     sigma_to_recurrence,
     solve_sigma,
 )
@@ -59,10 +56,9 @@ def test_thresholds_enforce_gamma_is_delta_squared():
 def test_gate_trivial_examples():
     th = PronyThresholds(0.5, 0.5, delta=0.5)
     # l' = 1, B = [1]: smin = 1 >= 0.1875, |det| = 1 >= 0.0625
-    assert conditioning_gate(HankelSystem.from_power_sums([1.0, 1.0]), th) is True
+    assert gate_stage(HankelSystem.from_power_sums([1.0, 1.0]), th) is None
     # all-zero b fails at the first (singular-value) stage
     zero = HankelSystem.from_power_sums([0.0, 0.0, 0.0, 0.0])
-    assert conditioning_gate(zero, th) is False
     assert gate_stage(zero, th) == "singular"
 
 
@@ -73,7 +69,7 @@ def test_gate_duplicate_u_fails():
     b = [complex((a * u ** k).sum()) for k in range(6)]
     noise = 1e-9 * np.exp(1j * rng.uniform(0, 2 * math.pi, 6))
     th = PronyThresholds(0.25, 0.02, delta=0.05)
-    assert conditioning_gate(HankelSystem.from_power_sums(b + noise), th) is False
+    assert gate_stage(HankelSystem.from_power_sums(b + noise), th) is not None
 
 
 def test_solve_sigma_single_component():
@@ -187,19 +183,6 @@ def test_estimate_sigma_at_point_oracle_exact_two_strings():
     want = exact_sigma(d, z)
     assert out.values[0] == pytest.approx(want[0])
     assert out.values[1] == pytest.approx(want[1])
-
-
-def test_sigma_record_json_shape():
-    import json
-
-    rec = json.loads(
-        sigma_record_json(1 + 0j, SigmaEstimates((2 + 1j,), 1), 1)
-    )
-    assert rec["gate"] == "yes"
-    assert rec["sigma"] == [[2.0, 1.0]]
-    rec = json.loads(sigma_record_json(1 + 0j, None, 2, stage="det"))
-    assert rec["gate"] == "no:det"
-    assert rec["sigma"] == []
 
 
 def test_sigma_error_stds_match_replicate_spread():

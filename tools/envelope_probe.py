@@ -1,0 +1,89 @@
+"""Operating-envelope probe: success counts of the default pipeline over a
+fixed table of (n, l, p, N) cells.
+
+Each cell runs three seeds.  Seed s draws l distinct random n-bit strings
+and weights from U(0.3, 1), normalised, with numpy's default_rng(1000 n +
+10 l + s); the traces are sampled with channel seed s.  A run succeeds
+when recovery returns a mixture within total-variation distance eps = 0.1
+of the truth.  Prints one line per cell with its successes and the first
+failure reason (for a failed pipeline, its most frequent per-tuple
+failure).
+
+    PYTHONPATH=src python tools/envelope_probe.py
+"""
+
+from __future__ import annotations
+
+import time
+from collections import Counter
+
+import numpy as np
+
+from delpop.core import BitString, ProblemParams, SparseDistribution, tv_distance
+from delpop.recovery import RecoveryConfig, recover_from_channel
+
+CELLS = [
+    (8, 2, 0.9, 10**6),
+    (8, 2, 0.7, 10**6),
+    (10, 2, 0.9, 10**6),
+    (8, 3, 0.9, 10**6),
+    (12, 2, 0.7, 10**6),
+    (12, 2, 0.9, 10**6),
+    (6, 2, 0.8, 10**5),
+    (16, 2, 0.9, 10**6),
+]
+SEEDS = (0, 1, 2)
+EPS = 0.1
+
+
+def random_instance(n: int, ell: int, seed: int) -> SparseDistribution:
+    rng = np.random.default_rng(1000 * n + 10 * ell + seed)
+    strings = set()
+    while len(strings) < ell:
+        strings.add(tuple(int(b) for b in rng.integers(0, 2, size=n)))
+    weights = rng.uniform(0.3, 1.0, size=ell)
+    weights /= weights.sum()
+    return SparseDistribution(tuple(BitString(s) for s in sorted(strings)), tuple(weights))
+
+
+def failure_reason(exc: Exception) -> str:
+    """The most frequent per-tuple failure a RecoveryFailedError carries,
+    else the exception itself."""
+    messages = [msg for _, msg in getattr(exc, "diagnostics", {}).get("failures", [])]
+    if messages:
+        return Counter(messages).most_common(1)[0][0]
+    return f"{type(exc).__name__}: {exc}"
+
+
+def run_cell(n: int, ell: int, p: float, count: int):
+    """(successes, first failure reason or None)."""
+    wins, reason = 0, None
+    for seed in SEEDS:
+        truth = random_instance(n, ell, seed)
+        params = ProblemParams(n, ell, p, eps=EPS)
+        config = RecoveryConfig(sample_count=count, seed=seed)
+        try:
+            got = recover_from_channel(truth, params, config).distribution
+        except Exception as exc:  # every failure mode counts as a miss
+            reason = reason or failure_reason(exc)
+            continue
+        tv = tv_distance(got, truth)
+        if tv <= EPS:
+            wins += 1
+        else:
+            reason = reason or f"TV {tv:.3f}"
+    return wins, reason
+
+
+def main() -> None:
+    print("n  l  p    N      successes  seconds  first failure")
+    for n, ell, p, count in CELLS:
+        start = time.perf_counter()
+        wins, reason = run_cell(n, ell, p, count)
+        seconds = time.perf_counter() - start
+        print(f"{n:<2} {ell}  {p:<4} {count:<6.0e} {wins}/{len(SEEDS)}        "
+              f"{seconds:7.1f}  {reason or '-'}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
