@@ -1,12 +1,15 @@
-"""Deletion-channel sampling and the small-p subsampling reduction.
+"""Deletion-channel sampling, trace files, and the small-p subsampling
+reduction.
 
 Each bit of the source string survives independently with probability p;
-survivors are concatenated and zero-padded back to length n.  For very
-small p the traces can be re-randomized up to an effective retention of
-n^(-1/2): discard traces shorter than a threshold t, then keep a random
+survivors are concatenated and zero-padded back to length n.  The paper's
+reduction re-randomizes very-small-p traces up to an effective retention
+of n^(-1/2): discard traces shorter than a threshold t, then keep a random
 subsequence whose length is Bin(n, n^(-1/2)) conditioned on being at most
 t.  The subsampled output is distributed exactly as a n^(-1/2) trace
-conditioned on length <= t.
+conditioned on length <= t (`oracle.exact_subsample_law` checks this).
+The recovery pipeline does not use it: g_k is unbiased only for the
+unconditioned channel, so recovery runs the estimator at the true p.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BitString, ParameterError, SparseDistribution
+from .core import ParameterError, SparseDistribution
 
 
 # For any 2*sqrt(n) <= t <= n and 0 < p < n^(-1/2), the point masses obey
@@ -26,10 +29,6 @@ from .core import BitString, ParameterError, SparseDistribution
 # (max ~2.71, approached as p -> 0 at large n with t near the 2*sqrt(n)
 # floor); verified numerically over a wide (n, t, p) table in the tests.
 BINOMIAL_REDUCTION_C = 3.0
-
-
-class ThresholdError(ParameterError):
-    """No usable length threshold for the requested budget."""
 
 
 @dataclass(frozen=True)
@@ -83,20 +82,6 @@ class SubsampleConfig:
         return self.n ** -0.5
 
 
-def _pack_trace(x_bits, keep) -> Trace:
-    kept = [b for b, k in zip(x_bits, keep) if k]
-    r = len(kept)
-    return Trace(tuple(kept) + (0,) * (len(x_bits) - r), r)
-
-
-def sample_trace(d: SparseDistribution, cfg: ChannelConfig, rng: np.random.Generator) -> Trace:
-    """Draw one trace: pick x per the mixture weights, delete bits i.i.d."""
-    i = rng.choice(len(d.support), p=np.asarray(d.weights) / sum(d.weights))
-    x = d.support[i]
-    keep = rng.random(d.n) < cfg.p
-    return _pack_trace(x.bits, keep)
-
-
 def sample_trace_batch(
     d: SparseDistribution, cfg: ChannelConfig, count: int, rng: np.random.Generator
 ):
@@ -118,43 +103,8 @@ def sample_trace_batch(
     return packed.astype(np.int8), keep.sum(axis=1).astype(np.int64)
 
 
-def binomial_tail(n: int, p: float, t: int) -> float:
-    """P(Bin(n, p) >= t), summed stably in log space."""
-    if not (0.0 < p < 1.0):
-        raise ParameterError(f"p must lie in (0,1), got {p!r}")
-    if not (0 <= t <= n):
-        raise ParameterError("t out of [0, n]")
-    if t == 0:
-        return 1.0
-    lp, lq = math.log(p), math.log1p(-p)
-    logs = [
-        math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1) + j * lp + (n - j) * lq
-        for j in range(t, n + 1)
-    ]
-    top = max(logs)
-    return math.exp(top) * sum(math.exp(v - top) for v in logs)
-
-
 def threshold_floor(n: int) -> int:
     return math.ceil(2.0 * math.sqrt(n))
-
-
-def choose_threshold(n: int, budget: float) -> int:
-    """Largest t in [ceil(2 sqrt n), n] with P(Bin(n, n^(-1/2)) >= t) >= budget.
-
-    If even the floor misses the budget, the floor is returned (the clamp
-    dominates); the caller sees the actual acceptance rate via binomial_tail.
-    """
-    if not (0.0 < budget <= 1.0):
-        raise ParameterError(f"budget must lie in (0,1], got {budget!r}")
-    lo = threshold_floor(n)
-    if lo > n:
-        raise ThresholdError(f"no valid threshold: 2*sqrt(n) > n for n={n}")
-    pp = n ** -0.5
-    for t in range(n, lo, -1):
-        if binomial_tail(n, pp, t) >= budget:
-            return t
-    return lo
 
 
 def subsample_trace(

@@ -140,7 +140,9 @@ def _write_json(path, obj):
 
 
 def emit_report(result: RecoveryResult, path) -> None:
-    """Write the result JSON plus a per-grid-point diagnostics CSV."""
+    """Write the result JSON plus a per-grid-point diagnostics CSV: one row
+    per point with z, its drop reason (empty when used) and the standard
+    error of each moment order."""
     payload = {
         "distribution": result.distribution.to_json_dict(),
         "diagnostics": result.diagnostics,
@@ -148,12 +150,12 @@ def emit_report(result: RecoveryResult, path) -> None:
         "config": result.config,
     }
     _write_json(path, payload)
-    csv_path = str(path) + ".csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["record", "key", "value"])
-        for key, value in sorted(result.diagnostics.items()):
-            writer.writerow(["diagnostic", key, json.dumps(value, default=str)])
+    points = result.diagnostics.get("points", [])
+    with open(str(path) + ".csv", "w", newline="") as fh:
+        if points:
+            writer = csv.DictWriter(fh, fieldnames=list(points[0]))
+            writer.writeheader()
+            writer.writerows(points)
 
 
 def _cmd_simulate(opts) -> int:

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ParameterError, ProblemParams
-from .channel import Trace
-from .zgrid import GridPoint
 
 SINGULAR_TOL = 1e-12
 
@@ -85,7 +83,9 @@ def composition_weights(z: complex, parts, p: float):
 
 
 def f_sum_batch(X: np.ndarray, w) -> np.ndarray:
-    """f(x~, w) for each trace row of X (shape (N, n), entries 0/1).
+    """f(x~, w) for each trace row of X (shape (N, n), entries 0/1), where
+    f(x~, w) = sum over 1 <= i_1 < ... < i_k <= n of
+    x~_{i_1} ... x~_{i_k} w_1^{i_1} w_2^{i_2-i_1} ... w_k^{i_k-i_{k-1}}.
 
     Prefix recurrence over chain length r: S_r(j) holds the weighted sum of
     all r-chains ending at index j; the accumulator carries
@@ -114,13 +114,6 @@ def f_sum_batch(X: np.ndarray, w) -> np.ndarray:
     return S.sum(axis=1)
 
 
-def f_sum(trace: Trace, w) -> complex:
-    """f(x~, w) = sum over 1 <= i_1 < ... < i_k <= n of
-    x~_{i_1} ... x~_{i_k} w_1^{i_1} w_2^{i_2-i_1} ... w_k^{i_k-i_{k-1}}."""
-    X = np.array([trace.bits], dtype=np.int8)
-    return complex(f_sum_batch(X, list(w))[0])
-
-
 def g_batch(X: np.ndarray, z: complex, m: int, params: ProblemParams) -> np.ndarray:
     """g_m(x~, z) for each trace row of X."""
     if m < 1:
@@ -137,12 +130,6 @@ def g_batch(X: np.ndarray, z: complex, m: int, params: ProblemParams) -> np.ndar
         coef = multinomial(m, parts) * p ** (-k) * z ** expo / denom
         total += coef * f_sum_batch(X, w)
     return total
-
-
-def g_estimate(trace: Trace, z: complex, m: int, params: ProblemParams) -> complex:
-    """Single-trace unbiased estimate of P(z; x)^m."""
-    X = np.array([trace.bits], dtype=np.int8)
-    return complex(g_batch(X, z, m, params)[0])
 
 
 @dataclass(frozen=True)
@@ -201,57 +188,69 @@ class TraceHistogram:
 
 @dataclass
 class MomentEstimates:
-    """Sample means of g_k per (grid point, k), with counts and standard
-    errors for diagnostics.  Points where the estimator is singular are
-    dropped and recorded in `dropped` with the offending composition."""
+    """Sample means of g_0..g_{k_max} at every grid point (g_0 := 1), with
+    the covariance of (g_1..g_{k_max}) over one trace for the delta-method
+    error model downstream.  Row i of `means` and `cov` belongs to grid[i].
+    Points where the estimator is singular are dropped: their rows hold NaN
+    and `dropped` maps the row to the offending composition."""
 
     grid: tuple
-    k_max: int
-    means: dict = field(default_factory=dict)  # (point index, k) -> complex
-    counts: dict = field(default_factory=dict)  # (point index, k) -> int
-    stderrs: dict = field(default_factory=dict)  # (point index, k) -> float
-    dropped: dict = field(default_factory=dict)  # point index -> reason string
-    # point index -> (k_max, k_max) Hermitian covariance of (g_1..g_{k_max})
-    # over one trace, for the delta-method error model downstream
-    covariances: dict = field(default_factory=dict)
+    means: np.ndarray  # (P, k_max + 1) complex; column 0 is 1
+    cov: np.ndarray  # (P, k_max, k_max) complex Hermitian
+    count: int  # traces behind every mean
+    dropped: dict = field(default_factory=dict)  # row -> reason string
 
-    def usable_points(self):
-        return [gp for gp in self.grid if gp.index not in self.dropped]
+    @property
+    def k_max(self) -> int:
+        return self.means.shape[1] - 1
 
-    def point(self, index: int) -> GridPoint:
-        for gp in self.grid:
-            if gp.index == index:
-                return gp
-        raise ParameterError(f"no grid point with index {index}")
+    @property
+    def stderrs(self) -> np.ndarray:
+        """(P, k_max + 1) standard errors of the means; column 0 is 0."""
+        var = np.diagonal(self.cov, axis1=1, axis2=2).real / self.count
+        return np.concatenate([np.zeros((len(var), 1)), np.sqrt(var)], axis=1)
+
+    def usable_rows(self) -> list:
+        return [i for i in range(len(self.grid)) if i not in self.dropped]
+
+    def point_table(self) -> list:
+        """One dict per grid point: z, the drop reason (None when the point
+        is used) and the standard error of each b_k (None when dropped)."""
+        stderrs = self.stderrs
+        table = []
+        for i, gp in enumerate(self.grid):
+            row = {"z_real": gp.z.real, "z_imag": gp.z.imag, "dropped": self.dropped.get(i)}
+            for k in range(1, self.k_max + 1):
+                row[f"stderr_{k}"] = None if i in self.dropped else float(stderrs[i, k])
+            table.append(row)
+        return table
 
     def to_json(self) -> str:
         recs = []
-        for (i, k), mean in sorted(self.means.items()):
-            gp = self.point(i)
-            recs.append(
-                {
-                    "z": [gp.z.real, gp.z.imag],
-                    "grid_kind": gp.kind,
-                    "k": k,
-                    "mean": [mean.real, mean.imag],
-                    "count": self.counts[(i, k)],
-                }
-            )
+        for i in self.usable_rows():
+            gp = self.grid[i]
+            for k, mean in enumerate(self.means[i]):
+                recs.append(
+                    {
+                        "z": [gp.z.real, gp.z.imag],
+                        "grid_kind": gp.kind,
+                        "k": k,
+                        "mean": [float(mean.real), float(mean.imag)],
+                        "count": self.count,
+                    }
+                )
         return json.dumps(recs)
 
 
 def moments_from_values(grid, k_max: int, value_fn) -> MomentEstimates:
     """Build MomentEstimates from a callable (z, k) -> complex (e.g. exact
-    power sums, or a noisy wrapper in tests); counts are set to 1 and the
-    covariances to zero."""
-    est = MomentEstimates(grid=tuple(grid), k_max=k_max)
-    for gp in grid:
-        for k in range(k_max + 1):
-            est.means[(gp.index, k)] = 1.0 + 0j if k == 0 else complex(value_fn(gp.z, k))
-            est.counts[(gp.index, k)] = 1
-            est.stderrs[(gp.index, k)] = 0.0
-        est.covariances[gp.index] = np.zeros((k_max, k_max), dtype=complex)
-    return est
+    power sums, or a noisy wrapper in tests); the count is 1 and the
+    covariances are zero."""
+    means = np.array(
+        [[1.0] + [complex(value_fn(gp.z, k)) for k in range(1, k_max + 1)] for gp in grid],
+        dtype=complex,
+    ).reshape(len(grid), k_max + 1)
+    return MomentEstimates(tuple(grid), means, np.zeros((len(grid), k_max, k_max), complex), 1)
 
 
 def accumulate_moments(
@@ -274,35 +273,26 @@ def accumulate_moments(
     if k_max < 1:
         raise ParameterError("k_max must be >= 1")
     hist = TraceHistogram.from_batches(trace_source, params.n, sample_count)
-    est = MomentEstimates(grid=tuple(grid), k_max=k_max)
+    means = np.full((len(grid), k_max + 1), np.nan, dtype=complex)
+    cov = np.full((len(grid), k_max, k_max), np.nan, dtype=complex)
+    dropped = {}
     # traces and channel parameters are real, so g_k(x~, conj(z)) is the
-    # conjugate of g_k(x~, z); conjugate grid points reuse earlier work
+    # conjugate of g_k(x~, z); conjugate grid points reuse earlier rows
     done = {}
-    for gp in grid:
-        conj_key = (round(gp.z.real, 15), round(-gp.z.imag, 15))
-        if conj_key in done:
-            src = done[conj_key]
-            if src in est.dropped:
-                est.dropped[gp.index] = est.dropped[src]
-                continue
-            for k in range(k_max + 1):
-                est.means[(gp.index, k)] = est.means[(src, k)].conjugate()
-                est.counts[(gp.index, k)] = est.counts[(src, k)]
-                est.stderrs[(gp.index, k)] = est.stderrs[(src, k)]
-            est.covariances[gp.index] = est.covariances[src].conj()
+    for i, gp in enumerate(grid):
+        src = done.get((round(gp.z.real, 15), round(-gp.z.imag, 15)))
+        if src is not None:
+            if src in dropped:
+                dropped[i] = dropped[src]
+            else:
+                means[i] = means[src].conj()
+                cov[i] = cov[src].conj()
             continue
-        done[(round(gp.z.real, 15), round(gp.z.imag, 15))] = gp.index
+        done[(round(gp.z.real, 15), round(gp.z.imag, 15))] = i
         try:
-            means, cov = hist.g_moments(gp.z, k_max, params)
+            means[i, 1:], cov[i] = hist.g_moments(gp.z, k_max, params)
         except SingularGridPointError as exc:
-            est.dropped[gp.index] = str(exc)
+            dropped[i] = str(exc)
             continue
-        est.means[(gp.index, 0)] = 1.0 + 0.0j
-        est.counts[(gp.index, 0)] = hist.count
-        est.stderrs[(gp.index, 0)] = 0.0
-        for k in range(1, k_max + 1):
-            est.means[(gp.index, k)] = complex(means[k - 1])
-            est.counts[(gp.index, k)] = hist.count
-            est.stderrs[(gp.index, k)] = math.sqrt(cov[k - 1, k - 1].real / hist.count)
-        est.covariances[gp.index] = cov
-    return est
+        means[i, 0] = 1.0
+    return MomentEstimates(tuple(grid), means, cov, hist.count, dropped)

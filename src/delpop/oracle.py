@@ -20,6 +20,7 @@ from .core import (
     ProblemParams,
     SparseDistribution,
     eval_poly,
+    power_sum,
 )
 from .estimator import MomentEstimates, TraceHistogram, moments_from_values
 
@@ -96,8 +97,6 @@ def exact_sigma(d: SparseDistribution, z: complex):
 
 def exact_moments(d: SparseDistribution, grid, k_max: int) -> MomentEstimates:
     """Oracle-exact MomentEstimates (power sums, no sampling noise)."""
-    from .core import power_sum
-
     return moments_from_values(grid, k_max, lambda z, k: power_sum(d, z, k))
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InternalInconsistencyError, ParameterError
-from .estimator import MomentEstimates
 
 
 @dataclass(frozen=True)
@@ -152,26 +151,3 @@ def recurrence_check(b, r) -> float:
 def sigma_to_recurrence(sigma) -> tuple:
     """r_j = (-1)^(j-1) sigma_j."""
     return tuple((-1) ** j * complex(s) if j % 2 else complex(s) for j, s in enumerate(sigma))
-
-
-def estimate_sigma_at_point(
-    estimates: MomentEstimates,
-    z_index: int,
-    ell_prime: int,
-    th: PronyThresholds,
-) -> SigmaEstimates | None:
-    """Assemble the Hankel system from sample means at one grid point, gate,
-    and solve.  Returns None when the gate says the P-values are too close
-    together at this z (separation below threshold)."""
-    try:
-        b = [estimates.means[(z_index, k)] for k in range(2 * ell_prime)]
-    except KeyError:
-        raise ParameterError(
-            f"estimates missing k entries for point {z_index}, l'={ell_prime}"
-        )
-    sys = HankelSystem.from_power_sums(b)
-    stage = gate_stage(sys, th)
-    if stage is not None:
-        return None
-    out = solve_sigma(sys, th)
-    return out

@@ -1,19 +1,19 @@
 """End-to-end recovery: moments -> Prony -> integer coefficients ->
 support -> weight fitting -> moment-matching validation.
 
-The sparsity l', the minimum-weight bound alpha = 2^(-m1), and the
-weight-product bound beta = 2^(-m2) are unknown, so all plausible
-(l', m1, m2) tuples are enumerated; each produces at most one candidate
-support through the Prony/coefficient/factoring chain, failures are
-recorded rather than fatal, and the first candidate whose fitted mixture
-reproduces every usable moment estimate within the validation margin is
-returned.  Wrong guesses are harmless: their candidates fail the fit or
-the validation.
-
-When p is far below n^(-1/2), traces are first re-randomized with the
-subsampling reduction so the estimator runs at effective retention
-n^(-1/2) (conditioned on trace length <= t, which leaves moment
-estimates unbiased for the conditioned channel the reduction targets).
+The sparsity l' is unknown, so every l' = 1..l is tried.  The conditioning
+gate of the Prony stage takes lower bounds alpha on the minimum weight and
+beta on the weight product; the paper enumerates guesses for them, but the
+gate-YES point sets are nested in (alpha, beta) and the coefficient solve
+weights every point by its own delta-method tolerance, so one pass per l'
+at the loosest bounds the paper's enumeration reaches, alpha = 2^(-M) and
+beta = 2^(-l' M) with M = ceil(log2(1/eps)), covers every smaller point set.
+Each l' yields at most one candidate support through the
+Prony/coefficient/factoring chain; failures are recorded rather than
+fatal, and the first candidate whose fitted mixture reproduces every
+usable moment estimate within the validation margin is returned.  Wrong
+guesses of l' are harmless: their candidates fail the fit or the
+validation.
 """
 
 from __future__ import annotations
@@ -27,14 +27,14 @@ from scipy.optimize import linprog
 
 from .core import (
     BitString,
+    CorruptInputError,
     ParameterError,
     ProblemParams,
     RecoveryFailedError,
     SparseDistribution,
     eval_poly,
-    power_sum,
 )
-from .channel import ChannelConfig, SubsampleConfig, choose_threshold, sample_trace_batch
+from .channel import ChannelConfig, sample_trace_batch
 from .coeffs import CoefficientRecoveryError, recover_polynomial
 from .estimator import MomentEstimates, accumulate_moments
 from .prony import (
@@ -46,37 +46,27 @@ from .prony import (
 )
 from .support import assemble_char_poly, decode_support, integer_roots
 from .zgrid import GridSpec, build_arc_grid
-from .core import CorruptInputError
 
 
 class MarginError(RuntimeError):
     """No enumerated distribution matches the estimates within margin."""
 
 
-@dataclass(frozen=True)
-class CandidateEnumeration:
-    ell_prime: int
-    m1: int
-    m2: int
-
-    @property
-    def alpha(self) -> float:
-        return 2.0 ** -self.m1
-
-    @property
-    def beta(self) -> float:
-        return 2.0 ** -self.m2
-
-
 @dataclass
 class RecoveryConfig:
     """Tunable pipeline knobs.
 
-    The default grid is a wide symmetric arc: for moderate-to-large p the
-    estimator weights stay bounded by (1 + q)/p over the whole unit circle,
-    so wide arcs cost little variance and keep the Vandermonde system of
-    the integer coefficient recovery well conditioned, whereas the narrow
-    theoretical arcs are only forced when p is small.
+    sample_count traces feed the moment estimates on a grid of grid_points
+    points spaced grid_spacing radians apart on a symmetric arc.  The
+    default arc is wide: for moderate-to-large p the estimator weights stay
+    bounded by (1 + q)/p over the whole unit circle, so wide arcs cost
+    little variance and keep the Vandermonde system of the integer
+    coefficient recovery well conditioned.  delta and eta scale the Prony
+    gate.  Each point's coefficient tolerance is the larger of coeff_tol
+    and coeff_safety times its predicted sigma error; an l' needs at least
+    min_gate_points gate-YES points.  Weights are fit to within fit_tol and
+    a candidate must match every moment within validation_abs +
+    validation_sigma * stderr; weights at or below weight_floor are dropped.
     """
 
     sample_count: int = 100_000
@@ -84,7 +74,6 @@ class RecoveryConfig:
     grid_points: int = 25
     delta: float = 0.01
     eta: float = 1e-4
-    m1_max: int | None = None
     coeff_tol: float = 0.02  # floor of the per-point coefficient tolerance
     coeff_safety: float = 4.0  # multiplier on the predicted sigma error
     min_gate_points: int = 3
@@ -92,7 +81,6 @@ class RecoveryConfig:
     validation_abs: float = 0.03
     validation_sigma: float = 8.0
     weight_floor: float = 1e-6
-    subsample_budget: float = 0.05
     seed: int = 0
 
     def grid_spec(self) -> GridSpec:
@@ -117,70 +105,41 @@ class RecoveryResult:
     config: dict = field(default_factory=dict)
 
 
-def enumerate_candidates(params: ProblemParams, alpha_known: float | None, m1_max: int | None):
-    """(l', m1, m2) tuples in deterministic order."""
-    if alpha_known is not None:
-        if not (0.0 < alpha_known <= 1.0):
-            raise ParameterError("alpha_known must lie in (0,1]")
-        m1_values = [max(1, math.ceil(math.log2(1.0 / alpha_known)))]
-    else:
-        m = m1_max if m1_max is not None else max(1, math.ceil(math.log2(1.0 / params.eps)))
-        m1_values = list(range(1, m + 1))
-    out = []
-    for ell_prime in range(1, params.ell + 1):
-        for m1 in m1_values:
-            for m2 in range(1, ell_prime * m1 + 1):
-                out.append(CandidateEnumeration(ell_prime, m1, m2))
-    return out
-
-
-def _gate_filter(estimates: MomentEstimates, enum: CandidateEnumeration, config: RecoveryConfig):
+def _gate_filter(estimates: MomentEstimates, ell_prime: int, th: PronyThresholds):
     """Run the conditioning gate at every usable point; returns
-    {point index: (z, HankelSystem)} for the YES points."""
-    th = PronyThresholds(enum.alpha, enum.beta, delta=config.delta, eta=config.eta)
-    lp = enum.ell_prime
+    {row: (z, HankelSystem)} for the YES points."""
     kept = {}
-    for gp in estimates.usable_points():
-        b = [estimates.means[(gp.index, k)] for k in range(2 * lp)]
-        sys = HankelSystem.from_power_sums(b)
+    for i in estimates.usable_rows():
+        sys = HankelSystem.from_power_sums(estimates.means[i, : 2 * ell_prime])
         if gate_stage(sys, th) is None:
-            kept[gp.index] = (gp.z, sys)
+            kept[i] = (estimates.grid[i].z, sys)
     return kept
 
 
 def recover_support_candidates(
     estimates: MomentEstimates,
     params: ProblemParams,
-    alpha_known: float | None = None,
     config: RecoveryConfig | None = None,
 ):
-    """Run prony -> coefficient recovery -> factoring for every enumerated
-    (l', m1, m2); returns ([(enumeration, support strings)], [(enumeration,
-    failure message)]).  When nothing succeeds the failures are raised in
-    aggregate instead."""
+    """Run gate -> prony -> coefficient recovery -> factoring once for each
+    l' = 1..l; returns ([(l', support strings)], [(l', failure message)]).
+    When nothing succeeds the failures are raised in aggregate instead."""
     config = config or RecoveryConfig()
-    failures = []
-    results = []
-    cache = {}
-    for enum in enumerate_candidates(params, alpha_known, config.m1_max):
-        kept = _gate_filter(estimates, enum, config)
+    m = max(1, math.ceil(math.log2(1.0 / params.eps)))
+    results, failures = [], []
+    for ell_prime in range(1, params.ell + 1):
+        th = PronyThresholds(
+            2.0 ** -m, 2.0 ** (-ell_prime * m), delta=config.delta, eta=config.eta
+        )
+        kept = _gate_filter(estimates, ell_prime, th)
         if len(kept) < config.min_gate_points:
-            failures.append((enum, f"only {len(kept)} gate-YES points"))
-            continue
-        key = (enum.ell_prime, tuple(sorted(kept)))
-        if key in cache:
-            outcome = cache[key]
+            outcome = f"only {len(kept)} gate-YES points"
         else:
-            outcome = _candidate_from_points(kept, enum.ell_prime, estimates, params, config)
-            cache[key] = outcome
-        if isinstance(outcome, str):
-            failures.append((enum, outcome))
-        else:
-            results.append((enum, outcome))
+            outcome = _candidate_from_points(kept, ell_prime, estimates, params, config)
+        (failures if isinstance(outcome, str) else results).append((ell_prime, outcome))
     if not results:
         raise RecoveryFailedError(
-            "no support candidate survived the pipeline",
-            {"failures": [(asdict(e), msg) for e, msg in failures]},
+            "no support candidate survived the pipeline", {"failures": failures}
         )
     return results, failures
 
@@ -199,8 +158,8 @@ def _candidate_from_points(kept, ell_prime, estimates, params, config):
     for idx in sorted(kept):
         z, sys = kept[idx]
         est = solve_sigma(sys, th)
-        cov = estimates.covariances[idx][: 2 * ell_prime - 1, : 2 * ell_prime - 1]
-        stds = sigma_error_stds(sys, cov, estimates.counts[(idx, 1)])
+        cov = estimates.cov[idx][: 2 * ell_prime - 1, : 2 * ell_prime - 1]
+        stds = sigma_error_stds(sys, cov, estimates.count)
         for k in range(1, ell_prime + 1):
             tol = max(config.coeff_tol, config.coeff_safety * stds[k - 1])
             sigma_by_k[k].append((z, est.values[k - 1], tol))
@@ -219,6 +178,15 @@ def _candidate_from_points(kept, ell_prime, estimates, params, config):
     return strings
 
 
+def _moment_powers(strings, estimates: MomentEstimates, rows) -> np.ndarray:
+    """P(z; x)^k for every listed row's point z, k = 1..k_max and string x,
+    as a (rows, k_max, strings) array."""
+    u = np.array(
+        [[eval_poly(x, estimates.grid[i].z) for x in strings] for i in rows], dtype=complex
+    ).reshape(len(rows), 1, len(strings))
+    return np.cumprod(np.repeat(u, estimates.k_max, axis=1), axis=1)
+
+
 def fit_weights(support, estimates: MomentEstimates, tol: float):
     """Feasibility LP for mixture weights: a_i >= 0, sum a_i = 1, and every
     usable |Re/Im moment residual| <= tol.  Solved as min of the worst
@@ -227,28 +195,20 @@ def fit_weights(support, estimates: MomentEstimates, tol: float):
     ns = len(support)
     if len(set(support)) != ns:
         raise ParameterError("support strings must be distinct")
-    rows, rhs = [], []
-    for gp in estimates.usable_points():
-        u = [eval_poly(x, gp.z) for x in support]
-        for k in range(1, estimates.k_max + 1):
-            target = estimates.means.get((gp.index, k))
-            if target is None:
-                continue
-            coef = np.array([ui ** k for ui in u])
-            for sgn in (1.0, -1.0):
-                rows.append(np.append(sgn * coef.real, -1.0))
-                rhs.append(sgn * target.real)
-                rows.append(np.append(sgn * coef.imag, -1.0))
-                rhs.append(sgn * target.imag)
+    rows = estimates.usable_rows()
     if not rows:
         return None
-    A_ub = np.array(rows)
-    b_ub = np.array(rhs)
+    coef = _moment_powers(support, estimates, rows)
+    target = estimates.means[rows, 1:]
+    # per (point, k): the +Re, +Im, -Re and -Im residuals, each <= the slack
+    A = np.stack([coef.real, coef.imag, -coef.real, -coef.imag], axis=2).reshape(-1, ns)
+    b = np.stack([target.real, target.imag, -target.real, -target.imag], axis=2).ravel()
+    A_ub = np.hstack([A, -np.ones((len(A), 1))])
     A_eq = np.append(np.ones(ns), 0.0).reshape(1, -1)
     c = np.zeros(ns + 1)
     c[-1] = 1.0
     bounds = [(0.0, 1.0)] * ns + [(0.0, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0], bounds=bounds, method="highs")
+    res = linprog(c, A_ub=A_ub, b_ub=b, A_eq=A_eq, b_eq=[1.0], bounds=bounds, method="highs")
     if not res.success or float(res.x[-1]) > tol:
         return None
     return [float(a) for a in res.x[:-1]]
@@ -269,27 +229,19 @@ def validate_candidate(
 ) -> float | None:
     """Largest normalized moment residual if the candidate reproduces every
     usable estimate within margin_abs + margin_sigma * stderr, else None."""
-    worst = 0.0
-    for gp in estimates.usable_points():
-        for k in range(1, estimates.k_max + 1):
-            mean = estimates.means.get((gp.index, k))
-            if mean is None:
-                continue
-            margin = config.validation_abs + config.validation_sigma * estimates.stderrs.get(
-                (gp.index, k), 0.0
-            )
-            resid = abs(power_sum(d, gp.z, k) - mean)
-            if resid > margin:
-                return None
-            worst = max(worst, resid / margin)
-    return worst
+    rows = estimates.usable_rows()
+    model = _moment_powers(d.support, estimates, rows) @ np.asarray(d.weights)
+    margin = config.validation_abs + config.validation_sigma * estimates.stderrs[rows, 1:]
+    resid = np.abs(model - estimates.means[rows, 1:])
+    if np.any(resid > margin):
+        return None
+    return float(np.max(resid / margin, initial=0.0))
 
 
 def recover(
     trace_source,
     params: ProblemParams,
     config: RecoveryConfig | None = None,
-    alpha_known: float | None = None,
 ) -> RecoveryResult:
     """Full pipeline on an i.i.d. trace stream (batches of padded 0/1 rows)."""
     config = config or RecoveryConfig()
@@ -300,19 +252,14 @@ def recover(
     estimates = accumulate_moments(trace_source, grid, k_max, params, config.sample_count)
     diagnostics = {
         "grid_points": len(grid),
-        "dropped_points": dict(estimates.dropped),
+        "points": estimates.point_table(),
         "candidates": [],
     }
-    candidates, failures = recover_support_candidates(estimates, params, alpha_known, config)
-    diagnostics["failures"] = [(asdict(e), msg) for e, msg in failures]
-    seen = set()
-    for enum, strings in candidates:
-        key = tuple(strings)
-        if key in seen:
-            continue
-        seen.add(key)
+    candidates, failures = recover_support_candidates(estimates, params, config)
+    diagnostics["failures"] = failures
+    for ell_prime, strings in candidates:
         record = {
-            "enum": asdict(enum),
+            "ell_prime": ell_prime,
             "support": [str(x) for x in strings],
             "accepted": False,
         }
@@ -340,55 +287,22 @@ def recover(
     raise RecoveryFailedError("all candidates failed weight fitting or validation", diagnostics)
 
 
-def channel_trace_source(
-    d: SparseDistribution, params: ProblemParams, config: RecoveryConfig
-):
-    """Batched sampler feeding recover(); applies the small-p subsampling
-    reduction when p < (1/2) n^(-1/2) and returns the effective params."""
+def channel_trace_source(d: SparseDistribution, params: ProblemParams, config: RecoveryConfig):
+    """Endless batches of 2^16 padded traces of d through the channel at
+    retention params.p, seeded by config.seed; feeds recover()."""
     rng = np.random.default_rng(config.seed)
-    n = params.n
-    small_p = params.p < 0.5 * n ** -0.5
-    eff_params = params
-    sub_cfg = None
-    if small_p:
-        t = choose_threshold(n, config.subsample_budget)
-        sub_cfg = SubsampleConfig(n, t)
-        eff_params = ProblemParams(n, params.ell, sub_cfg.target_p, params.eps)
-
-    def source():
-        cfg = ChannelConfig(params.p, config.seed)
-        batch = 1 << 16
-        while True:
-            bits, counts = sample_trace_batch(d, cfg, batch, rng)
-            if not small_p:
-                yield bits
-                continue
-            keep = counts >= sub_cfg.t
-            bits = bits[keep]
-            counts = counts[keep]
-            out = np.zeros_like(bits)
-            for row in range(len(bits)):
-                while True:
-                    x_len = int(rng.binomial(n, sub_cfg.target_p))
-                    if x_len <= sub_cfg.t:
-                        break
-                if x_len:
-                    idx = np.sort(rng.choice(counts[row], size=x_len, replace=False))
-                    out[row, :x_len] = bits[row, idx]
-            yield out
-
-    return source(), eff_params
+    cfg = ChannelConfig(params.p, config.seed)
+    while True:
+        yield sample_trace_batch(d, cfg, 1 << 16, rng)[0]
 
 
 def recover_from_channel(
     d: SparseDistribution,
     params: ProblemParams,
     config: RecoveryConfig | None = None,
-    alpha_known: float | None = None,
 ) -> RecoveryResult:
     config = config or RecoveryConfig()
-    source, eff_params = channel_trace_source(d, params, config)
-    return recover(source, eff_params, config, alpha_known)
+    return recover(channel_trace_source(d, params, config), params, config)
 
 
 def exhaustive_distinguisher(
@@ -415,62 +329,51 @@ def exhaustive_distinguisher(
         BitString(bits) for bits in itertools.product((0, 1), repeat=params.n)
     ]
     strings.sort()
-    usable = [
-        (gp, k, estimates.means[(gp.index, k)])
-        for gp in estimates.usable_points()
-        for k in range(1, estimates.k_max + 1)
-        if (gp.index, k) in estimates.means
-    ]
-    if not usable:
+    rows = estimates.usable_rows()
+    if not rows:
         raise ParameterError("no usable moment estimates")
-    U = {
-        (si, gp.index): eval_poly(x, gp.z)
-        for si, x in enumerate(strings)
-        for gp in estimates.usable_points()
-    }
+    # one column per (point, k) constraint, one row per string
+    M = _moment_powers(strings, estimates, rows).reshape(-1, len(strings)).T
+    b = estimates.means[rows, 1:].ravel()
 
-    for si, x in enumerate(strings):
-        if all(abs(U[(si, gp.index)] ** k - b) <= margin for gp, k, b in usable):
-            return SparseDistribution((x,), (1.0,))
+    single = np.flatnonzero(np.all(np.abs(M - b) <= margin, axis=1))
+    if single.size:
+        return SparseDistribution((strings[single[0]],), (1.0,))
 
     if params.ell >= 2:
-        for si, sj in itertools.combinations(range(len(strings)), 2):
-            lo, hi = 0.0, 1.0
-            ok = True
-            for gp, k, b in usable:
-                c = U[(si, gp.index)] ** k - U[(sj, gp.index)] ** k
-                dd = U[(sj, gp.index)] ** k - b
-                A = abs(c) ** 2
-                if A < 1e-30:
-                    if abs(dd) > margin:
-                        ok = False
-                        break
-                    continue
-                B = (c.conjugate() * dd).real
-                # |c a + d|^2 <= margin^2 is A a^2 + 2 B a + C <= 0 with
-                # C = |d|^2 - margin^2; the half-discriminant B^2 - A C
-                # equals A margin^2 - Im(conj(c) d)^2, which avoids the
-                # catastrophic cancellation of the direct form when margin
-                # is tiny against the moment magnitudes.
-                disc = A * margin ** 2 - (c.conjugate() * dd).imag ** 2
-                if disc < 0:
-                    ok = False
-                    break
-                root = math.sqrt(disc)
-                lo = max(lo, (-B - root) / A)
-                hi = min(hi, (-B + root) / A)
-                if lo > hi:
-                    ok = False
-                    break
-            if not ok:
+        for si in range(len(strings) - 1):
+            # every pair (si, sj > si) at once: |c a + d| <= margin per
+            # constraint, with c = u_si^k - u_sj^k and d = u_sj^k - b
+            c = M[si] - M[si + 1 :]
+            dd = M[si + 1 :] - b
+            A = np.abs(c) ** 2
+            flat = A < 1e-30
+            cd = c.conj() * dd
+            # |c a + d|^2 <= margin^2 is A a^2 + 2 B a + C <= 0 with B =
+            # Re(conj(c) d) and C = |d|^2 - margin^2; the half-discriminant
+            # B^2 - A C equals A margin^2 - Im(conj(c) d)^2, which avoids
+            # the catastrophic cancellation of the direct form when margin
+            # is tiny against the moment magnitudes.
+            disc = A * margin ** 2 - cd.imag ** 2
+            root = np.sqrt(np.maximum(disc, 0.0))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lo = np.where(flat, 0.0, (-cd.real - root) / A).max(axis=1)
+                hi = np.where(flat, 1.0, (-cd.real + root) / A).min(axis=1)
+            lo = np.maximum(lo, 1e-9)
+            hi = np.minimum(hi, 1.0 - 1e-9)
+            ok = (
+                ~np.any(flat & (np.abs(dd) > margin), axis=1)
+                & ~np.any(~flat & (disc < 0), axis=1)
+                & (lo <= hi)
+            )
+            hits = np.flatnonzero(ok)
+            if not hits.size:
                 continue
-            lo = max(lo, 1e-9)
-            hi = min(hi, 1.0 - 1e-9)
-            if lo > hi:
-                continue
+            j = hits[0]
+            lo, hi = float(lo[j]), float(hi[j])
             a = round(((lo + hi) / 2.0) / pitch) * pitch if pitch > 0 else (lo + hi) / 2.0
             if not (lo <= a <= hi):
                 a = (lo + hi) / 2.0
-            return SparseDistribution((strings[si], strings[sj]), (a, 1.0 - a))
+            return SparseDistribution((strings[si], strings[si + 1 + j]), (a, 1.0 - a))
 
     raise MarginError("no enumerated distribution matches the estimates within margin")

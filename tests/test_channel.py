@@ -9,10 +9,7 @@ from delpop.channel import (
     ChannelConfig,
     SubsampleConfig,
     Trace,
-    binomial_tail,
-    choose_threshold,
     read_trace_file,
-    sample_trace,
     sample_trace_batch,
     subsample_trace,
     threshold_floor,
@@ -35,22 +32,18 @@ def test_sample_trace_no_deletions_limit():
     d = SparseDistribution((BitString.from_string("1011"),), (1.0,))
     rng = np.random.default_rng(0)
     cfg = ChannelConfig(1.0 - 1e-15, 0)
-    for _ in range(50):
-        t = sample_trace(d, cfg, rng)
-        assert t.bits == (1, 0, 1, 1)
-        assert t.retained_count == 4
+    bits, counts = sample_trace_batch(d, cfg, 50, rng)
+    assert np.all(bits == (1, 0, 1, 1))
+    assert np.all(counts == 4)
 
 
 def test_single_retention_probability():
     # x = 11, p = 0.5: two single-retention subsets, each probability 0.25
     d = SparseDistribution((BitString.from_string("11"),), (1.0,))
     rng = np.random.default_rng(1)
-    hits = 0
     trials = 40_000
-    for _ in range(trials):
-        t = sample_trace(d, ChannelConfig(0.5, 0), rng)
-        if t.bits == (1, 0) and t.retained_count == 1:
-            hits += 1
+    bits, counts = sample_trace_batch(d, ChannelConfig(0.5, 0), trials, rng)
+    hits = int(np.sum(np.all(bits == (1, 0), axis=1) & (counts == 1)))
     se = math.sqrt(0.5 * 0.5 / trials)
     assert abs(hits / trials - 0.5) <= 5 * se
 
@@ -95,42 +88,6 @@ def test_sampling_is_reproducible():
     assert np.array_equal(a, b)
 
 
-def test_binomial_tail_examples():
-    assert binomial_tail(5, 0.3, 0) == 1.0
-    assert binomial_tail(2, 0.5, 1) == pytest.approx(0.75)
-    assert binomial_tail(2, 0.5, 2) == pytest.approx(0.25)
-    with pytest.raises(ParameterError):
-        binomial_tail(2, 1.5, 1)
-
-
-def test_binomial_tail_matches_direct_sum():
-    rng = np.random.default_rng(4)
-    for _ in range(30):
-        n = int(rng.integers(1, 40))
-        p = float(rng.uniform(0.05, 0.95))
-        t = int(rng.integers(0, n + 1))
-        direct = sum(
-            math.comb(n, j) * p ** j * (1 - p) ** (n - j) for j in range(t, n + 1)
-        )
-        assert binomial_tail(n, p, t) == pytest.approx(direct, rel=1e-12)
-
-
-def test_choose_threshold_derived_example():
-    # n = 16: tail at t = 16 is 4^-16 ~ 2.3e-10 < 1e-9, so t = 15
-    assert choose_threshold(16, 1e-9) == 15
-
-
-def test_choose_threshold_clamps_to_floor():
-    # budget 1.0 is met by no t, so the floor ceil(2 sqrt n) is returned
-    assert choose_threshold(16, 1.0) == threshold_floor(16) == 8
-
-
-def test_choose_threshold_monotone_in_budget():
-    budgets = [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.9]
-    ts = [choose_threshold(25, b) for b in budgets]
-    assert ts == sorted(ts, reverse=True)
-
-
 def test_subsample_discards_short_traces():
     cfg = SubsampleConfig(9, 6)
     rng = np.random.default_rng(5)
@@ -144,6 +101,11 @@ def test_subsample_config_validation():
     with pytest.raises(ParameterError):
         SubsampleConfig(9, 5)  # t < 2 sqrt(n)
     assert SubsampleConfig(9, 6).target_p == pytest.approx(1 / 3)
+    # threshold_floor is the smallest threshold the config accepts
+    assert threshold_floor(16) == 8
+    SubsampleConfig(16, threshold_floor(16))
+    with pytest.raises(ParameterError):
+        SubsampleConfig(16, threshold_floor(16) - 1)
 
 
 def test_subsample_keeps_subsequence_of_retained_prefix():

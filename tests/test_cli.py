@@ -95,11 +95,13 @@ def test_recover_end_to_end(tmp_path, dist_file):
     from delpop.core import tv_distance
 
     assert tv_distance(got, d) <= 0.1
-    # diagnostics CSV written next to the JSON
+    # per-grid-point diagnostics CSV written next to the JSON
     with open(str(out) + ".csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["record", "key", "value"]
-    assert len(rows) > 1
+    # one row per grid point: z, drop reason, stderr of b_1..b_3
+    assert rows[0] == ["z_real", "z_imag", "dropped", "stderr_1", "stderr_2", "stderr_3"]
+    assert len(rows) == 1 + 25
+    assert all(float(row[3]) > 0 for row in rows[1:])
 
 
 def test_config_file_merging(tmp_path, dist_file):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from delpop.channel import ChannelConfig, Trace, sample_trace_batch
+from delpop.channel import ChannelConfig, sample_trace_batch
 from delpop.core import BitString, ParameterError, ProblemParams, SparseDistribution, eval_poly
 from delpop.estimator import (
     MomentEstimates,
@@ -12,10 +12,8 @@ from delpop.estimator import (
     accumulate_moments,
     composition_weights,
     compositions,
-    f_sum,
     f_sum_batch,
     g_batch,
-    g_estimate,
     moments_from_values,
     multinomial,
 )
@@ -58,21 +56,25 @@ def test_composition_weights_singular():
         composition_weights(0.5 + 0j, (1,), 0.5)
 
 
+def _rows(*traces):
+    return np.array(traces, dtype=np.int8)
+
+
 def test_f_sum_examples():
-    assert f_sum(Trace((0, 0, 0), 0), (2.0, 3.0)) == 0
     # trace 110, k=2, w=(2,3): only chain (1,2) contributes 2^1 * 3^1
-    assert f_sum(Trace((1, 1, 0), 2), (2.0, 3.0)) == pytest.approx(6.0)
-    assert f_sum(Trace((1, 1, 1), 3), (1.0,)) == pytest.approx(3.0)
+    got = f_sum_batch(_rows((0, 0, 0), (1, 1, 0)), (2.0, 3.0))
+    assert got == pytest.approx([0.0, 6.0])
+    assert f_sum_batch(_rows((1, 1, 1)), (1.0,)) == pytest.approx([3.0])
 
 
 def test_f_sum_k_exceeds_n():
-    assert f_sum(Trace((1, 1), 2), (2.0, 2.0, 2.0)) == 0
+    assert np.array_equal(f_sum_batch(_rows((1, 1)), (2.0, 2.0, 2.0)), [0])
 
 
 def test_f_sum_zero_weight_entry():
     bits = (1, 0, 1, 1)
     w = (0.0, 2.0)
-    got = f_sum(Trace(bits, 4), w)
+    got = f_sum_batch(_rows(bits), w)[0]
     assert got == pytest.approx(f_sum_naive(bits, w))
 
 
@@ -91,13 +93,11 @@ def test_f_sum_matches_naive_enumeration():
 def test_g_at_z_one_counts_retained_ones():
     # m=1, z=1: w = 1 and g_1 = (number of retained ones) / p
     params = ProblemParams(3, 1, 0.5)
-    assert g_estimate(Trace((1, 1, 0), 2), 1.0, 1, params) == pytest.approx(4.0)
+    assert g_batch(_rows((1, 1, 0)), 1.0, 1, params) == pytest.approx([4.0])
     rng = np.random.default_rng(23)
-    for _ in range(20):
-        bits = tuple(int(b) for b in rng.integers(0, 2, 6))
-        r = sum(bits)
-        t = Trace(tuple(sorted(bits, reverse=True)), 6)
-        assert g_estimate(t, 1.0, 1, ProblemParams(6, 1, 0.3)) == pytest.approx(r / 0.3)
+    rows = np.sort(rng.integers(0, 2, (20, 6)), axis=1)[:, ::-1]
+    got = g_batch(rows, 1.0, 1, ProblemParams(6, 1, 0.3))
+    assert got == pytest.approx(rows.sum(axis=1) / 0.3)
 
 
 def test_g_exact_expectations_tiny_cases():
@@ -143,11 +143,10 @@ def test_accumulate_moments_single_trace():
     params = ProblemParams(4, 2, 0.7)
     batch = np.array([(1, 0, 1, 0)], dtype=np.int8)
     est = accumulate_moments([batch], grid, 3, params, 1)
-    for gp in grid:
-        assert est.means[(gp.index, 0)] == 1.0
+    for i, gp in enumerate(grid):
+        assert est.means[i, 0] == 1.0
         for k in range(1, 4):
-            want = g_estimate(Trace((1, 0, 1, 0), 3), gp.z, k, params)
-            assert est.means[(gp.index, k)] == pytest.approx(want)
+            assert est.means[i, k] == pytest.approx(g_batch(batch, gp.z, k, params)[0])
 
 
 def test_accumulate_moments_k0_is_one_and_counts_equal():
@@ -157,10 +156,8 @@ def test_accumulate_moments_k0_is_one_and_counts_equal():
     d = SparseDistribution((BitString.from_string("10110"),), (1.0,))
     bits, _ = sample_trace_batch(d, ChannelConfig(0.8, 0), 2000, rng)
     est = accumulate_moments([bits], grid, 3, params, 2000)
-    counts = set(est.counts.values())
-    assert counts == {2000}
-    for gp in grid:
-        assert est.means[(gp.index, 0)] == 1.0
+    assert est.count == 2000
+    assert np.all(est.means[:, 0] == 1.0)
 
 
 def test_accumulate_moments_unbiased_within_5_sigma():
@@ -170,7 +167,7 @@ def test_accumulate_moments_unbiased_within_5_sigma():
     rng = np.random.default_rng(37)
     bits, _ = sample_trace_batch(d, ChannelConfig(0.9, 0), 100_000, rng)
     est = accumulate_moments([bits], grid, 1, params, 100_000)
-    assert abs(est.means[(0, 1)] - 2.0) <= 5 * est.stderrs[(0, 1)]
+    assert abs(est.means[0, 1] - 2.0) <= 5 * est.stderrs[0, 1]
 
 
 def test_accumulate_moments_drops_singular_points():
@@ -180,9 +177,9 @@ def test_accumulate_moments_drops_singular_points():
     batch = np.array([(1, 1, 0)], dtype=np.int8)
     est = accumulate_moments([batch], grid, 1, params, 1)
     assert 0 in est.dropped
-    assert (0, 1) not in est.means
-    assert (1, 1) in est.means
-    assert est.usable_points() == [grid[1]]
+    assert np.isnan(est.means[0]).all()
+    assert est.means[1, 1] == pytest.approx(2 / 0.5)  # z = 1: (retained ones) / p
+    assert est.usable_rows() == [1]
 
 
 def test_accumulate_moments_conjugate_symmetry():
@@ -192,13 +189,11 @@ def test_accumulate_moments_conjugate_symmetry():
     rng = np.random.default_rng(41)
     bits, _ = sample_trace_batch(d, ChannelConfig(0.8, 0), 3000, rng)
     est = accumulate_moments([bits], grid, 3, params, 3000)
-    by_theta = {round(cmath.phase(gp.z), 12): gp.index for gp in grid}
-    for theta, idx in by_theta.items():
+    by_theta = {round(cmath.phase(gp.z), 12): i for i, gp in enumerate(grid)}
+    for theta, i in by_theta.items():
         mirror = by_theta[-theta]
-        for k in range(4):
-            assert est.means[(idx, k)] == pytest.approx(
-                est.means[(mirror, k)].conjugate()
-            )
+        assert est.means[i] == pytest.approx(est.means[mirror].conj())
+        assert est.cov[i] == pytest.approx(est.cov[mirror].conj())
 
 
 def test_accumulate_moments_histogram_matches_raw_rows():
@@ -208,21 +203,19 @@ def test_accumulate_moments_histogram_matches_raw_rows():
     distinct = rng.integers(0, 2, size=(40, 6)).astype(np.int8)
     rows = distinct[rng.integers(0, 40, size=3000)]
     est = accumulate_moments([rows], grid, 3, params, len(rows))
-    for gp in grid:
+    assert est.count == len(rows)
+    for i, gp in enumerate(grid):
         for k in range(1, 4):
             vals = g_batch(rows, gp.z, k, params)
             mean = vals.mean()
             stderr = math.sqrt(float(np.mean(np.abs(vals - mean) ** 2)) / len(rows))
-            assert abs(est.means[(gp.index, k)] - mean) <= 1e-12 * max(1.0, abs(mean))
-            assert abs(est.stderrs[(gp.index, k)] - stderr) <= 1e-12 * max(1.0, stderr)
-            assert est.counts[(gp.index, k)] == len(rows)
+            assert abs(est.means[i, k] - mean) <= 1e-12 * max(1.0, abs(mean))
+            assert abs(est.stderrs[i, k] - stderr) <= 1e-12 * max(1.0, stderr)
     shuffled = rows[rng.permutation(len(rows))]
     batches = [shuffled[:7], shuffled[7:1000], shuffled[1000:]]
     again = accumulate_moments(batches, grid, 3, params, len(rows))
-    assert again.means == est.means
-    assert again.stderrs == est.stderrs
-    for gp in grid:
-        assert np.array_equal(again.covariances[gp.index], est.covariances[gp.index])
+    assert np.array_equal(again.means, est.means)
+    assert np.array_equal(again.cov, est.cov)
 
 
 def test_accumulate_moments_exhausted_source():

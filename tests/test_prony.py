@@ -12,7 +12,6 @@ from delpop.core import power_sum
 from delpop.prony import (
     HankelSystem,
     PronyThresholds,
-    estimate_sigma_at_point,
     gate_stage,
     recurrence_check,
     sigma_error_stds,
@@ -145,12 +144,19 @@ def test_recurrence_check_examples():
         recurrence_check([1.0, 2.0, 3.0], [1.0])
 
 
+def _sigma_at(est, ell_prime, th):
+    """Gate and solve the Hankel system of the first grid point: None when
+    the gate rejects it."""
+    sys = HankelSystem.from_power_sums(est.means[0, : 2 * ell_prime])
+    return None if gate_stage(sys, th) is not None else solve_sigma(sys, th)
+
+
 def test_estimate_sigma_at_point_single_string():
     d = SparseDistribution((BitString.from_string("1011"),), (1.0,))
     grid = [GridPoint(cmath.exp(0.3j), "arc", 0)]
     est = moments_from_values(grid, 1, lambda z, k: power_sum(d, z, k))
     th = PronyThresholds(0.9, 0.9, delta=0.01)
-    out = estimate_sigma_at_point(est, 0, 1, th)
+    out = _sigma_at(est, 1, th)
     assert out is not None
     from delpop.core import eval_poly
 
@@ -165,7 +171,7 @@ def test_estimate_sigma_at_point_degenerate_returns_none():
     grid = [GridPoint(1.0 + 0j, "arc", 0)]
     est = moments_from_values(grid, 3, lambda z, k: power_sum(d, z, k))
     th = PronyThresholds(0.25, 0.1, delta=0.05)
-    assert estimate_sigma_at_point(est, 0, 2, th) is None
+    assert _sigma_at(est, 2, th) is None
 
 
 def test_estimate_sigma_at_point_oracle_exact_two_strings():
@@ -176,7 +182,7 @@ def test_estimate_sigma_at_point_oracle_exact_two_strings():
     grid = [GridPoint(z, "arc", 0)]
     est = moments_from_values(grid, 3, lambda zz, k: power_sum(d, zz, k))
     th = PronyThresholds(0.25, 0.1, delta=0.01)
-    out = estimate_sigma_at_point(est, 0, 2, th)
+    out = _sigma_at(est, 2, th)
     assert out is not None
     from delpop.oracle import exact_sigma
 
@@ -200,9 +206,9 @@ def test_sigma_error_stds_match_replicate_spread():
     for _ in range(200):
         bits, _ = sample_trace_batch(d, ChannelConfig(0.8), count, rng)
         est = accumulate_moments([bits], grid, 3, params, count)
-        sys = HankelSystem.from_power_sums([est.means[(0, k)] for k in range(4)])
+        sys = HankelSystem.from_power_sums(est.means[0])
         sigmas.append(solve_sigma(sys, th).values)
-        predicted.append(sigma_error_stds(sys, est.covariances[0], count))
+        predicted.append(sigma_error_stds(sys, est.cov[0], count))
     sigmas = np.array(sigmas)
     empirical = np.sqrt(np.mean(np.abs(sigmas - sigmas.mean(axis=0)) ** 2, axis=0))
     for j in range(2):
@@ -217,5 +223,5 @@ def test_sigma_error_stds_zero_for_exact_moments():
     )
     grid = [GridPoint(cmath.exp(0.6j), "arc", 0)]
     est = moments_from_values(grid, 3, lambda z, k: power_sum(d, z, k))
-    sys = HankelSystem.from_power_sums([est.means[(0, k)] for k in range(4)])
-    assert sigma_error_stds(sys, est.covariances[0], est.counts[(0, 1)]) == (0.0, 0.0)
+    sys = HankelSystem.from_power_sums(est.means[0])
+    assert sigma_error_stds(sys, est.cov[0], est.count) == (0.0, 0.0)

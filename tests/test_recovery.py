@@ -9,17 +9,17 @@ from delpop.core import (
     ProblemParams,
     RecoveryFailedError,
     SparseDistribution,
+    eval_poly,
     tv_distance,
 )
 from delpop.estimator import moments_from_values
 from delpop.core import power_sum
-from delpop.oracle import exact_moments
+from delpop.oracle import exact_g_expectation, exact_moments
+from delpop import recovery
 from delpop.recovery import (
-    CandidateEnumeration,
     MarginError,
     RecoveryConfig,
     channel_trace_source,
-    enumerate_candidates,
     exhaustive_distinguisher,
     fit_weights,
     recover,
@@ -35,17 +35,34 @@ def default_grid(config=None):
     return build_arc_grid(config.grid_spec())
 
 
-def test_candidate_enumeration_ranges():
-    params = ProblemParams(8, 2, 0.9, eps=0.1)
-    cands = enumerate_candidates(params, None, None)
-    # m1 runs to ceil(log2(1/eps)) = 4; m2 to ell' * m1
-    assert CandidateEnumeration(1, 1, 1) in cands
-    assert CandidateEnumeration(2, 4, 8) in cands
-    assert all(1 <= c.ell_prime <= 2 for c in cands)
-    assert all(1 <= c.m2 <= c.ell_prime * c.m1 for c in cands)
-    assert cands[0].alpha == 0.5
-    known = enumerate_candidates(params, 0.25, None)
-    assert {c.m1 for c in known} == {2}
+def test_candidate_enumeration_ranges(monkeypatch):
+    # one gate pass per l' = 1..ell: each l' is reported exactly once, as a
+    # candidate or a failure, and the gate runs once per usable point per l',
+    # at alpha = 2^-M and beta = 2^-l'M with M = ceil(log2(1/eps)) = 4
+    d = SparseDistribution(
+        (
+            BitString.from_string("110100"),
+            BitString.from_string("011011"),
+            BitString.from_string("101110"),
+        ),
+        (0.45, 0.35, 0.2),
+    )
+    params = ProblemParams(6, 3, 0.9, eps=0.1)
+    est = exact_moments(d, default_grid(), 5)
+    gate, calls = recovery.gate_stage, []
+    monkeypatch.setattr(
+        recovery,
+        "gate_stage",
+        lambda sys, th: calls.append((sys.ell_prime, th.alpha, th.beta)) or gate(sys, th),
+    )
+    results, failures = recover_support_candidates(est, params)
+    reported = sorted([lp for lp, _ in results] + [lp for lp, _ in failures])
+    assert reported == [1, 2, 3]
+    assert (3, d.support) in results
+    usable = len(est.usable_rows())
+    assert len(calls) == params.ell * usable
+    for lp in (1, 2, 3):
+        assert calls.count((lp, 2.0 ** -4, 2.0 ** (-4 * lp))) == usable
 
 
 def test_grid_spec_geometry():
@@ -142,21 +159,18 @@ def test_recover_validation_soundness():
     )
     params = ProblemParams(6, 2, 0.9)
     config = RecoveryConfig(sample_count=100_000, seed=5)
-    source, eff = channel_trace_source(d, params, config)
     grid = default_grid(config)
     from delpop.estimator import accumulate_moments
 
-    est = accumulate_moments(source, grid, 3, eff, config.sample_count)
-    result = recover(
-        channel_trace_source(d, params, config)[0], eff, config
+    est = accumulate_moments(
+        channel_trace_source(d, params, config), grid, 3, params, config.sample_count
     )
+    result = recover(channel_trace_source(d, params, config), params, config)
     out = result.distribution
-    for gp in est.usable_points():
+    for i in est.usable_rows():
         for k in range(1, 4):
-            margin = config.validation_abs + config.validation_sigma * est.stderrs[
-                (gp.index, k)
-            ]
-            assert abs(power_sum(out, gp.z, k) - est.means[(gp.index, k)]) <= margin
+            margin = config.validation_abs + config.validation_sigma * est.stderrs[i, k]
+            assert abs(power_sum(out, grid[i].z, k) - est.means[i, k]) <= margin
 
 
 def test_recovery_failure_carries_diagnostics():
@@ -176,16 +190,16 @@ def test_recovery_failure_carries_diagnostics():
     assert info.value.diagnostics["failures"]
 
 
-def test_small_p_routing_uses_subsample_reduction():
-    params = ProblemParams(16, 1, 0.12)  # p below half of n^(-1/2) = 0.25
-    d = SparseDistribution((BitString.from_string("1011001010110010"),), (1.0,))
-    config = RecoveryConfig(seed=7)
-    source, eff = channel_trace_source(d, params, config)
-    assert eff.p == pytest.approx(0.25)
-    batch = next(source)
-    assert batch.shape[1] == 16
-    # effective traces should be much shorter than raw length-16/0.25 ones
-    assert batch.sum() <= batch.shape[0] * 16
+def test_small_p_moment_estimates_are_unbiased():
+    # recovery runs the estimator at the true p, however small; at p = 0.12,
+    # below half of 8^(-1/2), E[g_m] still equals P^m on the default arc
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        x = BitString(tuple(int(b) for b in rng.integers(0, 2, 8)))
+        for gp in default_grid():
+            for m in (1, 2, 3):
+                got = exact_g_expectation(x, gp.z, m, 0.12)
+                assert abs(got - eval_poly(x, gp.z) ** m) <= 1e-9
 
 
 def test_exhaustive_distinguisher_exact_single():

@@ -6,8 +6,7 @@ and weights from U(0.3, 1), normalised, with numpy's default_rng(1000 n +
 10 l + s); the traces are sampled with channel seed s.  A run succeeds
 when recovery returns a mixture within total-variation distance eps = 0.1
 of the truth.  Prints one line per cell with its successes and the first
-failure reason (for a failed pipeline, its most frequent per-tuple
-failure).
+failure reason (for a failed pipeline, its failure at the largest l').
 
     PYTHONPATH=src python tools/envelope_probe.py
 """
@@ -15,7 +14,6 @@ failure).
 from __future__ import annotations
 
 import time
-from collections import Counter
 
 import numpy as np
 
@@ -31,6 +29,14 @@ CELLS = [
     (12, 2, 0.9, 10**6),
     (6, 2, 0.8, 10**5),
     (16, 2, 0.9, 10**6),
+    (10, 3, 0.9, 10**6),
+    (12, 3, 0.9, 10**6),
+    (16, 3, 0.9, 10**6),
+    (8, 2, 0.5, 10**6),
+    (10, 2, 0.7, 10**6),
+    (8, 2, 0.3, 10**6),
+    (8, 2, 0.2, 10**6),
+    (8, 2, 0.12, 10**6),
 ]
 SEEDS = (0, 1, 2)
 EPS = 0.1
@@ -47,11 +53,18 @@ def random_instance(n: int, ell: int, seed: int) -> SparseDistribution:
 
 
 def failure_reason(exc: Exception) -> str:
-    """The most frequent per-tuple failure a RecoveryFailedError carries,
-    else the exception itself."""
-    messages = [msg for _, msg in getattr(exc, "diagnostics", {}).get("failures", [])]
-    if messages:
-        return Counter(messages).most_common(1)[0][0]
+    """What a RecoveryFailedError reports for the largest l' (the probe's
+    instances have exactly l strings): its pipeline failure, or why its
+    candidate was rejected; else the exception itself."""
+    diagnostics = getattr(exc, "diagnostics", {})
+    outcomes = list(diagnostics.get("failures", []))
+    outcomes += [
+        (c["ell_prime"], f"candidate {c['support']}: {c['reason']}")
+        for c in diagnostics.get("candidates", [])
+    ]
+    if outcomes:
+        ell_prime, message = max(outcomes, key=lambda outcome: outcome[0])
+        return f"l'={ell_prime}: {message}"
     return f"{type(exc).__name__}: {exc}"
 
 
