@@ -40,7 +40,7 @@ from .recovery import (
     exhaustive_distinguisher,
     recover_from_channel,
 )
-from .zgrid import GridSpec, build_arc_grid
+from .zgrid import arc_grid
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -95,8 +95,8 @@ _DEFAULTS = {
     "n": 8,
     "ell": 2,
     "eps": 0.1,
-    "grid_points": 25,
-    "grid_spacing": 0.23,
+    "grid_points": RecoveryConfig.grid_points,
+    "grid_spacing": RecoveryConfig.grid_spacing,
     "out": "out.json",
     "dist": None,
     "traces": None,
@@ -113,7 +113,10 @@ def _merge_options(args) -> dict:
             if key not in opts:
                 raise ParameterError(f"unknown config key {key!r}")
             cast = _CASTS.get(key, str)
-            opts[key] = cast(raw)
+            try:
+                opts[key] = cast(raw)
+            except ValueError:
+                raise ParameterError(f"config key {key!r}: {raw!r} is not a {cast.__name__}")
     for key in opts:
         val = getattr(args, key, None)
         if val is not None:
@@ -141,8 +144,7 @@ def _write_json(path, obj):
 
 def emit_report(result: RecoveryResult, path) -> None:
     """Write the result JSON plus a per-grid-point diagnostics CSV: one row
-    per point with z, its drop reason (empty when used) and the standard
-    error of each moment order."""
+    per point with z and the standard error of each moment order."""
     payload = {
         "distribution": result.distribution.to_json_dict(),
         "diagnostics": result.diagnostics,
@@ -178,14 +180,9 @@ def _cmd_estimate(opts) -> int:
     except (KeyError, ValueError):
         raise ParameterError("trace file header must give a numeric p=")
     params = ProblemParams(n=traces.shape[1], ell=opts["ell"], p=p, eps=opts["eps"])
-    config = RecoveryConfig(
-        sample_count=min(opts["samples"], len(traces)),
-        grid_points=opts["grid_points"],
-        grid_spacing=opts["grid_spacing"],
-        seed=opts["seed"],
-    )
-    grid = build_arc_grid(config.grid_spec())
-    est = accumulate_moments([traces], grid, 2 * params.ell - 1, params, config.sample_count)
+    count = min(opts["samples"], len(traces))
+    grid = arc_grid(opts["grid_spacing"], opts["grid_points"])
+    est = accumulate_moments([traces], grid, 2 * params.ell - 1, params, count)
     with open(opts["out"], "w") as fh:
         fh.write(est.to_json() + "\n")
     return EXIT_OK
@@ -212,12 +209,7 @@ def _cmd_distinguish(opts) -> int:
         raise ParameterError("distinguish requires --dist")
     d = load_distribution(opts["dist"])
     params = ProblemParams(n=d.n, ell=opts["ell"], p=opts["p"], eps=opts["eps"])
-    config = RecoveryConfig(
-        grid_points=opts["grid_points"],
-        grid_spacing=opts["grid_spacing"],
-        seed=opts["seed"],
-    )
-    grid = build_arc_grid(config.grid_spec())
+    grid = arc_grid(opts["grid_spacing"], opts["grid_points"])
     est = exact_moments(d, grid, 2 * params.ell - 1)
     out = exhaustive_distinguisher(est, params)
     _write_json(opts["out"], out.to_json_dict())

@@ -12,7 +12,6 @@ system well conditioned (Moitra, STOC 2015).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -50,27 +49,6 @@ class SymmetricPolynomial:
         if any(int(c) != c or c < 0 for c in self.coeffs):
             raise ParameterError("coefficients must be nonnegative integers")
         object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-
-    def eval_int(self, x: int) -> int:
-        """Exact evaluation at an integer point."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def eval_complex(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-    def to_json(self) -> str:
-        return json.dumps({"k": self.k, "coeffs": [str(c) for c in self.coeffs]})
-
-    @classmethod
-    def from_json(cls, s: str) -> "SymmetricPolynomial":
-        obj = json.loads(s)
-        return cls(int(obj["k"]), tuple(int(c) for c in obj["coeffs"]))
 
 
 def coefficient_bound(params: ProblemParams, k: int) -> int:

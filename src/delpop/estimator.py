@@ -12,15 +12,16 @@ sum over increasing index tuples.  f is computed by an O(n k) prefix
 recurrence rather than enumerating chains; the recurrence uses only a
 multiplicative running accumulator, so zero weights need no special case.
 
-A grid point where some |w_{B,r}| < 1e-12 is singular for the estimator
-(the composition coefficient divides by it) and is reported as such.
+A point where some |w_{B,r}| < 1e-12 is singular for the estimator (the
+composition coefficient divides by it) and raises SingularGridPointError;
+on the unit circle |w_{B,r}| >= 1, so no arc point is singular.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,15 +191,12 @@ class TraceHistogram:
 class MomentEstimates:
     """Sample means of g_0..g_{k_max} at every grid point (g_0 := 1), with
     the covariance of (g_1..g_{k_max}) over one trace for the delta-method
-    error model downstream.  Row i of `means` and `cov` belongs to grid[i].
-    Points where the estimator is singular are dropped: their rows hold NaN
-    and `dropped` maps the row to the offending composition."""
+    error model downstream.  Row i of `means` and `cov` belongs to grid[i]."""
 
-    grid: tuple
+    grid: np.ndarray  # (P,) complex points on the unit circle
     means: np.ndarray  # (P, k_max + 1) complex; column 0 is 1
     cov: np.ndarray  # (P, k_max, k_max) complex Hermitian
     count: int  # traces behind every mean
-    dropped: dict = field(default_factory=dict)  # row -> reason string
 
     @property
     def k_max(self) -> int:
@@ -210,30 +208,25 @@ class MomentEstimates:
         var = np.diagonal(self.cov, axis1=1, axis2=2).real / self.count
         return np.concatenate([np.zeros((len(var), 1)), np.sqrt(var)], axis=1)
 
-    def usable_rows(self) -> list:
-        return [i for i in range(len(self.grid)) if i not in self.dropped]
-
     def point_table(self) -> list:
-        """One dict per grid point: z, the drop reason (None when the point
-        is used) and the standard error of each b_k (None when dropped)."""
+        """One dict per grid point: z and the standard error of each b_k."""
         stderrs = self.stderrs
         table = []
-        for i, gp in enumerate(self.grid):
-            row = {"z_real": gp.z.real, "z_imag": gp.z.imag, "dropped": self.dropped.get(i)}
+        for i, z in enumerate(self.grid.tolist()):
+            row = {"z_real": z.real, "z_imag": z.imag}
             for k in range(1, self.k_max + 1):
-                row[f"stderr_{k}"] = None if i in self.dropped else float(stderrs[i, k])
+                row[f"stderr_{k}"] = float(stderrs[i, k])
             table.append(row)
         return table
 
     def to_json(self) -> str:
         recs = []
-        for i in self.usable_rows():
-            gp = self.grid[i]
-            for k, mean in enumerate(self.means[i]):
+        for z, row in zip(self.grid.tolist(), self.means):
+            for k, mean in enumerate(row):
                 recs.append(
                     {
-                        "z": [gp.z.real, gp.z.imag],
-                        "grid_kind": gp.kind,
+                        "z": [z.real, z.imag],
+                        "grid_kind": "arc",
                         "k": k,
                         "mean": [float(mean.real), float(mean.imag)],
                         "count": self.count,
@@ -246,11 +239,12 @@ def moments_from_values(grid, k_max: int, value_fn) -> MomentEstimates:
     """Build MomentEstimates from a callable (z, k) -> complex (e.g. exact
     power sums, or a noisy wrapper in tests); the count is 1 and the
     covariances are zero."""
+    grid = np.asarray(grid, dtype=complex)
     means = np.array(
-        [[1.0] + [complex(value_fn(gp.z, k)) for k in range(1, k_max + 1)] for gp in grid],
+        [[1.0] + [complex(value_fn(z, k)) for k in range(1, k_max + 1)] for z in grid.tolist()],
         dtype=complex,
     ).reshape(len(grid), k_max + 1)
-    return MomentEstimates(tuple(grid), means, np.zeros((len(grid), k_max, k_max), complex), 1)
+    return MomentEstimates(grid, means, np.zeros((len(grid), k_max, k_max), complex), 1)
 
 
 def accumulate_moments(
@@ -265,34 +259,27 @@ def accumulate_moments(
 
     trace_source is an iterable of 0/1 arrays of shape (batch, n); the
     traces are reduced to a TraceHistogram and the same histogram feeds
-    every (z, k).  A singular grid point is dropped and flagged, never
-    silently skipped.
+    every (z, k).  The grid must be conjugate-symmetric in reverse order,
+    as `zgrid.arc_grid` builds it: traces and channel parameters are real,
+    so g_k(x~, conj(z)) is the conjugate of g_k(x~, z), and only the first
+    half of the grid (the Im z <= 0 member of each pair on an arc) is
+    evaluated.  A singular grid point raises SingularGridPointError.
     """
     if sample_count < 1:
         raise ParameterError("sample_count must be >= 1")
     if k_max < 1:
         raise ParameterError("k_max must be >= 1")
+    grid = np.asarray(grid, dtype=complex)
+    if grid.ndim != 1 or not np.array_equal(grid, grid[::-1].conj()):
+        raise ParameterError("grid must be a conjugate-symmetric array of points")
     hist = TraceHistogram.from_batches(trace_source, params.n, sample_count)
-    means = np.full((len(grid), k_max + 1), np.nan, dtype=complex)
-    cov = np.full((len(grid), k_max, k_max), np.nan, dtype=complex)
-    dropped = {}
-    # traces and channel parameters are real, so g_k(x~, conj(z)) is the
-    # conjugate of g_k(x~, z); conjugate grid points reuse earlier rows
-    done = {}
-    for i, gp in enumerate(grid):
-        src = done.get((round(gp.z.real, 15), round(-gp.z.imag, 15)))
-        if src is not None:
-            if src in dropped:
-                dropped[i] = dropped[src]
-            else:
-                means[i] = means[src].conj()
-                cov[i] = cov[src].conj()
-            continue
-        done[(round(gp.z.real, 15), round(gp.z.imag, 15))] = i
-        try:
-            means[i, 1:], cov[i] = hist.g_moments(gp.z, k_max, params)
-        except SingularGridPointError as exc:
-            dropped[i] = str(exc)
-            continue
-        means[i, 0] = 1.0
-    return MomentEstimates(tuple(grid), means, cov, hist.count, dropped)
+    P = len(grid)
+    means = np.empty((P, k_max + 1), dtype=complex)
+    cov = np.empty((P, k_max, k_max), dtype=complex)
+    means[:, 0] = 1.0
+    half = (P + 1) // 2
+    for i, z in enumerate(grid[:half].tolist()):
+        means[i, 1:], cov[i] = hist.g_moments(z, k_max, params)
+    means[half:] = means[: P - half][::-1].conj()
+    cov[half:] = cov[: P - half][::-1].conj()
+    return MomentEstimates(grid, means, cov, hist.count)

@@ -49,31 +49,17 @@ class HankelSystem:
 @dataclass(frozen=True)
 class PronyThresholds:
     """Gate parameters: alpha <= min a_i <= 2 alpha, beta <= prod a_i <=
-    2 beta, scale delta with gamma = delta^2, output error budget eta."""
+    2 beta, and the scale delta."""
 
     alpha: float
     beta: float
     delta: float = 1e-6
-    eta: float = 1e-4
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "delta", "eta"):
+        for name in ("alpha", "beta", "delta"):
             v = getattr(self, name)
             if not (0.0 < v <= 1.0):
                 raise ParameterError(f"{name} must lie in (0,1], got {v!r}")
-
-    @property
-    def gamma(self) -> float:
-        return self.delta ** 2
-
-
-@dataclass(frozen=True)
-class SigmaEstimates:
-    """values[j-1] estimates sigma_j(z) for j = 1..l'."""
-
-    values: tuple
-    ell_prime: int
-    gate: str = "yes"
 
 
 def gate_stage(sys: HankelSystem, th: PronyThresholds) -> str | None:
@@ -87,8 +73,9 @@ def gate_stage(sys: HankelSystem, th: PronyThresholds) -> str | None:
     return None
 
 
-def solve_sigma(sys: HankelSystem, th: PronyThresholds) -> SigmaEstimates:
-    """Dense solve B~ w~ = v~; sigma_j = (-1)^(j-1) w~_{l'+1-j}.
+def solve_sigma(sys: HankelSystem) -> tuple:
+    """Dense solve B~ w~ = v~; returns (sigma_1, .., sigma_l') with
+    sigma_j = (-1)^(j-1) w~_{l'+1-j}.
 
     Callers must gate first; a singular solve after a YES gate means the
     thresholds were too loose for float precision."""
@@ -99,8 +86,7 @@ def solve_sigma(sys: HankelSystem, th: PronyThresholds) -> SigmaEstimates:
         raise InternalInconsistencyError(f"gated Hankel solve failed: {exc}")
     if not np.all(np.isfinite(w.view(float))):
         raise InternalInconsistencyError("gated Hankel solve returned non-finite values")
-    sigma = tuple(complex((-1) ** (j - 1) * w[lp - j]) for j in range(1, lp + 1))
-    return SigmaEstimates(sigma, lp)
+    return tuple(complex((-1) ** (j - 1) * w[lp - j]) for j in range(1, lp + 1))
 
 
 def sigma_error_stds(sys: HankelSystem, cov, count: int) -> tuple:

@@ -11,7 +11,7 @@ beta = 2^(-l' M) with M = ceil(log2(1/eps)), covers every smaller point set.
 Each l' yields at most one candidate support through the
 Prony/coefficient/factoring chain; failures are recorded rather than
 fatal, and the first candidate whose fitted mixture reproduces every
-usable moment estimate within the validation margin is returned.  Wrong
+moment estimate within the validation margin is returned.  Wrong
 guesses of l' are harmless: their candidates fail the fit or the
 validation.
 """
@@ -45,7 +45,7 @@ from .prony import (
     solve_sigma,
 )
 from .support import assemble_char_poly, decode_support, integer_roots
-from .zgrid import GridSpec, build_arc_grid
+from .zgrid import arc_grid
 
 
 class MarginError(RuntimeError):
@@ -56,24 +56,24 @@ class MarginError(RuntimeError):
 class RecoveryConfig:
     """Tunable pipeline knobs.
 
-    sample_count traces feed the moment estimates on a grid of grid_points
-    points spaced grid_spacing radians apart on a symmetric arc.  The
-    default arc is wide: for moderate-to-large p the estimator weights stay
-    bounded by (1 + q)/p over the whole unit circle, so wide arcs cost
-    little variance and keep the Vandermonde system of the integer
-    coefficient recovery well conditioned.  delta and eta scale the Prony
-    gate.  Each point's coefficient tolerance is the larger of coeff_tol
-    and coeff_safety times its predicted sigma error; an l' needs at least
-    min_gate_points gate-YES points.  Weights are fit to within fit_tol and
-    a candidate must match every moment within validation_abs +
-    validation_sigma * stderr; weights at or below weight_floor are dropped.
+    sample_count traces feed the moment estimates on `zgrid.arc_grid`:
+    grid_points points (an odd count) spaced grid_spacing radians apart on
+    a symmetric arc of half-width at most 2*pi.  The default arc is wide:
+    for moderate-to-large p the estimator weights stay bounded by (1 + q)/p
+    over the whole unit circle, so wide arcs cost little variance and keep
+    the Vandermonde system of the integer coefficient recovery well
+    conditioned.  delta scales the Prony gate.  Each point's coefficient
+    tolerance is the larger of coeff_tol and coeff_safety times its
+    predicted sigma error; an l' needs at least min_gate_points gate-YES
+    points.  Weights are fit to within fit_tol and a candidate must match
+    every moment within validation_abs + validation_sigma * stderr; weights
+    at or below weight_floor are dropped.
     """
 
     sample_count: int = 100_000
     grid_spacing: float = 0.23
     grid_points: int = 25
     delta: float = 0.01
-    eta: float = 1e-4
     coeff_tol: float = 0.02  # floor of the per-point coefficient tolerance
     coeff_safety: float = 4.0  # multiplier on the predicted sigma error
     min_gate_points: int = 3
@@ -82,19 +82,6 @@ class RecoveryConfig:
     validation_sigma: float = 8.0
     weight_floor: float = 1e-6
     seed: int = 0
-
-    def grid_spec(self) -> GridSpec:
-        # spacing * (points-1)/2 is the arc half-width; expressed through L
-        # via the 2pi/L mode so the spec carries the full geometry.
-        half = self.grid_spacing * (self.grid_points - 1) / 2.0
-        L = max(1, math.floor(2.0 * math.pi / max(half, 1e-9)))
-        return GridSpec(
-            kind="arc",
-            L=L,
-            spacing=self.grid_spacing,
-            max_points=self.grid_points,
-            width_mode="2pi",
-        )
 
 
 @dataclass
@@ -106,13 +93,13 @@ class RecoveryResult:
 
 
 def _gate_filter(estimates: MomentEstimates, ell_prime: int, th: PronyThresholds):
-    """Run the conditioning gate at every usable point; returns
+    """Run the conditioning gate at every grid point; returns
     {row: (z, HankelSystem)} for the YES points."""
     kept = {}
-    for i in estimates.usable_rows():
+    for i, z in enumerate(estimates.grid.tolist()):
         sys = HankelSystem.from_power_sums(estimates.means[i, : 2 * ell_prime])
         if gate_stage(sys, th) is None:
-            kept[i] = (estimates.grid[i].z, sys)
+            kept[i] = (z, sys)
     return kept
 
 
@@ -128,9 +115,7 @@ def recover_support_candidates(
     m = max(1, math.ceil(math.log2(1.0 / params.eps)))
     results, failures = [], []
     for ell_prime in range(1, params.ell + 1):
-        th = PronyThresholds(
-            2.0 ** -m, 2.0 ** (-ell_prime * m), delta=config.delta, eta=config.eta
-        )
+        th = PronyThresholds(2.0 ** -m, 2.0 ** (-ell_prime * m), delta=config.delta)
         kept = _gate_filter(estimates, ell_prime, th)
         if len(kept) < config.min_gate_points:
             outcome = f"only {len(kept)} gate-YES points"
@@ -153,16 +138,15 @@ def _candidate_from_points(kept, ell_prime, estimates, params, config):
     weights each point by the inverse of its tolerance, so poorly
     conditioned points contribute weak-but-valid rows instead of either
     poisoning the solve or being thrown away."""
-    th = PronyThresholds(0.5, 0.5, delta=config.delta, eta=config.eta)
     sigma_by_k = {k: [] for k in range(1, ell_prime + 1)}
     for idx in sorted(kept):
         z, sys = kept[idx]
-        est = solve_sigma(sys, th)
+        sigma = solve_sigma(sys)
         cov = estimates.cov[idx][: 2 * ell_prime - 1, : 2 * ell_prime - 1]
         stds = sigma_error_stds(sys, cov, estimates.count)
         for k in range(1, ell_prime + 1):
             tol = max(config.coeff_tol, config.coeff_safety * stds[k - 1])
-            sigma_by_k[k].append((z, est.values[k - 1], tol))
+            sigma_by_k[k].append((z, sigma[k - 1], tol))
     polys = []
     for k in range(1, ell_prime + 1):
         try:
@@ -178,28 +162,25 @@ def _candidate_from_points(kept, ell_prime, estimates, params, config):
     return strings
 
 
-def _moment_powers(strings, estimates: MomentEstimates, rows) -> np.ndarray:
-    """P(z; x)^k for every listed row's point z, k = 1..k_max and string x,
-    as a (rows, k_max, strings) array."""
+def _moment_powers(strings, estimates: MomentEstimates) -> np.ndarray:
+    """P(z; x)^k for every grid point z, k = 1..k_max and string x, as a
+    (points, k_max, strings) array."""
     u = np.array(
-        [[eval_poly(x, estimates.grid[i].z) for x in strings] for i in rows], dtype=complex
-    ).reshape(len(rows), 1, len(strings))
+        [[eval_poly(x, z) for x in strings] for z in estimates.grid.tolist()], dtype=complex
+    ).reshape(len(estimates.grid), 1, len(strings))
     return np.cumprod(np.repeat(u, estimates.k_max, axis=1), axis=1)
 
 
 def fit_weights(support, estimates: MomentEstimates, tol: float):
     """Feasibility LP for mixture weights: a_i >= 0, sum a_i = 1, and every
-    usable |Re/Im moment residual| <= tol.  Solved as min of the worst
+    |Re/Im moment residual| <= tol.  Solved as min of the worst
     residual; returns weights when the optimum is within tol, else None."""
     support = list(support)
     ns = len(support)
     if len(set(support)) != ns:
         raise ParameterError("support strings must be distinct")
-    rows = estimates.usable_rows()
-    if not rows:
-        return None
-    coef = _moment_powers(support, estimates, rows)
-    target = estimates.means[rows, 1:]
+    coef = _moment_powers(support, estimates)
+    target = estimates.means[:, 1:]
     # per (point, k): the +Re, +Im, -Re and -Im residuals, each <= the slack
     A = np.stack([coef.real, coef.imag, -coef.real, -coef.imag], axis=2).reshape(-1, ns)
     b = np.stack([target.real, target.imag, -target.real, -target.imag], axis=2).ravel()
@@ -228,11 +209,10 @@ def validate_candidate(
     d: SparseDistribution, estimates: MomentEstimates, config: RecoveryConfig
 ) -> float | None:
     """Largest normalized moment residual if the candidate reproduces every
-    usable estimate within margin_abs + margin_sigma * stderr, else None."""
-    rows = estimates.usable_rows()
-    model = _moment_powers(d.support, estimates, rows) @ np.asarray(d.weights)
-    margin = config.validation_abs + config.validation_sigma * estimates.stderrs[rows, 1:]
-    resid = np.abs(model - estimates.means[rows, 1:])
+    estimate within margin_abs + margin_sigma * stderr, else None."""
+    model = _moment_powers(d.support, estimates) @ np.asarray(d.weights)
+    margin = config.validation_abs + config.validation_sigma * estimates.stderrs[:, 1:]
+    resid = np.abs(model - estimates.means[:, 1:])
     if np.any(resid > margin):
         return None
     return float(np.max(resid / margin, initial=0.0))
@@ -247,7 +227,7 @@ def recover(
     config = config or RecoveryConfig()
     if config.sample_count < 1:
         raise ParameterError("sample_count must be >= 1")
-    grid = build_arc_grid(config.grid_spec())
+    grid = arc_grid(config.grid_spacing, config.grid_points)
     k_max = 2 * params.ell - 1
     estimates = accumulate_moments(trace_source, grid, k_max, params, config.sample_count)
     diagnostics = {
@@ -313,7 +293,7 @@ def exhaustive_distinguisher(
 ) -> SparseDistribution:
     """Reference brute-force learner for tiny instances (n <= 8, l <= 2):
     enumerate all supports of size <= l and find mixture weights matching
-    every usable moment estimate within margin.
+    every moment estimate within margin.
 
     For a fixed pair of strings the moments are linear in the weight a, so
     the admissible a form an interval per constraint; the intersection over
@@ -329,12 +309,9 @@ def exhaustive_distinguisher(
         BitString(bits) for bits in itertools.product((0, 1), repeat=params.n)
     ]
     strings.sort()
-    rows = estimates.usable_rows()
-    if not rows:
-        raise ParameterError("no usable moment estimates")
     # one column per (point, k) constraint, one row per string
-    M = _moment_powers(strings, estimates, rows).reshape(-1, len(strings)).T
-    b = estimates.means[rows, 1:].ravel()
+    M = _moment_powers(strings, estimates).reshape(-1, len(strings)).T
+    b = estimates.means[:, 1:].ravel()
 
     single = np.flatnonzero(np.all(np.abs(M - b) <= margin, axis=1))
     if single.size:

@@ -55,11 +55,14 @@ class MonicIntegerPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def eval_int(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+
+def eval_int(coeffs, x: int) -> int:
+    """Exact value at integer x of the polynomial with ascending integer
+    coefficients `coeffs`, by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def encode_string(x: BitString) -> int:
@@ -92,7 +95,7 @@ def assemble_char_poly(sigmas) -> MonicIntegerPolynomial:
     coeffs = [0] * (lp + 1)
     coeffs[lp] = 1
     for k, s in enumerate(sigmas, start=1):
-        coeffs[lp - k] = (-1) ** k * s.eval_int(2)
+        coeffs[lp - k] = (-1) ** k * eval_int(s.coeffs, 2)
     return MonicIntegerPolynomial(tuple(coeffs))
 
 
@@ -118,10 +121,10 @@ def _approx_roots(coeffs):
         return sorted(int(mpmath.nint(mpmath.re(r))) for r in roots)
 
 
-def _bisect_integer_root(coeffs, lo, hi, poly_eval):
+def _bisect_integer_root(coeffs, lo, hi):
     """Exact bisection on a sign-changing integer bracket [lo, hi]."""
-    flo = poly_eval(coeffs, lo)
-    fhi = poly_eval(coeffs, hi)
+    flo = eval_int(coeffs, lo)
+    fhi = eval_int(coeffs, hi)
     if flo == 0:
         return lo
     if fhi == 0:
@@ -130,7 +133,7 @@ def _bisect_integer_root(coeffs, lo, hi, poly_eval):
         return None
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        fmid = poly_eval(coeffs, mid)
+        fmid = eval_int(coeffs, mid)
         if fmid == 0:
             return mid
         if (fmid > 0) == (flo > 0):
@@ -138,13 +141,6 @@ def _bisect_integer_root(coeffs, lo, hi, poly_eval):
         else:
             hi, fhi = mid, fmid
     return None
-
-
-def _eval_ascending(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def integer_roots(poly: MonicIntegerPolynomial, n: int) -> EncodedSupport:
@@ -158,7 +154,7 @@ def integer_roots(poly: MonicIntegerPolynomial, n: int) -> EncodedSupport:
         found = None
         for cand in _approx_roots(coeffs):
             for y in range(max(0, cand - 2), min(limit, cand + 2) + 1):
-                if _eval_ascending(coeffs, y) == 0:
+                if eval_int(coeffs, y) == 0:
                     found = y
                     break
             if found is None:
@@ -167,7 +163,7 @@ def integer_roots(poly: MonicIntegerPolynomial, n: int) -> EncodedSupport:
                 hi = min(limit, cand + 2)
                 width = 4
                 while hi - lo >= 1:
-                    y = _bisect_integer_root(coeffs, lo, hi, _eval_ascending)
+                    y = _bisect_integer_root(coeffs, lo, hi)
                     if y is not None:
                         found = y
                         break

@@ -1,65 +1,24 @@
-"""Complex evaluation grids: symmetric arcs on the unit circle and lattice
-grids inside the disc |z - (1 - p/m)| <= p/m.
+"""Evaluation grids: symmetric arcs on the unit circle.
+
+A grid is a complex array of points e^{i*j*spacing}, |j| <= (count-1)/2,
+in increasing angle.  On |z| = 1 every composition weight of the
+estimator satisfies |w| = |z^s - q| / p >= (1 - q) / p = 1, so no arc
+point is singular.  The j < 0 half is the exact conjugate of the j > 0
+half, so row i and row count-1-i are a conjugate pair.
 
 Theory prescribes arc half-widths of 2*pi/L or 1/L with L ~ (n/(log n *
-p^2))^(1/3) and spacings far too fine to enumerate; spacing and point cap
-are therefore explicit configuration, and wider arcs are allowed (and
-useful) when p is large.
+p^2))^(1/3) and spacings far too fine to enumerate; spacing and point
+count are therefore explicit configuration, and wider arcs are allowed
+(and useful) when p is large.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .core import ParameterError
-
-ARC_TOL = 1e-14
-DISC_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    z: complex
-    kind: str  # "arc" | "disc"
-    index: int
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Grid shape parameters.
-
-    kind: "arc" or "disc".  L: arc width parameter; width_mode picks the
-    half-width 2*pi/L ("2pi") or 1/L ("inv", default).  spacing: angular
-    step (arc) or lattice pitch (disc).  m: disc grids live in
-    |z - (1 - p/m)| <= p/m.
-    """
-
-    kind: str
-    L: int = 1
-    spacing: float = 0.1
-    max_points: int = 257
-    m: int = 1
-    width_mode: str = "inv"
-
-    def __post_init__(self):
-        if self.kind not in ("arc", "disc"):
-            raise ParameterError(f"unknown grid kind {self.kind!r}")
-        if self.spacing <= 0:
-            raise ParameterError("spacing must be positive")
-        if self.max_points < 1:
-            raise ParameterError("max_points must be >= 1")
-        if self.kind == "arc" and self.L < 1:
-            raise ParameterError("L must be >= 1")
-        if self.kind == "disc" and self.m < 1:
-            raise ParameterError("m must be >= 1")
-        if self.width_mode not in ("2pi", "inv"):
-            raise ParameterError(f"unknown width mode {self.width_mode!r}")
-
-    @property
-    def arc_half_width(self) -> float:
-        return (2.0 * math.pi / self.L) if self.width_mode == "2pi" else (1.0 / self.L)
 
 
 def default_L(n: int, p: float) -> int:
@@ -69,66 +28,18 @@ def default_L(n: int, p: float) -> int:
     return max(1, math.floor((n / (math.log(n) * p * p)) ** (1.0 / 3.0)))
 
 
-def build_arc_grid(spec: GridSpec):
-    """Points e^{i*theta}, theta = j*spacing, |theta| <= half-width.
-
-    Symmetric around theta = 0, which is always included; when the cap
-    bites, points closest to 0 are kept (still symmetric)."""
-    if spec.kind != "arc":
-        raise ParameterError("spec is not an arc grid")
-    width = spec.arc_half_width
-    if spec.spacing > width * (1 + 1e-12):
-        raise ParameterError("spacing exceeds arc half-width")
-    jmax = math.floor(width / spec.spacing + 1e-12)
-    if 2 * jmax + 1 > spec.max_points:
-        jmax = (spec.max_points - 1) // 2
-    thetas = [j * spec.spacing for j in range(-jmax, jmax + 1)]
-    return [
-        GridPoint(complex(math.cos(t), math.sin(t)), "arc", i)
-        for i, t in enumerate(thetas)
-    ]
-
-
-def build_disc_grid(spec: GridSpec, p: float):
-    """Lattice points (a*s, b*s) inside the closed disc |z - c| <= p/m,
-    c = 1 - p/m; capped at max_points keeping those nearest the center."""
-    if spec.kind != "disc":
-        raise ParameterError("spec is not a disc grid")
-    if not (0.0 < p < 1.0):
-        raise ParameterError("p must lie in (0,1)")
-    s = spec.spacing
-    rho = p / spec.m
-    c = 1.0 - rho
-    pts = []
-    a_lo = math.floor((c - rho) / s - 1)
-    a_hi = math.ceil((c + rho) / s + 1)
-    b_hi = math.ceil(rho / s + 1)
-    for a in range(a_lo, a_hi + 1):
-        for b in range(-b_hi, b_hi + 1):
-            z = complex(a * s, b * s)
-            if abs(z - c) <= rho + DISC_TOL:
-                pts.append(z)
-    if not pts:
-        raise ParameterError("disc grid is empty; decrease spacing")
-    pts.sort(key=lambda z: (abs(z - c), z.real, z.imag))
-    pts = pts[: spec.max_points]
-    return [GridPoint(z, "disc", i) for i, z in enumerate(pts)]
-
-
-def build_grid(spec: GridSpec, p: float | None = None):
-    if spec.kind == "arc":
-        return build_arc_grid(spec)
-    if p is None:
-        raise ParameterError("disc grid requires p")
-    return build_disc_grid(spec, p)
-
-
-def grid_to_json(spec: GridSpec, points) -> str:
-    return json.dumps(
-        {
-            "kind": spec.kind,
-            "L": spec.L,
-            "spacing": spec.spacing,
-            "points": [[gp.z.real, gp.z.imag] for gp in points],
-        }
-    )
+def arc_grid(spacing: float, count: int) -> np.ndarray:
+    """The count points e^{i*j*spacing}, j = -(count-1)/2 .. (count-1)/2,
+    as a complex array in increasing angle.  count must be odd and the
+    arc's half-width spacing*(count-1)/2 at most 2*pi."""
+    if not (isinstance(count, int) and count >= 1 and count % 2 == 1):
+        raise ParameterError(f"grid point count must be a positive odd integer, got {count!r}")
+    if not spacing > 0:
+        raise ParameterError(f"grid spacing must be positive, got {spacing!r}")
+    half = (count - 1) // 2
+    if spacing * half > 2.0 * math.pi:
+        raise ParameterError(
+            f"arc half-width {spacing * half:.4g} exceeds 2*pi; use fewer points or a finer spacing"
+        )
+    upper = [complex(math.cos(j * spacing), math.sin(j * spacing)) for j in range(1, half + 1)]
+    return np.array([z.conjugate() for z in reversed(upper)] + [1.0 + 0.0j] + upper)

@@ -98,10 +98,10 @@ def test_recover_end_to_end(tmp_path, dist_file):
     # per-grid-point diagnostics CSV written next to the JSON
     with open(str(out) + ".csv") as fh:
         rows = list(csv.reader(fh))
-    # one row per grid point: z, drop reason, stderr of b_1..b_3
-    assert rows[0] == ["z_real", "z_imag", "dropped", "stderr_1", "stderr_2", "stderr_3"]
+    # one row per grid point: z, stderr of b_1..b_3
+    assert rows[0] == ["z_real", "z_imag", "stderr_1", "stderr_2", "stderr_3"]
     assert len(rows) == 1 + 25
-    assert all(float(row[3]) > 0 for row in rows[1:])
+    assert all(float(row[2]) > 0 for row in rows[1:])
 
 
 def test_config_file_merging(tmp_path, dist_file):
@@ -125,6 +125,27 @@ def test_config_rejects_unknown_key(tmp_path, dist_file):
     cfg.write_text("retention = 0.9\n")
     code = run(["simulate", "--dist", str(dist_path), "--config", str(cfg),
                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_PARAMETER
+
+
+def test_config_rejects_uncastable_value(tmp_path, dist_file, capsys):
+    _, dist_path = dist_file
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("samples = abc\n")
+    code = run(["simulate", "--dist", str(dist_path), "--config", str(cfg),
+                "--out", str(tmp_path / "o")])
+    assert code == EXIT_PARAMETER
+    assert "'samples'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points, spacing", [("24", "0.23"), ("61", "0.23"), ("9", "0")])
+def test_estimate_rejects_grid_it_cannot_build(tmp_path, dist_file, points, spacing):
+    # an even count, or an arc past 2*pi, is refused rather than shrunk
+    _, dist_path = dist_file
+    traces = tmp_path / "traces.txt"
+    run(["simulate", "--dist", str(dist_path), "--samples", "100", "--out", str(traces)])
+    code = run(["estimate", "--traces", str(traces), "--grid-points", points,
+                "--grid-spacing", spacing, "--out", str(tmp_path / "m.json")])
     assert code == EXIT_PARAMETER
 
 

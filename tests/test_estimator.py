@@ -7,8 +7,8 @@ import pytest
 from delpop.channel import ChannelConfig, sample_trace_batch
 from delpop.core import BitString, ParameterError, ProblemParams, SparseDistribution, eval_poly
 from delpop.estimator import (
-    MomentEstimates,
     SingularGridPointError,
+    TraceHistogram,
     accumulate_moments,
     composition_weights,
     compositions,
@@ -18,7 +18,7 @@ from delpop.estimator import (
     multinomial,
 )
 from delpop.oracle import exact_g_expectation
-from delpop.zgrid import GridPoint, GridSpec, build_arc_grid, build_disc_grid
+from delpop.zgrid import arc_grid
 from oracles import f_sum_naive, random_bitstring
 
 
@@ -120,37 +120,45 @@ def test_g_unbiasedness_spot_checks():
 
 
 def test_disc_grid_weight_bound():
-    # inside |z - (1 - p/m)| <= p/m every composition weight has |w| <= 1
+    # inside |z - (1 - p/m)| <= p/m every composition weight has |w| <= 1;
+    # the points are a lattice of pitch p/(4m) around the disc's center
     for p in (0.3, 0.6, 0.9):
         for m in (1, 2, 3):
-            spec = GridSpec(kind="disc", spacing=p / (4 * m), m=m, max_points=64)
-            for gp in build_disc_grid(spec, p):
+            c, rho = 1.0 - p / m, p / m
+            lattice = [c + complex(a, b) * rho / 4 for a in range(-4, 5) for b in range(-4, 5)]
+            for z in [z for z in lattice if abs(z - c) <= rho]:
                 for parts in compositions(m):
                     try:
-                        w = composition_weights(gp.z, parts, p)
+                        w = composition_weights(z, parts, p)
                     except SingularGridPointError:
                         continue
                     assert max(abs(v) for v in w) <= 1.0 + 1e-12
 
 
-def _arc(npts, spacing):
-    spec = GridSpec(kind="arc", L=1, spacing=spacing, max_points=npts, width_mode="2pi")
-    return build_arc_grid(spec)
+def test_arc_grid_weights_at_least_one():
+    # on |z| = 1, |w| = |z^s - q| / p >= (1 - q) / p = 1: no arc point is singular
+    for p in (0.05, 0.5, 0.95):
+        for spacing, count in ((0.23, 25), (0.1, 125), (0.4, 31)):
+            for z in arc_grid(spacing, count).tolist():
+                for m in range(1, 6):
+                    for parts in compositions(m):
+                        w = composition_weights(z, parts, p)
+                        assert min(abs(v) for v in w) >= 1.0 - 1e-12
 
 
 def test_accumulate_moments_single_trace():
-    grid = _arc(3, 0.3)
+    grid = arc_grid(0.3, 3)
     params = ProblemParams(4, 2, 0.7)
     batch = np.array([(1, 0, 1, 0)], dtype=np.int8)
     est = accumulate_moments([batch], grid, 3, params, 1)
-    for i, gp in enumerate(grid):
+    for i, z in enumerate(grid.tolist()):
         assert est.means[i, 0] == 1.0
         for k in range(1, 4):
-            assert est.means[i, k] == pytest.approx(g_batch(batch, gp.z, k, params)[0])
+            assert est.means[i, k] == pytest.approx(g_batch(batch, z, k, params)[0])
 
 
 def test_accumulate_moments_k0_is_one_and_counts_equal():
-    grid = _arc(5, 0.25)
+    grid = arc_grid(0.25, 5)
     params = ProblemParams(5, 2, 0.8)
     rng = np.random.default_rng(31)
     d = SparseDistribution((BitString.from_string("10110"),), (1.0,))
@@ -161,7 +169,7 @@ def test_accumulate_moments_k0_is_one_and_counts_equal():
 
 
 def test_accumulate_moments_unbiased_within_5_sigma():
-    grid = [GridPoint(1.0 + 0j, "arc", 0)]
+    grid = [1.0 + 0j]
     params = ProblemParams(3, 1, 0.9)
     d = SparseDistribution((BitString.from_string("101"),), (1.0,))
     rng = np.random.default_rng(37)
@@ -170,26 +178,50 @@ def test_accumulate_moments_unbiased_within_5_sigma():
     assert abs(est.means[0, 1] - 2.0) <= 5 * est.stderrs[0, 1]
 
 
-def test_accumulate_moments_drops_singular_points():
+def test_accumulate_moments_raises_on_singular_point():
     # z = q on the real axis makes w vanish for the k=1 composition
     params = ProblemParams(3, 1, 0.5)
-    grid = [GridPoint(0.5 + 0j, "disc", 0), GridPoint(1.0 + 0j, "disc", 1)]
     batch = np.array([(1, 1, 0)], dtype=np.int8)
-    est = accumulate_moments([batch], grid, 1, params, 1)
-    assert 0 in est.dropped
-    assert np.isnan(est.means[0]).all()
-    assert est.means[1, 1] == pytest.approx(2 / 0.5)  # z = 1: (retained ones) / p
-    assert est.usable_rows() == [1]
+    with pytest.raises(SingularGridPointError):
+        accumulate_moments([batch], [0.5 + 0j], 1, params, 1)
+    est = accumulate_moments([batch], [1.0 + 0j], 1, params, 1)
+    assert est.means[0, 1] == pytest.approx(2 / 0.5)  # z = 1: (retained ones) / p
+
+
+def test_accumulate_moments_rejects_asymmetric_grid():
+    params = ProblemParams(3, 1, 0.5)
+    batch = np.array([(1, 1, 0)], dtype=np.int8)
+    with pytest.raises(ParameterError):
+        accumulate_moments([batch], [1j, 1.0 + 0j], 1, params, 1)
+
+
+@pytest.mark.parametrize("count", [1, 3, 25])
+def test_accumulate_moments_evaluates_one_point_per_conjugate_pair(monkeypatch, count):
+    grid = arc_grid(0.23, count)
+    params = ProblemParams(4, 2, 0.8)
+    batch = np.array([(1, 0, 1, 0), (1, 1, 0, 0)], dtype=np.int8)
+    g_moments, seen = TraceHistogram.g_moments, []
+
+    def counted(self, z, k_max, p):
+        seen.append(z)
+        return g_moments(self, z, k_max, p)
+
+    monkeypatch.setattr(TraceHistogram, "g_moments", counted)
+    est = accumulate_moments([batch], grid, 3, params, 2)
+    assert len(seen) == (count + 1) // 2
+    # the Im z <= 0 member of each pair, passed as a Python complex
+    assert all(type(z) is complex and z.imag <= 0 for z in seen)
+    assert np.array_equal(est.means[::-1], est.means.conj())
 
 
 def test_accumulate_moments_conjugate_symmetry():
-    grid = _arc(5, 0.35)
+    grid = arc_grid(0.35, 5)
     params = ProblemParams(4, 2, 0.8)
     d = SparseDistribution((BitString.from_string("1011"),), (1.0,))
     rng = np.random.default_rng(41)
     bits, _ = sample_trace_batch(d, ChannelConfig(0.8, 0), 3000, rng)
     est = accumulate_moments([bits], grid, 3, params, 3000)
-    by_theta = {round(cmath.phase(gp.z), 12): i for i, gp in enumerate(grid)}
+    by_theta = {round(cmath.phase(z), 12): i for i, z in enumerate(grid.tolist())}
     for theta, i in by_theta.items():
         mirror = by_theta[-theta]
         assert est.means[i] == pytest.approx(est.means[mirror].conj())
@@ -197,16 +229,16 @@ def test_accumulate_moments_conjugate_symmetry():
 
 
 def test_accumulate_moments_histogram_matches_raw_rows():
-    grid = _arc(5, 0.3)
+    grid = arc_grid(0.3, 5)
     params = ProblemParams(6, 2, 0.7)
     rng = np.random.default_rng(43)
     distinct = rng.integers(0, 2, size=(40, 6)).astype(np.int8)
     rows = distinct[rng.integers(0, 40, size=3000)]
     est = accumulate_moments([rows], grid, 3, params, len(rows))
     assert est.count == len(rows)
-    for i, gp in enumerate(grid):
+    for i, z in enumerate(grid.tolist()):
         for k in range(1, 4):
-            vals = g_batch(rows, gp.z, k, params)
+            vals = g_batch(rows, z, k, params)
             mean = vals.mean()
             stderr = math.sqrt(float(np.mean(np.abs(vals - mean) ** 2)) / len(rows))
             assert abs(est.means[i, k] - mean) <= 1e-12 * max(1.0, abs(mean))
@@ -219,7 +251,7 @@ def test_accumulate_moments_histogram_matches_raw_rows():
 
 
 def test_accumulate_moments_exhausted_source():
-    grid = _arc(3, 0.3)
+    grid = arc_grid(0.3, 3)
     params = ProblemParams(3, 1, 0.5)
     batch = np.array([(1, 1, 0)], dtype=np.int8)
     with pytest.raises(ParameterError):
@@ -229,7 +261,7 @@ def test_accumulate_moments_exhausted_source():
 def test_moment_json_has_contracted_fields():
     import json
 
-    grid = _arc(3, 0.3)
+    grid = arc_grid(0.3, 3)
     est = moments_from_values(grid, 2, lambda z, k: z ** k)
     recs = json.loads(est.to_json())
     assert len(recs) == 3 * 3

@@ -18,7 +18,6 @@ from delpop.prony import (
     sigma_to_recurrence,
     solve_sigma,
 )
-from delpop.zgrid import GridPoint
 from oracles import elementary_symmetric
 
 
@@ -43,9 +42,9 @@ def test_hankel_structure():
         HankelSystem.from_power_sums([1, 2, 3])
 
 
-def test_thresholds_enforce_gamma_is_delta_squared():
+def test_thresholds_validation():
     th = PronyThresholds(0.5, 0.25, delta=1e-3)
-    assert th.gamma == pytest.approx(1e-6)
+    assert (th.alpha, th.beta, th.delta) == (0.5, 0.25, 1e-3)
     with pytest.raises(ParameterError):
         PronyThresholds(0.0, 0.5)
     with pytest.raises(ParameterError):
@@ -72,41 +71,37 @@ def test_gate_duplicate_u_fails():
 
 
 def test_solve_sigma_single_component():
-    th = PronyThresholds(0.9, 0.9, delta=0.1)
-    est = solve_sigma(HankelSystem.from_power_sums([1.0, 5.0]), th)
-    assert est.values == (pytest.approx(5.0),)
+    sigma = solve_sigma(HankelSystem.from_power_sums([1.0, 5.0]))
+    assert sigma == (pytest.approx(5.0),)
 
 
 def test_solve_sigma_two_component_example():
     # a = (0.5, 0.5), u = (1, 2): b = (1, 1.5, 2.5, 4.5), sigma = (3, 2)
-    th = PronyThresholds(0.5, 0.25, delta=0.05)
     sys = HankelSystem.from_power_sums([1.0, 1.5, 2.5, 4.5])
-    est = solve_sigma(sys, th)
-    assert est.values[0] == pytest.approx(3.0)
-    assert est.values[1] == pytest.approx(2.0)
-    r = sigma_to_recurrence(est.values)
+    sigma = solve_sigma(sys)
+    assert sigma[0] == pytest.approx(3.0)
+    assert sigma[1] == pytest.approx(2.0)
+    r = sigma_to_recurrence(sigma)
     # b_2 = r_1 b_1 + r_2 b_0 = 3 * 1.5 - 2 * 1
     assert r[0] * 1.5 + r[1] * 1.0 == pytest.approx(2.5)
 
 
 def test_solve_sigma_matches_elementary_symmetric():
     rng = np.random.default_rng(7)
-    th = PronyThresholds(0.05, 1e-3, delta=1e-3)
     for _ in range(100):
         lp = int(rng.integers(1, 6))
         u, a, b = separated_instance(rng, lp)
-        est = solve_sigma(HankelSystem.from_power_sums(b), th)
+        sigma = solve_sigma(HankelSystem.from_power_sums(b))
         for k in range(1, lp + 1):
             want = elementary_symmetric(u, k)
-            assert abs(est.values[k - 1] - want) <= 1e-9
-        assert recurrence_check(b, sigma_to_recurrence(est.values)) <= 1e-10
+            assert abs(sigma[k - 1] - want) <= 1e-9
+        assert recurrence_check(b, sigma_to_recurrence(sigma)) <= 1e-10
 
 
 def test_solve_sigma_singular_after_gate_is_internal_error():
-    th = PronyThresholds(0.5, 0.5, delta=0.5)
     sys = HankelSystem.from_power_sums([0.0, 0.0, 0.0, 0.0])
     with pytest.raises(InternalInconsistencyError):
-        solve_sigma(sys, th)
+        solve_sigma(sys)
 
 
 def test_easy_matrix_factorization():
@@ -148,19 +143,19 @@ def _sigma_at(est, ell_prime, th):
     """Gate and solve the Hankel system of the first grid point: None when
     the gate rejects it."""
     sys = HankelSystem.from_power_sums(est.means[0, : 2 * ell_prime])
-    return None if gate_stage(sys, th) is not None else solve_sigma(sys, th)
+    return None if gate_stage(sys, th) is not None else solve_sigma(sys)
 
 
 def test_estimate_sigma_at_point_single_string():
     d = SparseDistribution((BitString.from_string("1011"),), (1.0,))
-    grid = [GridPoint(cmath.exp(0.3j), "arc", 0)]
-    est = moments_from_values(grid, 1, lambda z, k: power_sum(d, z, k))
+    z = cmath.exp(0.3j)
+    est = moments_from_values([z], 1, lambda z, k: power_sum(d, z, k))
     th = PronyThresholds(0.9, 0.9, delta=0.01)
     out = _sigma_at(est, 1, th)
     assert out is not None
     from delpop.core import eval_poly
 
-    assert out.values[0] == pytest.approx(eval_poly(d.support[0], grid[0].z))
+    assert out[0] == pytest.approx(eval_poly(d.support[0], z))
 
 
 def test_estimate_sigma_at_point_degenerate_returns_none():
@@ -168,8 +163,7 @@ def test_estimate_sigma_at_point_degenerate_returns_none():
     d = SparseDistribution(
         (BitString.from_string("1100"), BitString.from_string("0011")), (0.5, 0.5)
     )
-    grid = [GridPoint(1.0 + 0j, "arc", 0)]
-    est = moments_from_values(grid, 3, lambda z, k: power_sum(d, z, k))
+    est = moments_from_values([1.0 + 0j], 3, lambda z, k: power_sum(d, z, k))
     th = PronyThresholds(0.25, 0.1, delta=0.05)
     assert _sigma_at(est, 2, th) is None
 
@@ -179,16 +173,15 @@ def test_estimate_sigma_at_point_oracle_exact_two_strings():
         (BitString.from_string("1010"), BitString.from_string("0110")), (0.4, 0.6)
     )
     z = cmath.exp(0.5j)
-    grid = [GridPoint(z, "arc", 0)]
-    est = moments_from_values(grid, 3, lambda zz, k: power_sum(d, zz, k))
+    est = moments_from_values([z], 3, lambda zz, k: power_sum(d, zz, k))
     th = PronyThresholds(0.25, 0.1, delta=0.01)
     out = _sigma_at(est, 2, th)
     assert out is not None
     from delpop.oracle import exact_sigma
 
     want = exact_sigma(d, z)
-    assert out.values[0] == pytest.approx(want[0])
-    assert out.values[1] == pytest.approx(want[1])
+    assert out[0] == pytest.approx(want[0])
+    assert out[1] == pytest.approx(want[1])
 
 
 def test_sigma_error_stds_match_replicate_spread():
@@ -198,17 +191,17 @@ def test_sigma_error_stds_match_replicate_spread():
         (BitString.from_string("110100"), BitString.from_string("011011")), (0.6, 0.4)
     )
     params = ProblemParams(6, 2, 0.8)
-    grid = [GridPoint(cmath.exp(0.6j), "arc", 0)]
-    th = PronyThresholds(0.5, 0.5)
+    # accumulate_moments takes conjugate-symmetric grids; row 1 is exp(0.6i)
+    grid = [cmath.exp(-0.6j), cmath.exp(0.6j)]
     rng = np.random.default_rng(7)
     count = 5000
     sigmas, predicted = [], []
     for _ in range(200):
         bits, _ = sample_trace_batch(d, ChannelConfig(0.8), count, rng)
         est = accumulate_moments([bits], grid, 3, params, count)
-        sys = HankelSystem.from_power_sums(est.means[0])
-        sigmas.append(solve_sigma(sys, th).values)
-        predicted.append(sigma_error_stds(sys, est.cov[0], count))
+        sys = HankelSystem.from_power_sums(est.means[1])
+        sigmas.append(solve_sigma(sys))
+        predicted.append(sigma_error_stds(sys, est.cov[1], count))
     sigmas = np.array(sigmas)
     empirical = np.sqrt(np.mean(np.abs(sigmas - sigmas.mean(axis=0)) ** 2, axis=0))
     for j in range(2):
@@ -221,7 +214,6 @@ def test_sigma_error_stds_zero_for_exact_moments():
     d = SparseDistribution(
         (BitString.from_string("110100"), BitString.from_string("011011")), (0.6, 0.4)
     )
-    grid = [GridPoint(cmath.exp(0.6j), "arc", 0)]
-    est = moments_from_values(grid, 3, lambda z, k: power_sum(d, z, k))
+    est = moments_from_values([cmath.exp(0.6j)], 3, lambda z, k: power_sum(d, z, k))
     sys = HankelSystem.from_power_sums(est.means[0])
     assert sigma_error_stds(sys, est.cov[0], est.count) == (0.0, 0.0)

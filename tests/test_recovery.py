@@ -26,18 +26,18 @@ from delpop.recovery import (
     recover_from_channel,
     recover_support_candidates,
 )
-from delpop.zgrid import GridSpec, build_arc_grid
+from delpop.zgrid import arc_grid
 from oracles import random_distribution
 
 
 def default_grid(config=None):
     config = config or RecoveryConfig()
-    return build_arc_grid(config.grid_spec())
+    return arc_grid(config.grid_spacing, config.grid_points)
 
 
 def test_candidate_enumeration_ranges(monkeypatch):
     # one gate pass per l' = 1..ell: each l' is reported exactly once, as a
-    # candidate or a failure, and the gate runs once per usable point per l',
+    # candidate or a failure, and the gate runs once per grid point per l',
     # at alpha = 2^-M and beta = 2^-l'M with M = ceil(log2(1/eps)) = 4
     d = SparseDistribution(
         (
@@ -59,17 +59,19 @@ def test_candidate_enumeration_ranges(monkeypatch):
     reported = sorted([lp for lp, _ in results] + [lp for lp, _ in failures])
     assert reported == [1, 2, 3]
     assert (3, d.support) in results
-    usable = len(est.usable_rows())
-    assert len(calls) == params.ell * usable
+    points = len(est.grid)
+    assert len(calls) == params.ell * points
     for lp in (1, 2, 3):
-        assert calls.count((lp, 2.0 ** -4, 2.0 ** (-4 * lp))) == usable
+        assert calls.count((lp, 2.0 ** -4, 2.0 ** (-4 * lp))) == points
 
 
 def test_grid_spec_geometry():
-    config = RecoveryConfig(grid_points=25, grid_spacing=0.23)
-    grid = build_arc_grid(config.grid_spec())
+    config = RecoveryConfig()
+    assert (config.grid_spacing, config.grid_points) == (0.23, 25)
+    grid = default_grid(config)
     assert len(grid) == 25
-    assert any(abs(gp.z - 1.0) <= 1e-14 for gp in grid)
+    assert grid[12] == 1.0
+    assert np.angle(grid[-1]) == pytest.approx(12 * 0.23)
 
 
 def test_support_candidates_from_exact_moments():
@@ -167,10 +169,10 @@ def test_recover_validation_soundness():
     )
     result = recover(channel_trace_source(d, params, config), params, config)
     out = result.distribution
-    for i in est.usable_rows():
+    for i, z in enumerate(grid.tolist()):
         for k in range(1, 4):
             margin = config.validation_abs + config.validation_sigma * est.stderrs[i, k]
-            assert abs(power_sum(out, grid[i].z, k) - est.means[i, k]) <= margin
+            assert abs(power_sum(out, z, k) - est.means[i, k]) <= margin
 
 
 def test_recovery_failure_carries_diagnostics():
@@ -196,16 +198,16 @@ def test_small_p_moment_estimates_are_unbiased():
     rng = np.random.default_rng(7)
     for _ in range(3):
         x = BitString(tuple(int(b) for b in rng.integers(0, 2, 8)))
-        for gp in default_grid():
+        for z in default_grid().tolist():
             for m in (1, 2, 3):
-                got = exact_g_expectation(x, gp.z, m, 0.12)
-                assert abs(got - eval_poly(x, gp.z) ** m) <= 1e-9
+                got = exact_g_expectation(x, z, m, 0.12)
+                assert abs(got - eval_poly(x, z) ** m) <= 1e-9
 
 
 def test_exhaustive_distinguisher_exact_single():
     d = SparseDistribution((BitString.from_string("0110"),), (1.0,))
     params = ProblemParams(4, 2, 0.9, eps=0.25)
-    grid = build_arc_grid(GridSpec(kind="arc", L=2, spacing=0.4, max_points=9, width_mode="2pi"))
+    grid = arc_grid(0.4, 9)
     est = exact_moments(d, grid, 3)
     out = exhaustive_distinguisher(est, params)
     assert out == d
@@ -216,7 +218,7 @@ def test_exhaustive_distinguisher_exact_pair():
         (BitString.from_string("1000"), BitString.from_string("1110")), (0.77, 0.23)
     )
     params = ProblemParams(4, 2, 0.9, eps=0.25)
-    grid = build_arc_grid(GridSpec(kind="arc", L=2, spacing=0.4, max_points=9, width_mode="2pi"))
+    grid = arc_grid(0.4, 9)
     est = exact_moments(d, grid, 3)
     out = exhaustive_distinguisher(est, params)
     assert tv_distance(out, d) <= 0.25
@@ -228,7 +230,7 @@ def test_exhaustive_distinguisher_margin_zero_with_noise():
         (BitString.from_string("100"), BitString.from_string("011")), (0.5, 0.5)
     )
     params = ProblemParams(3, 2, 0.9, eps=0.25)
-    grid = build_arc_grid(GridSpec(kind="arc", L=2, spacing=0.4, max_points=9, width_mode="2pi"))
+    grid = arc_grid(0.4, 9)
     est = moments_from_values(
         grid, 3, lambda z, k: power_sum(d, z, k) + 1e-3 * (rng.normal() + 1j * rng.normal())
     )
@@ -238,7 +240,7 @@ def test_exhaustive_distinguisher_margin_zero_with_noise():
 
 def test_exhaustive_distinguisher_guards():
     params = ProblemParams(9, 2, 0.9)
-    grid = build_arc_grid(GridSpec(kind="arc", L=2, spacing=0.4, max_points=9, width_mode="2pi"))
+    grid = arc_grid(0.4, 9)
     d = SparseDistribution((BitString((0,) * 9),), (1.0,))
     est = exact_moments(d, grid, 3)
     with pytest.raises(ParameterError):

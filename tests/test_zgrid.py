@@ -1,17 +1,26 @@
-import json
-import math
-
+import numpy as np
 import pytest
 
 from delpop.core import ParameterError
-from delpop.zgrid import (
-    GridSpec,
-    build_arc_grid,
-    build_disc_grid,
-    build_grid,
-    default_L,
-    grid_to_json,
-)
+from delpop.zgrid import arc_grid, default_L
+
+# (spacing, count) pairs: the defaults, the grids the tests use, and arcs
+# past pi and up to the 2*pi limit
+ARCS = [
+    (0.5, 3),
+    (0.25, 5),
+    (0.3, 5),
+    (0.4, 9),
+    (0.1, 21),
+    (0.17, 21),
+    (0.35, 21),
+    (0.23, 25),
+    (0.4, 31),
+    (0.07, 33),
+    (0.19, 33),
+    (0.1, 125),
+    (1.0, 1),
+]
 
 
 def test_default_L_examples():
@@ -25,100 +34,53 @@ def test_default_L_examples():
 
 
 def test_arc_grid_endpoints_plus_center():
-    spec = GridSpec(kind="arc", L=2, spacing=0.5, width_mode="inv")
-    pts = build_arc_grid(spec)
-    assert len(pts) == 3
-    thetas = sorted(math.atan2(gp.z.imag, gp.z.real) for gp in pts)
-    assert thetas == pytest.approx([-0.5, 0.0, 0.5])
+    grid = arc_grid(0.5, 3)
+    assert len(grid) == 3
+    assert np.angle(grid) == pytest.approx([-0.5, 0.0, 0.5])
 
 
 def test_arc_grid_count_formula():
-    spec = GridSpec(kind="arc", L=2, spacing=0.25, width_mode="inv")
-    pts = build_arc_grid(spec)
-    assert len(pts) == 2 * math.floor(0.5 / 0.25) + 1 == 5
+    for spacing, count in ARCS:
+        assert len(arc_grid(spacing, count)) == count
 
 
 def test_arc_grid_contains_one_and_is_symmetric():
-    for spacing in (0.1, 0.17, 0.35):
-        spec = GridSpec(kind="arc", L=1, spacing=spacing, max_points=21, width_mode="2pi")
-        pts = build_arc_grid(spec)
-        zs = [gp.z for gp in pts]
-        assert any(abs(z - 1.0) <= 1e-14 for z in zs)
-        assert all(abs(abs(z) - 1.0) <= 1e-14 for z in zs)
-        for z in zs:
-            assert any(abs(z.conjugate() - w) <= 1e-12 for w in zs)
+    # the j < 0 half is the exact conjugate of the j > 0 half
+    for spacing, count in ARCS:
+        grid = arc_grid(spacing, count)
+        assert grid[(count - 1) // 2] == 1.0
+        assert np.array_equal(grid[::-1], grid.conj())
+        assert np.all(np.abs(np.abs(grid) - 1.0) <= 1e-14)
 
 
 def test_arc_grid_cap_keeps_points_nearest_zero():
-    spec = GridSpec(kind="arc", L=1, spacing=0.3, max_points=5, width_mode="2pi")
-    pts = build_arc_grid(spec)
-    assert len(pts) == 5
-    thetas = sorted(math.atan2(gp.z.imag, gp.z.real) for gp in pts)
-    assert thetas == pytest.approx([-0.6, -0.3, 0.0, 0.3, 0.6])
-
-
-def test_arc_grid_rejects_spacing_wider_than_arc():
-    with pytest.raises(ParameterError):
-        build_arc_grid(GridSpec(kind="arc", L=10, spacing=0.5, width_mode="inv"))
-
-
-def test_disc_grid_single_center_point():
-    # spacing coarser than the disc diameter with the center on the lattice:
-    # p = 0.3, m = 2 puts the center at 0.85 = 2 * 0.425, radius 0.15
-    spec = GridSpec(kind="disc", spacing=0.425, m=2)
-    pts = build_disc_grid(spec, 0.3)
-    assert len(pts) == 1
-    assert pts[0].z == pytest.approx(0.85 + 0j)
-
-
-def test_disc_grid_count_13():
-    # p = 0.5, m = 1: center 0.5, radius 0.5, lattice pitch 0.25
-    spec = GridSpec(kind="disc", spacing=0.25, m=1)
-    pts = build_disc_grid(spec, 0.5)
-    assert len(pts) == 13
-
-
-def test_disc_grid_points_satisfy_invariant():
-    for p in (0.3, 0.7):
-        for m in (1, 2):
-            spec = GridSpec(kind="disc", spacing=p / (3 * m), m=m, max_points=40)
-            pts = build_disc_grid(spec, p)
-            c = 1.0 - p / m
-            assert all(abs(gp.z - c) <= p / m + 1e-14 for gp in pts)
-            assert len(pts) <= 40
+    # point j sits at theta = j * spacing, |j| <= (count - 1) / 2, in
+    # increasing angle
+    assert np.angle(arc_grid(0.3, 5)) == pytest.approx([-0.6, -0.3, 0.0, 0.3, 0.6])
+    for spacing, count in ARCS:
+        j = np.arange(count) - (count - 1) // 2
+        assert np.abs(arc_grid(spacing, count) - np.exp(1j * j * spacing)).max() <= 1e-14
 
 
 def test_grids_are_deterministic():
-    spec = GridSpec(kind="arc", L=3, spacing=0.07, max_points=33, width_mode="inv")
-    assert build_arc_grid(spec) == build_arc_grid(spec)
-    dspec = GridSpec(kind="disc", spacing=0.11, m=2)
-    assert build_disc_grid(dspec, 0.6) == build_disc_grid(dspec, 0.6)
+    for spacing, count in ARCS:
+        assert np.array_equal(arc_grid(spacing, count), arc_grid(spacing, count))
 
 
-def test_build_grid_dispatch():
-    arc = GridSpec(kind="arc", L=2, spacing=0.25, width_mode="inv")
-    assert build_grid(arc) == build_arc_grid(arc)
-    disc = GridSpec(kind="disc", spacing=0.25, m=1)
-    with pytest.raises(ParameterError):
-        build_grid(disc)  # disc grids need p
-    assert build_grid(disc, 0.5) == build_disc_grid(disc, 0.5)
-
-
-def test_grid_spec_validation():
-    with pytest.raises(ParameterError):
-        GridSpec(kind="square")
-    with pytest.raises(ParameterError):
-        GridSpec(kind="arc", spacing=0.0)
-    with pytest.raises(ParameterError):
-        GridSpec(kind="arc", L=0)
-    with pytest.raises(ParameterError):
-        GridSpec(kind="arc", width_mode="deg")
-
-
-def test_grid_json_dump():
-    spec = GridSpec(kind="arc", L=2, spacing=0.25, width_mode="inv")
-    pts = build_arc_grid(spec)
-    obj = json.loads(grid_to_json(spec, pts))
-    assert obj["kind"] == "arc"
-    assert obj["L"] == 2
-    assert len(obj["points"]) == len(pts)
+def test_arc_grid_rejections():
+    # even or non-positive counts, non-positive spacings, and arcs whose
+    # half-width spacing * (count - 1) / 2 exceeds 2*pi
+    for spacing, count in [
+        (0.23, 24),
+        (0.23, 2),
+        (0.23, 0),
+        (0.23, -3),
+        (0.0, 5),
+        (-0.1, 5),
+        (float("nan"), 5),
+        (0.23, 61),
+        (0.4, 33),
+        (0.1, 127),
+    ]:
+        with pytest.raises(ParameterError):
+            arc_grid(spacing, count)
