@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _DEFAULTS = {
     "seed": 0,
-    "samples": 10000,
+    "samples": RecoveryConfig.sample_count,
     "p": 0.9,
     "n": 8,
     "ell": 2,

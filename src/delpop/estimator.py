@@ -280,6 +280,6 @@ def accumulate_moments(
     half = (P + 1) // 2
     for i, z in enumerate(grid[:half].tolist()):
         means[i, 1:], cov[i] = hist.g_moments(z, k_max, params)
-    means[half:] = means[: P - half][::-1].conj()
+    means[half:, 1:] = means[: P - half, 1:][::-1].conj()
     cov[half:] = cov[: P - half][::-1].conj()
     return MomentEstimates(grid, means, cov, hist.count)

@@ -12,8 +12,7 @@ Each l' yields at most one candidate support through the
 Prony/coefficient/factoring chain; failures are recorded rather than
 fatal, and the first candidate whose fitted mixture reproduces every
 moment estimate within the validation margin is returned.  Wrong
-guesses of l' are harmless: their candidates fail the fit or the
-validation.
+guesses of l' are harmless: their candidates fail the validation.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from scipy.optimize import linprog
 from .core import (
     BitString,
     CorruptInputError,
+    InternalInconsistencyError,
     ParameterError,
     ProblemParams,
     RecoveryFailedError,
@@ -52,35 +52,35 @@ class MarginError(RuntimeError):
     """No enumerated distribution matches the estimates within margin."""
 
 
+# Scale of the Prony conditioning gate (PronyThresholds.delta).
+GATE_DELTA = 0.01
+# Each point's coefficient tolerance is the larger of COEFF_TOL and
+# COEFF_SAFETY times its predicted sigma error.
+COEFF_TOL = 0.02
+COEFF_SAFETY = 4.0
+# A candidate must reproduce each moment estimate within
+# VALIDATION_ABS + VALIDATION_SIGMA * its standard error.
+VALIDATION_ABS = 0.03
+VALIDATION_SIGMA = 8.0
+# Fitted weights at or below this are dropped.
+WEIGHT_FLOOR = 1e-6
+
+
 @dataclass
 class RecoveryConfig:
-    """Tunable pipeline knobs.
-
-    sample_count traces feed the moment estimates on `zgrid.arc_grid`:
-    grid_points points (an odd count) spaced grid_spacing radians apart on
-    a symmetric arc of half-width at most 2*pi.  The default arc is wide:
-    for moderate-to-large p the estimator weights stay bounded by (1 + q)/p
-    over the whole unit circle, so wide arcs cost little variance and keep
-    the Vandermonde system of the integer coefficient recovery well
-    conditioned.  delta scales the Prony gate.  Each point's coefficient
-    tolerance is the larger of coeff_tol and coeff_safety times its
-    predicted sigma error; an l' needs at least min_gate_points gate-YES
-    points.  Weights are fit to within fit_tol and a candidate must match
-    every moment within validation_abs + validation_sigma * stderr; weights
-    at or below weight_floor are dropped.
+    """What a run varies: sample_count traces feed the moment estimates on
+    `zgrid.arc_grid`, grid_points points (an odd count) spaced
+    grid_spacing radians apart on a symmetric arc of half-width at most
+    2*pi, and seed drives the channel sampler.  The default arc is wide:
+    for moderate-to-large p the estimator weights stay bounded by
+    (1 + q)/p over the whole unit circle, so wide arcs cost little
+    variance and keep the Vandermonde system of the integer coefficient
+    recovery well conditioned.
     """
 
     sample_count: int = 100_000
     grid_spacing: float = 0.23
     grid_points: int = 25
-    delta: float = 0.01
-    coeff_tol: float = 0.02  # floor of the per-point coefficient tolerance
-    coeff_safety: float = 4.0  # multiplier on the predicted sigma error
-    min_gate_points: int = 3
-    fit_tol: float = 0.25
-    validation_abs: float = 0.03
-    validation_sigma: float = 8.0
-    weight_floor: float = 1e-6
     seed: int = 0
 
 
@@ -103,24 +103,19 @@ def _gate_filter(estimates: MomentEstimates, ell_prime: int, th: PronyThresholds
     return kept
 
 
-def recover_support_candidates(
-    estimates: MomentEstimates,
-    params: ProblemParams,
-    config: RecoveryConfig | None = None,
-):
+def recover_support_candidates(estimates: MomentEstimates, params: ProblemParams):
     """Run gate -> prony -> coefficient recovery -> factoring once for each
     l' = 1..l; returns ([(l', support strings)], [(l', failure message)]).
     When nothing succeeds the failures are raised in aggregate instead."""
-    config = config or RecoveryConfig()
     m = max(1, math.ceil(math.log2(1.0 / params.eps)))
     results, failures = [], []
     for ell_prime in range(1, params.ell + 1):
-        th = PronyThresholds(2.0 ** -m, 2.0 ** (-ell_prime * m), delta=config.delta)
+        th = PronyThresholds(2.0 ** -m, 2.0 ** (-ell_prime * m), delta=GATE_DELTA)
         kept = _gate_filter(estimates, ell_prime, th)
-        if len(kept) < config.min_gate_points:
-            outcome = f"only {len(kept)} gate-YES points"
+        if kept:
+            outcome = _candidate_from_points(kept, ell_prime, estimates, params)
         else:
-            outcome = _candidate_from_points(kept, ell_prime, estimates, params, config)
+            outcome = "0 gate-YES points"
         (failures if isinstance(outcome, str) else results).append((ell_prime, outcome))
     if not results:
         raise RecoveryFailedError(
@@ -129,13 +124,13 @@ def recover_support_candidates(
     return results, failures
 
 
-def _candidate_from_points(kept, ell_prime, estimates, params, config):
+def _candidate_from_points(kept, ell_prime, estimates, params):
     """Solve sigma at each gate-YES point, recover each sigma_k polynomial,
     and factor.  Returns the support tuple or a failure string.
 
-    Each point enters the coefficient solve with its own tolerance: a floor
-    plus a safety multiple of the point's predicted sigma error.  The solve
-    weights each point by the inverse of its tolerance, so poorly
+    Each point enters the coefficient solve with its own tolerance: the
+    larger of a floor and a safety multiple of its predicted sigma error.
+    The solve weights each point by the inverse of its tolerance, so poorly
     conditioned points contribute weak-but-valid rows instead of either
     poisoning the solve or being thrown away."""
     sigma_by_k = {k: [] for k in range(1, ell_prime + 1)}
@@ -145,12 +140,12 @@ def _candidate_from_points(kept, ell_prime, estimates, params, config):
         cov = estimates.cov[idx][: 2 * ell_prime - 1, : 2 * ell_prime - 1]
         stds = sigma_error_stds(sys, cov, estimates.count)
         for k in range(1, ell_prime + 1):
-            tol = max(config.coeff_tol, config.coeff_safety * stds[k - 1])
+            tol = max(COEFF_TOL, COEFF_SAFETY * stds[k - 1])
             sigma_by_k[k].append((z, sigma[k - 1], tol))
     polys = []
     for k in range(1, ell_prime + 1):
         try:
-            polys.append(recover_polynomial(k, sigma_by_k[k], config.coeff_tol, params))
+            polys.append(recover_polynomial(k, sigma_by_k[k], COEFF_TOL, params))
         except CoefficientRecoveryError as exc:
             return f"coefficient recovery failed: {exc}"
     try:
@@ -171,16 +166,24 @@ def _moment_powers(strings, estimates: MomentEstimates) -> np.ndarray:
     return np.cumprod(np.repeat(u, estimates.k_max, axis=1), axis=1)
 
 
-def fit_weights(support, estimates: MomentEstimates, tol: float):
-    """Feasibility LP for mixture weights: a_i >= 0, sum a_i = 1, and every
-    |Re/Im moment residual| <= tol.  Solved as min of the worst
-    residual; returns weights when the optimum is within tol, else None."""
+def _validation_margin(estimates: MomentEstimates) -> np.ndarray:
+    """(P, k_max) margin within which a candidate's moments must reproduce
+    the estimates b_1..b_{k_max}."""
+    return VALIDATION_ABS + VALIDATION_SIGMA * estimates.stderrs[:, 1:]
+
+
+def fit_weights(support, estimates: MomentEstimates) -> list:
+    """Mixture weights a_i >= 0 with sum a_i = 1 that minimize the worst
+    Re/Im moment residual, each divided by its point's validation margin.
+    The LP is feasible for every support; whether the fit is good enough
+    is for `validate_candidate` to decide."""
     support = list(support)
     ns = len(support)
     if len(set(support)) != ns:
         raise ParameterError("support strings must be distinct")
-    coef = _moment_powers(support, estimates)
-    target = estimates.means[:, 1:]
+    margin = _validation_margin(estimates)
+    coef = _moment_powers(support, estimates) / margin[:, :, None]
+    target = estimates.means[:, 1:] / margin
     # per (point, k): the +Re, +Im, -Re and -Im residuals, each <= the slack
     A = np.stack([coef.real, coef.imag, -coef.real, -coef.imag], axis=2).reshape(-1, ns)
     b = np.stack([target.real, target.imag, -target.real, -target.imag], axis=2).ravel()
@@ -190,28 +193,26 @@ def fit_weights(support, estimates: MomentEstimates, tol: float):
     c[-1] = 1.0
     bounds = [(0.0, 1.0)] * ns + [(0.0, None)]
     res = linprog(c, A_ub=A_ub, b_ub=b, A_eq=A_eq, b_eq=[1.0], bounds=bounds, method="highs")
-    if not res.success or float(res.x[-1]) > tol:
-        return None
+    if not res.success:
+        raise InternalInconsistencyError(f"weight LP failed: {res.message}")
     return [float(a) for a in res.x[:-1]]
 
 
-def _build_distribution(support, weights, floor: float) -> SparseDistribution | None:
-    pairs = [(x, a) for x, a in zip(support, weights) if a > floor]
-    if not pairs:
-        return None
+def _build_distribution(support, weights) -> SparseDistribution:
+    """The candidate mixture without weights at or below WEIGHT_FLOOR; at
+    most l weights sum to 1, so the largest, at least 1/l, always stays."""
+    pairs = [(x, a) for x, a in zip(support, weights) if a > WEIGHT_FLOOR]
     total = sum(a for _, a in pairs)
     return SparseDistribution(
         tuple(x for x, _ in pairs), tuple(a / total for _, a in pairs)
     )
 
 
-def validate_candidate(
-    d: SparseDistribution, estimates: MomentEstimates, config: RecoveryConfig
-) -> float | None:
+def validate_candidate(d: SparseDistribution, estimates: MomentEstimates) -> float | None:
     """Largest normalized moment residual if the candidate reproduces every
-    estimate within margin_abs + margin_sigma * stderr, else None."""
+    estimate within its `_validation_margin`, else None."""
     model = _moment_powers(d.support, estimates) @ np.asarray(d.weights)
-    margin = config.validation_abs + config.validation_sigma * estimates.stderrs[:, 1:]
+    margin = _validation_margin(estimates)
     resid = np.abs(model - estimates.means[:, 1:])
     if np.any(resid > margin):
         return None
@@ -235,7 +236,7 @@ def recover(
         "points": estimates.point_table(),
         "candidates": [],
     }
-    candidates, failures = recover_support_candidates(estimates, params, config)
+    candidates, failures = recover_support_candidates(estimates, params)
     diagnostics["failures"] = failures
     for ell_prime, strings in candidates:
         record = {
@@ -244,15 +245,8 @@ def recover(
             "accepted": False,
         }
         diagnostics["candidates"].append(record)
-        weights = fit_weights(strings, estimates, config.fit_tol)
-        if weights is None:
-            record["reason"] = "weight LP infeasible"
-            continue
-        d = _build_distribution(strings, weights, config.weight_floor)
-        if d is None:
-            record["reason"] = "all weights at floor"
-            continue
-        score = validate_candidate(d, estimates, config)
+        d = _build_distribution(strings, fit_weights(strings, estimates))
+        score = validate_candidate(d, estimates)
         if score is None:
             record["reason"] = "moment validation failed"
             continue
@@ -264,7 +258,7 @@ def recover(
             seed=config.seed,
             config=asdict(config),
         )
-    raise RecoveryFailedError("all candidates failed weight fitting or validation", diagnostics)
+    raise RecoveryFailedError("all candidates failed moment validation", diagnostics)
 
 
 def channel_trace_source(d: SparseDistribution, params: ProblemParams, config: RecoveryConfig):

@@ -6,10 +6,12 @@ estimator satisfies |w| = |z^s - q| / p >= (1 - q) / p = 1, so no arc
 point is singular.  The j < 0 half is the exact conjugate of the j > 0
 half, so row i and row count-1-i are a conjugate pair.
 
-Theory prescribes arc half-widths of 2*pi/L or 1/L with L ~ (n/(log n *
-p^2))^(1/3) and spacings far too fine to enumerate; spacing and point
-count are therefore explicit configuration, and wider arcs are allowed
-(and useful) when p is large.
+The paper's analysis uses a narrow arc of half-width about 1/L, with
+L ~ (n / (log n * p^2))^(1/3).  At small n that arc only loses: at n = 8,
+l = 2 and 10^6 traces, arcs of half-width 0.4 to 1.6 rad estimated the
+sigma_1 coefficients far worse than a 2.76 rad arc at every p from 0.12
+to 0.5.  So spacing and point count are explicit configuration, and the
+default arc spans most of the circle.
 """
 
 from __future__ import annotations
@@ -19,13 +21,6 @@ import math
 import numpy as np
 
 from .core import ParameterError
-
-
-def default_L(n: int, p: float) -> int:
-    """L = max(1, floor((n / (ln n * p^2))^(1/3)))."""
-    if n < 2:
-        raise ParameterError("n must be >= 2")
-    return max(1, math.floor((n / (math.log(n) * p * p)) ** (1.0 / 3.0)))
 
 
 def arc_grid(spacing: float, count: int) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 from delpop.cli import EXIT_IO, EXIT_OK, EXIT_PARAMETER, emit_report, run
 from delpop.core import BitString, SparseDistribution, save_distribution
 from delpop.channel import read_trace_file
-from delpop.recovery import RecoveryResult
+from delpop.recovery import RecoveryConfig, RecoveryResult
 
 
 @pytest.fixture
@@ -35,6 +35,15 @@ def test_simulate_writes_trace_file(tmp_path, dist_file):
     assert manifest["mode"] == "simulate"
     assert manifest["options"]["seed"] == 4
     assert "python" in manifest["versions"]
+
+
+def test_simulate_default_sample_count_is_the_library_default(tmp_path, dist_file):
+    _, dist_path = dist_file
+    out = tmp_path / "traces.txt"
+    assert run(["simulate", "--dist", str(dist_path), "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "traces.txt.manifest.json").read_text())
+    assert manifest["options"]["samples"] == RecoveryConfig.sample_count
+    assert len(read_trace_file(out)[1]) == RecoveryConfig.sample_count
 
 
 def test_simulate_requires_dist(tmp_path):

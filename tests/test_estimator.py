@@ -268,3 +268,17 @@ def test_moment_json_has_contracted_fields():
     for rec in recs:
         assert set(rec) == {"z", "grid_kind", "k", "mean", "count"}
         assert rec["grid_kind"] == "arc"
+
+
+def test_moment_json_k0_mean_is_positive_one_at_every_point():
+    # the mirrored Im z > 0 rows are conjugates of evaluated rows; the k = 0
+    # column is the constant 1 and must not become 1 - 0j there
+    import json
+
+    params = ProblemParams(4, 1, 0.7)
+    batch = np.array([(1, 0, 1, 0)], dtype=np.int8)
+    est = accumulate_moments([batch], arc_grid(0.3, 3), 1, params, 1)
+    k0 = [rec["mean"] for rec in json.loads(est.to_json()) if rec["k"] == 0]
+    assert len(k0) == 3
+    for re, im in k0:
+        assert (re, math.copysign(1.0, im)) == (1.0, 1.0)

@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 
 from delpop.core import (
     BitString,
+    InternalInconsistencyError,
     ParameterError,
     ProblemParams,
     RecoveryFailedError,
@@ -25,6 +28,7 @@ from delpop.recovery import (
     recover,
     recover_from_channel,
     recover_support_candidates,
+    validate_candidate,
 )
 from delpop.zgrid import arc_grid
 from oracles import random_distribution
@@ -84,6 +88,23 @@ def test_support_candidates_from_exact_moments():
     assert d.support in supports
 
 
+def test_recovery_config_holds_only_run_settings():
+    names = [f.name for f in dataclasses.fields(RecoveryConfig)]
+    assert names == ["sample_count", "grid_spacing", "grid_points", "seed"]
+
+
+def test_support_candidates_l_prime_without_gate_yes_points():
+    # one string, ell = 2: the l' = 2 Hankel matrix of exact moments is
+    # singular at every point, so its gate passes none of them
+    d = SparseDistribution((BitString.from_string("110101"),), (1.0,))
+    params = ProblemParams(6, 2, 0.9)
+    est = exact_moments(d, default_grid(), 3)
+    results, failures = recover_support_candidates(est, params)
+    assert results == [(1, d.support)]
+    assert len(failures) == 1 and failures[0][0] == 2
+    assert "0 gate-YES points" in failures[0][1]
+
+
 def test_support_candidates_single_string():
     d = SparseDistribution((BitString.from_string("110101"),), (1.0,))
     params = ProblemParams(6, 1, 0.9)
@@ -96,23 +117,35 @@ def test_fit_weights_truth_feasible():
     rng = np.random.default_rng(2)
     d = random_distribution(rng, 5, 2)
     est = exact_moments(d, default_grid(), 3)
-    w = fit_weights(d.support, est, 1e-6)
-    assert w is not None
+    w = fit_weights(d.support, est)
     assert w == pytest.approx(list(d.weights), abs=1e-6)
+    assert validate_candidate(d, est) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_fit_weights_single_string():
     d = SparseDistribution((BitString.from_string("1010"),), (1.0,))
     est = exact_moments(d, default_grid(), 1)
-    assert fit_weights(d.support, est, 1e-8) == pytest.approx([1.0])
+    assert fit_weights(d.support, est) == pytest.approx([1.0])
 
 
-def test_fit_weights_missing_heavy_string_infeasible():
+def test_fit_weights_solver_failure_is_internal_error(monkeypatch):
+    # the LP is feasible by construction, so a solver failure is a fault
+    d = SparseDistribution((BitString.from_string("1010"),), (1.0,))
+    est = exact_moments(d, default_grid(), 1)
+    failed = types.SimpleNamespace(success=False, message="numerical trouble")
+    monkeypatch.setattr(recovery, "linprog", lambda *args, **kwargs: failed)
+    with pytest.raises(InternalInconsistencyError):
+        fit_weights(d.support, est)
+
+
+def test_missing_heavy_string_fails_validation():
     d = SparseDistribution(
         (BitString.from_string("1110"), BitString.from_string("0001")), (0.6, 0.4)
     )
     est = exact_moments(d, default_grid(), 3)
-    assert fit_weights((d.support[0],), est, 0.05) is None
+    support = (d.support[0],)
+    assert fit_weights(support, est) == pytest.approx([1.0])
+    assert validate_candidate(SparseDistribution(support, (1.0,)), est) is None
 
 
 def test_recover_point_mass_end_to_end():
@@ -171,7 +204,7 @@ def test_recover_validation_soundness():
     out = result.distribution
     for i, z in enumerate(grid.tolist()):
         for k in range(1, 4):
-            margin = config.validation_abs + config.validation_sigma * est.stderrs[i, k]
+            margin = recovery.VALIDATION_ABS + recovery.VALIDATION_SIGMA * est.stderrs[i, k]
             assert abs(power_sum(out, z, k) - est.means[i, k]) <= margin
 
 

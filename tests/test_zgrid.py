@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from delpop.core import ParameterError
-from delpop.zgrid import arc_grid, default_L
+from delpop.zgrid import arc_grid
 
 # (spacing, count) pairs: the defaults, the grids the tests use, and arcs
 # past pi and up to the 2*pi limit
@@ -21,16 +21,6 @@ ARCS = [
     (0.1, 125),
     (1.0, 1),
 ]
-
-
-def test_default_L_examples():
-    # n = 2, p ~ 1: floor((2 / ln 2)^(1/3)) = 1
-    assert default_L(2, 1.0 - 1e-12) == 1
-    ls = [default_L(n, 0.5) for n in range(2, 2000, 50)]
-    assert ls == sorted(ls)  # non-decreasing in n
-    assert default_L(500, 0.1) > default_L(500, 0.9)
-    with pytest.raises(ParameterError):
-        default_L(1, 0.5)
 
 
 def test_arc_grid_endpoints_plus_center():

@@ -6,7 +6,8 @@ and weights from U(0.3, 1), normalised, with numpy's default_rng(1000 n +
 10 l + s); the traces are sampled with channel seed s.  A run succeeds
 when recovery returns a mixture within total-variation distance eps = 0.1
 of the truth.  Prints one line per cell with its successes and the first
-failure reason (for a failed pipeline, its failure at the largest l').
+failure reason (for a failed pipeline, its failure at the largest l'),
+then the total successes over the cells with p >= 0.5 and with p < 0.5.
 
     PYTHONPATH=src python tools/envelope_probe.py
 """
@@ -90,12 +91,16 @@ def run_cell(n: int, ell: int, p: float, count: int):
 
 def main() -> None:
     print("n  l  p    N      successes  seconds  first failure")
+    high, low = [], []  # successes per cell with p >= 0.5 and with p < 0.5
     for n, ell, p, count in CELLS:
         start = time.perf_counter()
         wins, reason = run_cell(n, ell, p, count)
         seconds = time.perf_counter() - start
+        (high if p >= 0.5 else low).append(wins)
         print(f"{n:<2} {ell}  {p:<4} {count:<6.0e} {wins}/{len(SEEDS)}        "
               f"{seconds:7.1f}  {reason or '-'}", flush=True)
+    print(f"successes: {sum(high)}/{len(SEEDS) * len(high)} at p >= 0.5, "
+          f"{sum(low)}/{len(SEEDS) * len(low)} at p < 0.5")
 
 
 if __name__ == "__main__":
