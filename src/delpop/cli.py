@@ -1,8 +1,9 @@
 """Command-line entry point for reproducible experiments.
 
 Subcommands: simulate (distribution -> trace file), estimate (traces ->
-moment estimates), recover (end-to-end pipeline), distinguish (brute-force
-reference learner), oracle-check (estimator unbiasedness sweep).
+moment estimates), recover (end-to-end pipeline, on a trace file or on
+traces sampled from a distribution), distinguish (brute-force reference
+learner), oracle-check (estimator unbiasedness sweep).
 
 Options can come from a config file of `key = value` lines; flags win over
 the file.  Every run writes a manifest (config echo, seed, versions) next
@@ -38,6 +39,7 @@ from .recovery import (
     RecoveryConfig,
     RecoveryResult,
     exhaustive_distinguisher,
+    recover,
     recover_from_channel,
 )
 from .zgrid import arc_grid
@@ -171,16 +173,21 @@ def _cmd_simulate(opts) -> int:
     return EXIT_OK
 
 
-def _cmd_estimate(opts) -> int:
-    if not opts["traces"]:
-        raise ParameterError("estimate requires --traces")
+def _read_traces(opts):
+    """(p from the header, padded trace rows, traces to use) of --traces."""
     header, traces = read_trace_file(opts["traces"])
     try:
         p = float(header["p"])
     except (KeyError, ValueError):
         raise ParameterError("trace file header must give a numeric p=")
+    return p, traces, min(opts["samples"], len(traces))
+
+
+def _cmd_estimate(opts) -> int:
+    if not opts["traces"]:
+        raise ParameterError("estimate requires --traces")
+    p, traces, count = _read_traces(opts)
     params = ProblemParams(n=traces.shape[1], ell=opts["ell"], p=p, eps=opts["eps"])
-    count = min(opts["samples"], len(traces))
     grid = arc_grid(opts["grid_spacing"], opts["grid_points"])
     est = accumulate_moments([traces], grid, 2 * params.ell - 1, params, count)
     with open(opts["out"], "w") as fh:
@@ -189,17 +196,24 @@ def _cmd_estimate(opts) -> int:
 
 
 def _cmd_recover(opts) -> int:
-    if not opts["dist"]:
-        raise ParameterError("recover requires --dist (ground-truth sampling source)")
-    d = load_distribution(opts["dist"])
-    params = ProblemParams(n=d.n, ell=opts["ell"], p=opts["p"], eps=opts["eps"])
+    """Recover from a trace file (--traces; p and n from the file) or from
+    traces sampled out of a known distribution (--dist)."""
+    if bool(opts["traces"]) == bool(opts["dist"]):
+        raise ParameterError("recover requires exactly one of --traces and --dist")
     config = RecoveryConfig(
         sample_count=opts["samples"],
         grid_points=opts["grid_points"],
         grid_spacing=opts["grid_spacing"],
         seed=opts["seed"],
     )
-    result = recover_from_channel(d, params, config)
+    if opts["traces"]:
+        p, traces, count = _read_traces(opts)
+        params = ProblemParams(n=traces.shape[1], ell=opts["ell"], p=p, eps=opts["eps"])
+        result = recover([traces], params, dataclasses.replace(config, sample_count=count))
+    else:
+        d = load_distribution(opts["dist"])
+        params = ProblemParams(n=d.n, ell=opts["ell"], p=opts["p"], eps=opts["eps"])
+        result = recover_from_channel(d, params, config)
     emit_report(result, opts["out"])
     return EXIT_OK
 

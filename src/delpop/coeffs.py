@@ -3,9 +3,10 @@
 sigma_k(z) of a mixture of n-bit strings is a polynomial in z with
 nonnegative integer coefficients: degree <= k*n, each coefficient at most
 binom(l, k) * n^k, and t_0..t_{k-1} = 0 because P has no constant term.
-So once sigma_k is estimated at enough grid points, one weighted
-least-squares solve of the Vandermonde system for t_k..t_{kn}, followed
-by rounding, gives its coefficients.  The exact factoring and moment
+So once sigma_k is estimated at enough grid points, each with its own
+tolerance, one least-squares solve of the Vandermonde system for
+t_k..t_{kn}, with every point weighted by the inverse of its tolerance,
+followed by rounding, gives its coefficients.  The exact factoring and moment
 validation downstream certify the answer; near-full-circle arcs keep the
 system well conditioned (Moitra, STOC 2015).
 """
@@ -55,25 +56,25 @@ def coefficient_bound(params: ProblemParams, k: int) -> int:
     return math.comb(params.ell, k) * params.n ** k
 
 
-def recover_polynomial(k, sigma_records, tol, params: ProblemParams) -> SymmetricPolynomial:
+def recover_polynomial(k, zs, values, tols, params: ProblemParams) -> SymmetricPolynomial:
     """Recover the integer coefficients of sigma_k from per-point estimates.
 
-    sigma_records entries are (z, sigma_k estimate) pairs from gate-YES
-    points, optionally with a third element giving a per-point tolerance
-    that overrides tol.  t_0..t_{k-1} are zero; t_k..t_{kn} solve the
-    Vandermonde system in the least-squares sense, with each point's real
-    and imaginary rows divided by its tolerance, and are then rounded.
-    The integer answer must lie in [0, coefficient_bound] and match every
-    point's real and imaginary parts within that point's tolerance."""
-    if not sigma_records:
+    `values[i]` estimates sigma_k(zs[i]) within tolerance `tols[i]`; `tols`
+    broadcasts against `zs`, so one number serves every point.
+    t_0..t_{k-1} are zero; t_k..t_{kn} solve the Vandermonde system in the
+    least-squares sense, with each point's real and imaginary rows divided
+    by its tolerance, and are then rounded.  The integer answer must lie in
+    [0, coefficient_bound] and match every point's real and imaginary parts
+    within that point's tolerance."""
+    zs = np.asarray(zs, dtype=complex).ravel()
+    values = np.asarray(values, dtype=complex).ravel()
+    if not zs.size:
         raise ParameterError("need at least one grid point")
-    if not tol > 0:
-        raise ParameterError("tol must be positive")
-    zs = np.array([complex(rec[0]) for rec in sigma_records])
-    values = np.array([complex(rec[1]) for rec in sigma_records])
-    tols = np.array([float(rec[2]) if len(rec) > 2 else tol for rec in sigma_records])
+    if values.shape != zs.shape:
+        raise ParameterError("need one value per grid point")
+    tols = np.broadcast_to(np.asarray(tols, dtype=float), zs.shape)
     if not np.all(tols > 0):
-        raise ParameterError("per-point tolerance must be positive")
+        raise ParameterError("tolerances must be positive")
     powers = zs[:, None] ** np.arange(k, k * params.n + 1)
     unknowns = powers.shape[1]
     row_weights = 1.0 / np.concatenate([tols, tols])

@@ -30,7 +30,8 @@ class CorruptInputError(RuntimeError):
 
 
 class InternalInconsistencyError(RuntimeError):
-    """A certified precondition failed downstream (e.g. gated solve blew up)."""
+    """A certified precondition failed downstream (e.g. the weight LP, feasible
+    by construction, reported failure)."""
 
 
 WEIGHT_SUM_TOL = 1e-12
@@ -39,7 +40,9 @@ WEIGHT_SUM_TOL = 1e-12
 @dataclass(frozen=True)
 class ProblemParams:
     """Instance parameters: string length n, sparsity bound ell, retention
-    probability p (deletion probability q = 1 - p), target TV error eps."""
+    probability p (deletion probability q = 1 - p), target TV error eps.
+    Recovery does not read eps; the exhaustive distinguisher derives its
+    weight pitch from it."""
 
     n: int
     ell: int

@@ -8,11 +8,14 @@ power sums satisfy the linear recurrence b_{k+l} = sum_j r_j b_{k+l-j}
 with r_j = (-1)^(j-1) sigma_j, so solving B w = v with v_i = b_{l-1+i}
 yields sigma_j = (-1)^(j-1) w_{l+1-j}.
 
-A conditioning gate precedes the solve: given lower bounds alpha on the
-minimum mixture weight and beta on the weight product, plus a scale delta,
-it rejects when sigma_min(B~) < (3/4) alpha delta or |det B~| <
-beta delta^2 / 2 — exactly when the Vandermonde factor may be too close to
-singular for the solve to be trusted.
+The solve returns None when B~ is numerically singular; the recovery
+driver leaves such a point out and weights every other point by
+its delta-method error.  `gate_stage` reproduces the paper's conditioning
+gate, which certifies a solve in its worst-case analysis: given lower
+bounds alpha on the minimum mixture weight and beta on the weight product,
+plus a scale delta, it rejects when sigma_min(B~) < (3/4) alpha delta or
+|det B~| < beta delta^2 / 2 — exactly when the Vandermonde factor may be
+too close to singular for the solve to be trusted.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InternalInconsistencyError, ParameterError
+from .core import ParameterError
 
 
 @dataclass(frozen=True)
@@ -73,19 +76,17 @@ def gate_stage(sys: HankelSystem, th: PronyThresholds) -> str | None:
     return None
 
 
-def solve_sigma(sys: HankelSystem) -> tuple:
+def solve_sigma(sys: HankelSystem) -> tuple | None:
     """Dense solve B~ w~ = v~; returns (sigma_1, .., sigma_l') with
-    sigma_j = (-1)^(j-1) w~_{l'+1-j}.
-
-    Callers must gate first; a singular solve after a YES gate means the
-    thresholds were too loose for float precision."""
+    sigma_j = (-1)^(j-1) w~_{l'+1-j}, or None if B~ is singular in floating
+    point (numerical rank below l', as numpy.linalg.matrix_rank counts it)
+    or the solve is not finite."""
     lp = sys.ell_prime
-    try:
-        w = np.linalg.solve(sys.B_tilde, sys.v_tilde)
-    except np.linalg.LinAlgError as exc:
-        raise InternalInconsistencyError(f"gated Hankel solve failed: {exc}")
-    if not np.all(np.isfinite(w.view(float))):
-        raise InternalInconsistencyError("gated Hankel solve returned non-finite values")
+    if not np.all(np.isfinite(sys.B_tilde)) or np.linalg.matrix_rank(sys.B_tilde) < lp:
+        return None
+    w = np.linalg.solve(sys.B_tilde, sys.v_tilde)
+    if not np.all(np.isfinite(w)):
+        return None
     return tuple(complex((-1) ** (j - 1) * w[lp - j]) for j in range(1, lp + 1))
 
 

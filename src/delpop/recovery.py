@@ -1,24 +1,23 @@
 """End-to-end recovery: moments -> Prony -> integer coefficients ->
 support -> weight fitting -> moment-matching validation.
 
-The sparsity l' is unknown, so every l' = 1..l is tried.  The conditioning
-gate of the Prony stage takes lower bounds alpha on the minimum weight and
-beta on the weight product; the paper enumerates guesses for them, but the
-gate-YES point sets are nested in (alpha, beta) and the coefficient solve
-weights every point by its own delta-method tolerance, so one pass per l'
-at the loosest bounds the paper's enumeration reaches, alpha = 2^(-M) and
-beta = 2^(-l' M) with M = ceil(log2(1/eps)), covers every smaller point set.
-Each l' yields at most one candidate support through the
-Prony/coefficient/factoring chain; failures are recorded rather than
-fatal, and the first candidate whose fitted mixture reproduces every
-moment estimate within the validation margin is returned.  Wrong
-guesses of l' are harmless: their candidates fail the validation.
+The sparsity l' is unknown, so every l' = 1..l is tried.  Each l' makes one
+pass over the grid: every point's Hankel system is solved for sigma and its
+delta-method error, and the coefficient solve weights each point by the
+inverse of its tolerance, so a badly conditioned point carries almost no
+weight.  Only a point whose Hankel matrix is numerically singular, or
+whose solve or predicted error is not finite, is left out.  Each l' yields at most one candidate
+support through the Prony/coefficient/factoring chain; failures are
+recorded rather than fatal, and the first candidate whose fitted mixture
+reproduces every moment estimate within the validation margin is
+returned.  Wrong guesses of l' are harmless: their candidates fail the
+validation.  `recover()` does not read `ProblemParams.eps`; only the
+reference `exhaustive_distinguisher` does.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -37,13 +36,7 @@ from .core import (
 from .channel import ChannelConfig, sample_trace_batch
 from .coeffs import CoefficientRecoveryError, recover_polynomial
 from .estimator import MomentEstimates, accumulate_moments
-from .prony import (
-    HankelSystem,
-    PronyThresholds,
-    gate_stage,
-    sigma_error_stds,
-    solve_sigma,
-)
+from .prony import HankelSystem, sigma_error_stds, solve_sigma
 from .support import assemble_char_poly, decode_support, integer_roots
 from .zgrid import arc_grid
 
@@ -52,8 +45,6 @@ class MarginError(RuntimeError):
     """No enumerated distribution matches the estimates within margin."""
 
 
-# Scale of the Prony conditioning gate (PronyThresholds.delta).
-GATE_DELTA = 0.01
 # Each point's coefficient tolerance is the larger of COEFF_TOL and
 # COEFF_SAFETY times its predicted sigma error.
 COEFF_TOL = 0.02
@@ -92,30 +83,13 @@ class RecoveryResult:
     config: dict = field(default_factory=dict)
 
 
-def _gate_filter(estimates: MomentEstimates, ell_prime: int, th: PronyThresholds):
-    """Run the conditioning gate at every grid point; returns
-    {row: (z, HankelSystem)} for the YES points."""
-    kept = {}
-    for i, z in enumerate(estimates.grid.tolist()):
-        sys = HankelSystem.from_power_sums(estimates.means[i, : 2 * ell_prime])
-        if gate_stage(sys, th) is None:
-            kept[i] = (z, sys)
-    return kept
-
-
 def recover_support_candidates(estimates: MomentEstimates, params: ProblemParams):
-    """Run gate -> prony -> coefficient recovery -> factoring once for each
+    """Run prony -> coefficient recovery -> factoring once for each
     l' = 1..l; returns ([(l', support strings)], [(l', failure message)]).
     When nothing succeeds the failures are raised in aggregate instead."""
-    m = max(1, math.ceil(math.log2(1.0 / params.eps)))
     results, failures = [], []
     for ell_prime in range(1, params.ell + 1):
-        th = PronyThresholds(2.0 ** -m, 2.0 ** (-ell_prime * m), delta=GATE_DELTA)
-        kept = _gate_filter(estimates, ell_prime, th)
-        if kept:
-            outcome = _candidate_from_points(kept, ell_prime, estimates, params)
-        else:
-            outcome = "0 gate-YES points"
+        outcome = _candidate(ell_prime, estimates, params)
         (failures if isinstance(outcome, str) else results).append((ell_prime, outcome))
     if not results:
         raise RecoveryFailedError(
@@ -124,28 +98,39 @@ def recover_support_candidates(estimates: MomentEstimates, params: ProblemParams
     return results, failures
 
 
-def _candidate_from_points(kept, ell_prime, estimates, params):
-    """Solve sigma at each gate-YES point, recover each sigma_k polynomial,
+def _candidate(ell_prime, estimates, params):
+    """Solve sigma at every grid point, recover each sigma_k polynomial,
     and factor.  Returns the support tuple or a failure string.
 
     Each point enters the coefficient solve with its own tolerance: the
     larger of a floor and a safety multiple of its predicted sigma error.
     The solve weights each point by the inverse of its tolerance, so poorly
     conditioned points contribute weak-but-valid rows instead of either
-    poisoning the solve or being thrown away."""
-    sigma_by_k = {k: [] for k in range(1, ell_prime + 1)}
-    for idx in sorted(kept):
-        z, sys = kept[idx]
+    poisoning the solve or being thrown away.  A point whose Hankel matrix
+    is numerically singular, or whose solve or predicted error is not
+    finite, is left out: with exact moments its predicted error is 0, so
+    only dropping it keeps its rounding noise out of the solve."""
+    rows, sigmas, stds = [], [], []
+    for i in range(len(estimates.grid)):
+        sys = HankelSystem.from_power_sums(estimates.means[i, : 2 * ell_prime])
         sigma = solve_sigma(sys)
-        cov = estimates.cov[idx][: 2 * ell_prime - 1, : 2 * ell_prime - 1]
-        stds = sigma_error_stds(sys, cov, estimates.count)
-        for k in range(1, ell_prime + 1):
-            tol = max(COEFF_TOL, COEFF_SAFETY * stds[k - 1])
-            sigma_by_k[k].append((z, sigma[k - 1], tol))
+        if sigma is None:
+            continue
+        cov = estimates.cov[i][: 2 * ell_prime - 1, : 2 * ell_prime - 1]
+        std = sigma_error_stds(sys, cov, estimates.count)
+        if np.all(np.isfinite(std)):
+            rows.append(i)
+            sigmas.append(sigma)
+            stds.append(std)
+    if not rows:
+        return "prony failed: every grid point's Hankel solve is singular or not finite"
+    zs = estimates.grid[rows]
+    sigmas = np.array(sigmas)
+    tols = np.maximum(COEFF_TOL, COEFF_SAFETY * np.array(stds))
     polys = []
     for k in range(1, ell_prime + 1):
         try:
-            polys.append(recover_polynomial(k, sigma_by_k[k], COEFF_TOL, params))
+            polys.append(recover_polynomial(k, zs, sigmas[:, k - 1], tols[:, k - 1], params))
         except CoefficientRecoveryError as exc:
             return f"coefficient recovery failed: {exc}"
     try:

@@ -7,11 +7,11 @@ z = 2 are the elementary symmetric functions of the y's, so
     prod_i (z - y_i) = z^l - Q_1(2) z^(l-1) + ... + (-1)^l Q_l(2)
 
 is a monic integer polynomial with distinct nonnegative integer roots.
-Roots are recovered with exact big-integer arithmetic: high-precision
-approximations supply brackets, each bracket is bisected on exact sign
-changes down to its unique integer, and the polynomial is deflated exactly
-after every root.  Any inexactness (non-root, nonzero deflation remainder)
-means upstream recovery was wrong and is reported as corrupt input.
+Roots are recovered with exact big-integer arithmetic: each root found by
+a high-precision solver is rounded to the nearest integer, checked exactly
+by Horner's rule, and divided out exactly before the next root is sought.
+A rounded root that does not check, or a repeated root, means upstream
+recovery was wrong and is reported as corrupt input.
 """
 
 from __future__ import annotations
@@ -99,20 +99,20 @@ def assemble_char_poly(sigmas) -> MonicIntegerPolynomial:
     return MonicIntegerPolynomial(tuple(coeffs))
 
 
-def _synthetic_division(coeffs, root):
-    """Divide by (z - root) exactly: coeffs ascending; returns
-    (quotient ascending, remainder)."""
+def _deflate(coeffs, root):
+    """Quotient of the ascending coefficients `coeffs` by (z - root), by
+    synthetic division; exact when root is a root."""
     d = len(coeffs) - 1
     quot = [0] * d
     quot[d - 1] = coeffs[d]
     for i in range(d - 1, 0, -1):
         quot[i - 1] = coeffs[i] + root * quot[i]
-    remainder = coeffs[0] + root * quot[0]
-    return tuple(quot), remainder
+    return quot
 
 
 def _approx_roots(coeffs):
-    """Nearest-integer root approximations used only to locate brackets."""
+    """The roots of the polynomial with ascending integer coefficients
+    `coeffs`, each rounded to the nearest integer."""
     bits = max(int(c).bit_length() for c in coeffs)
     with mpmath.workdps(40 + bits):
         roots = mpmath.polyroots(
@@ -121,68 +121,25 @@ def _approx_roots(coeffs):
         return sorted(int(mpmath.nint(mpmath.re(r))) for r in roots)
 
 
-def _bisect_integer_root(coeffs, lo, hi):
-    """Exact bisection on a sign-changing integer bracket [lo, hi]."""
-    flo = eval_int(coeffs, lo)
-    fhi = eval_int(coeffs, hi)
-    if flo == 0:
-        return lo
-    if fhi == 0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        fmid = eval_int(coeffs, mid)
-        if fmid == 0:
-            return mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    return None
-
-
 def integer_roots(poly: MonicIntegerPolynomial, n: int) -> EncodedSupport:
     """All roots of a monic polynomial promised to split into distinct
-    linear factors over the nonnegative integers (each root <= 2^(n+1))."""
+    linear factors over the nonnegative integers (each root < 2^(n+1)).
+    Each rounded approximate root in that range is checked exactly and
+    divided out; input that does not split so is corrupt."""
     coeffs = list(poly.coeffs)
-    cauchy = 1 + max(abs(c) for c in coeffs)
-    limit = min(cauchy, (1 << (n + 1)) - 1)
+    limit = 1 << (n + 1)
     roots = []
     while len(coeffs) > 1:
-        found = None
-        for cand in _approx_roots(coeffs):
-            for y in range(max(0, cand - 2), min(limit, cand + 2) + 1):
-                if eval_int(coeffs, y) == 0:
-                    found = y
-                    break
-            if found is None:
-                # widen to an exact sign-change bracket and bisect
-                lo = max(0, cand - 2)
-                hi = min(limit, cand + 2)
-                width = 4
-                while hi - lo >= 1:
-                    y = _bisect_integer_root(coeffs, lo, hi)
-                    if y is not None:
-                        found = y
-                        break
-                    if lo == 0 and hi == limit:
-                        break
-                    width *= 4
-                    lo = max(0, cand - width)
-                    hi = min(limit, cand + width)
-            if found is not None:
-                break
+        found = next(
+            (y for y in _approx_roots(coeffs) if 0 <= y < limit and eval_int(coeffs, y) == 0),
+            None,
+        )
         if found is None:
             raise CorruptInputError("no exact integer root located; upstream recovery wrong")
-        quot, rem = _synthetic_division(coeffs, found)
-        if rem != 0:
-            raise CorruptInputError("deflation left a nonzero remainder")
         if found in roots:
             raise CorruptInputError("repeated root; support strings must be distinct")
         roots.append(found)
-        coeffs = list(quot)
+        coeffs = _deflate(coeffs, found)
     return EncodedSupport(tuple(sorted(roots)))
 
 

@@ -181,15 +181,11 @@ def test_acceptance_6_coefficient_recovery():
         params = ProblemParams(n, ell, 0.9)
         sig = [exact_sigma(d, z) for z in grid]
         for k in range(1, ell + 1):
-            pts = [
-                (
-                    z,
-                    sig[i][k - 1]
-                    + (tol / 2) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
-                )
-                for i, z in enumerate(grid)
+            values = [
+                sig[i][k - 1] + (tol / 2) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+                for i in range(len(grid))
             ]
-            poly = recover_polynomial(k, pts, tol, params)
+            poly = recover_polynomial(k, grid, values, tol, params)
             assert poly.coeffs == exact_sigma_coeffs(d.support, k, n)
     assert time.monotonic() - start < 300.0
 

@@ -113,6 +113,37 @@ def test_recover_end_to_end(tmp_path, dist_file):
     assert all(float(row[2]) > 0 for row in rows[1:])
 
 
+def test_recover_from_trace_file(tmp_path):
+    # p comes from the trace file's header and n from its rows
+    d = SparseDistribution(
+        (BitString.from_string("110100"), BitString.from_string("011011")), (0.6, 0.4)
+    )
+    dist_path = tmp_path / "dist.json"
+    save_distribution(d, dist_path)
+    traces = tmp_path / "traces.txt"
+    assert run(["simulate", "--dist", str(dist_path), "--samples", "100000", "--p", "0.8",
+                "--seed", "0", "--out", str(traces)]) == EXIT_OK
+    out = tmp_path / "result.json"
+    assert run(["recover", "--traces", str(traces), "--ell", "2", "--out", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text())
+    got = SparseDistribution.from_json_dict(payload["distribution"])
+    from delpop.core import tv_distance
+
+    assert got.support == d.support
+    assert tv_distance(got, d) <= 0.1
+    assert payload["config"]["sample_count"] == 100000
+
+
+def test_recover_takes_exactly_one_source(tmp_path, dist_file):
+    _, dist_path = dist_file
+    traces = tmp_path / "traces.txt"
+    run(["simulate", "--dist", str(dist_path), "--samples", "100", "--out", str(traces)])
+    out = str(tmp_path / "r.json")
+    both = ["recover", "--traces", str(traces), "--dist", str(dist_path), "--out", out]
+    assert run(both) == EXIT_PARAMETER
+    assert run(["recover", "--out", out]) == EXIT_PARAMETER
+
+
 def test_config_file_merging(tmp_path, dist_file):
     d, dist_path = dist_file
     cfg = tmp_path / "run.cfg"

@@ -18,14 +18,14 @@ from delpop.zgrid import arc_grid
 from oracles import exact_sigma_coeffs, random_distribution
 
 
-def sigma_points_for(d, grid, k, noise=0.0, rng=None):
-    pts = []
+def sigma_values_for(d, grid, k, noise=0.0, rng=None):
+    values = []
     for z in grid.tolist():
         val = exact_sigma(d, z)[k - 1]
         if noise and rng is not None:
             val += noise * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        pts.append((z, val))
-    return pts
+        values.append(val)
+    return np.array(values)
 
 
 def test_symmetric_polynomial_validation_and_eval():
@@ -55,17 +55,17 @@ def test_recover_polynomial_example_sigma1():
     d = two_string_cross()
     params = ProblemParams(2, 2, 0.9)
     grid = arc_grid(0.5, 9)
-    pts = sigma_points_for(d, grid, 1)
-    assert recover_polynomial(1, pts, 0.05, params).coeffs == (0, 1, 1)
+    values = sigma_values_for(d, grid, 1)
+    assert recover_polynomial(1, grid, values, 0.05, params).coeffs == (0, 1, 1)
 
 
 def test_recover_polynomial_examples():
     d = two_string_cross()
     params = ProblemParams(2, 2, 0.9)
     grid = arc_grid(0.5, 9)
-    s1 = recover_polynomial(1, sigma_points_for(d, grid, 1), 0.05, params)
+    s1 = recover_polynomial(1, grid, sigma_values_for(d, grid, 1), 0.05, params)
     assert s1.coeffs == (0, 1, 1)
-    s2 = recover_polynomial(2, sigma_points_for(d, grid, 2), 0.05, params)
+    s2 = recover_polynomial(2, grid, sigma_values_for(d, grid, 2), 0.05, params)
     assert s2.coeffs == (0, 0, 0, 1, 0)  # sigma_2 = z * z^2, padded to degree k*n
 
 
@@ -73,7 +73,7 @@ def test_recover_polynomial_single_string_reads_bits():
     d = SparseDistribution((BitString.from_string("10110"),), (1.0,))
     params = ProblemParams(5, 1, 0.9)
     grid = arc_grid(0.45, 13)
-    poly = recover_polynomial(1, sigma_points_for(d, grid, 1), 0.05, params)
+    poly = recover_polynomial(1, grid, sigma_values_for(d, grid, 1), 0.05, params)
     assert poly.coeffs == (0, 1, 0, 1, 1, 0)
 
 
@@ -85,7 +85,7 @@ def test_recovered_constant_term_is_zero_and_bounded():
         d = random_distribution(rng, n, ell)
         params = ProblemParams(n, ell, 0.9)
         for k in range(1, ell + 1):
-            poly = recover_polynomial(k, sigma_points_for(d, grid, k), 0.02, params)
+            poly = recover_polynomial(k, grid, sigma_values_for(d, grid, k), 0.02, params)
             assert poly.coeffs[0] == 0
             assert max(poly.coeffs) <= coefficient_bound(params, k)
             assert poly.coeffs == exact_sigma_coeffs(d.support, k, n)
@@ -98,9 +98,9 @@ def test_noise_within_half_tolerance_is_harmless():
     grid = arc_grid(0.19, 33)
     tol = 0.02
     for k in (1, 2):
-        clean = recover_polynomial(k, sigma_points_for(d, grid, k), tol, params)
+        clean = recover_polynomial(k, grid, sigma_values_for(d, grid, k), tol, params)
         noisy = recover_polynomial(
-            k, sigma_points_for(d, grid, k, noise=tol / 2, rng=rng), tol, params
+            k, grid, sigma_values_for(d, grid, k, noise=tol / 2, rng=rng), tol, params
         )
         assert noisy == clean
 
@@ -111,52 +111,48 @@ def test_monotone_tolerance():
     params = ProblemParams(5, 2, 0.9)
     grid = arc_grid(0.23, 25)
     for k in (1, 2):
-        pts = sigma_points_for(d, grid, k)
-        wide = recover_polynomial(k, pts, 0.05, params)
+        values = sigma_values_for(d, grid, k)
+        wide = recover_polynomial(k, grid, values, 0.05, params)
         for tol in (0.02, 0.005, 1e-4):
-            assert recover_polynomial(k, pts, tol, params) == wide
+            assert recover_polynomial(k, grid, values, tol, params) == wide
 
 
-def test_per_point_tolerance_triples():
+def test_per_point_tolerances():
     d = two_string_cross()
     params = ProblemParams(2, 2, 0.9)
     grid = arc_grid(0.5, 9)
-    rng = np.random.default_rng(10)
-    pts = []
-    for i, z in enumerate(grid.tolist()):
-        val = exact_sigma(d, z)[0]
-        tol_i = 1.0 if i == 0 else 0.02  # first point is noisy but declared so
-        if i == 0:
-            val += 0.5
-        pts.append((z, val, tol_i))
-    poly = recover_polynomial(1, pts, 0.02, params)
-    assert poly.coeffs == (0, 1, 1)
+    values = sigma_values_for(d, grid, 1)
+    values[0] += 0.5  # the first point is noisy but declared so
+    tols = np.full(len(grid), 0.02)
+    tols[0] = 1.0
+    assert recover_polynomial(1, grid, values, tols, params).coeffs == (0, 1, 1)
+    with pytest.raises(NoFeasibleCoefficientError):
+        recover_polynomial(1, grid, values, 0.02, params)
 
 
 def test_infeasible_and_ambiguous_errors():
     d = two_string_cross()
     params = ProblemParams(2, 2, 0.9)
     grid = arc_grid(0.5, 9)
-    pts = sigma_points_for(d, grid, 1)
     # shift every value by a constant 0.9: with t_0 pinned at 0 no integer
     # polynomial comes within tol 0.01
-    shifted = [(z, v + 0.9) for z, v in pts]
+    shifted = sigma_values_for(d, grid, 1) + 0.9
     with pytest.raises(NoFeasibleCoefficientError):
-        recover_polynomial(1, shifted, 0.01, params)
+        recover_polynomial(1, grid, shifted, 0.01, params)
     # at n=3 a single grid point gives 2 real rows for 3 unknowns t_1..t_3
     d3 = SparseDistribution((BitString.from_string("101"),), (1.0,))
-    pts3 = sigma_points_for(d3, arc_grid(0.5, 9), 1)
+    values3 = sigma_values_for(d3, grid, 1)
     with pytest.raises(AmbiguousCoefficientError):
-        recover_polynomial(1, pts3[:1], 0.05, ProblemParams(3, 1, 0.9))
+        recover_polynomial(1, grid[:1], values3[:1], 0.05, ProblemParams(3, 1, 0.9))
 
 
 def test_rounded_coefficient_above_bound_is_rejected():
     # l=1, n=2: coefficients of sigma_1 are at most 2, but these values are 3z
     params = ProblemParams(2, 1, 0.9)
     assert coefficient_bound(params, 1) == 2
-    pts = [(z, 3 * z) for z in arc_grid(0.5, 9).tolist()]
+    grid = arc_grid(0.5, 9)
     with pytest.raises(NoFeasibleCoefficientError, match="outside"):
-        recover_polynomial(1, pts, 0.05, params)
+        recover_polynomial(1, grid, 3 * grid, 0.05, params)
 
 
 def test_low_coefficients_are_pinned():
@@ -164,25 +160,25 @@ def test_low_coefficients_are_pinned():
     params = ProblemParams(2, 2, 0.9)
     grid = arc_grid(0.5, 9)
     # sigma_2 = z^3: only t_2..t_4 are unknowns, t_0 and t_1 come back zero
-    assert recover_polynomial(2, sigma_points_for(d, grid, 2), 0.05, params).coeffs == (
+    assert recover_polynomial(2, grid, sigma_values_for(d, grid, 2), 0.05, params).coeffs == (
         0, 0, 0, 1, 0,
     )
     # one off-axis point (2 real rows) determines the 2 unknowns t_1, t_2
     z = complex(grid[0])
     assert z.imag != 0
-    one = [(z, exact_sigma(d, z)[0])]
-    assert recover_polynomial(1, one, 0.05, params).coeffs == (0, 1, 1)
+    assert recover_polynomial(1, [z], [exact_sigma(d, z)[0]], 0.05, params).coeffs == (0, 1, 1)
     # values 1 + z + z^2 need t_0 = 1, which is pinned at 0
-    with_constant = [(z, 1 + z + z ** 2) for z in grid.tolist()]
     with pytest.raises(NoFeasibleCoefficientError):
-        recover_polynomial(1, with_constant, 0.05, params)
+        recover_polynomial(1, grid, 1 + grid + grid ** 2, 0.05, params)
 
 
 def test_input_validation():
     params = ProblemParams(2, 2, 0.9)
     with pytest.raises(ParameterError):
-        recover_polynomial(1, [], 0.05, params)
+        recover_polynomial(1, [], [], 0.05, params)
     with pytest.raises(ParameterError):
-        recover_polynomial(1, [(1.0, 2.0)], 0.0, params)
+        recover_polynomial(1, [1.0], [2.0], 0.0, params)
     with pytest.raises(ParameterError):
-        recover_polynomial(1, [(1.0, 2.0, 0.0)], 0.05, params)
+        recover_polynomial(1, [1.0, -1.0], [2.0, 0.0], [0.05, 0.0], params)
+    with pytest.raises(ParameterError):
+        recover_polynomial(1, [1.0, -1.0], [2.0], 0.05, params)

@@ -18,7 +18,8 @@ from delpop.core import (
 from delpop.estimator import moments_from_values
 from delpop.core import power_sum
 from delpop.oracle import exact_g_expectation, exact_moments
-from delpop import recovery
+from delpop import prony, recovery
+from delpop.prony import HankelSystem, solve_sigma
 from delpop.recovery import (
     MarginError,
     RecoveryConfig,
@@ -40,9 +41,8 @@ def default_grid(config=None):
 
 
 def test_candidate_enumeration_ranges(monkeypatch):
-    # one gate pass per l' = 1..ell: each l' is reported exactly once, as a
-    # candidate or a failure, and the gate runs once per grid point per l',
-    # at alpha = 2^-M and beta = 2^-l'M with M = ceil(log2(1/eps)) = 4
+    # one pass per l' = 1..ell with no conditioning gate: each l' is
+    # reported exactly once, as a candidate or a failure
     d = SparseDistribution(
         (
             BitString.from_string("110100"),
@@ -53,20 +53,16 @@ def test_candidate_enumeration_ranges(monkeypatch):
     )
     params = ProblemParams(6, 3, 0.9, eps=0.1)
     est = exact_moments(d, default_grid(), 5)
-    gate, calls = recovery.gate_stage, []
-    monkeypatch.setattr(
-        recovery,
-        "gate_stage",
-        lambda sys, th: calls.append((sys.ell_prime, th.alpha, th.beta)) or gate(sys, th),
-    )
+
+    def no_gate(*args):
+        raise AssertionError("the driver must not gate")
+
+    monkeypatch.setattr(prony, "gate_stage", no_gate)
+    assert not hasattr(recovery, "gate_stage")
     results, failures = recover_support_candidates(est, params)
     reported = sorted([lp for lp, _ in results] + [lp for lp, _ in failures])
     assert reported == [1, 2, 3]
     assert (3, d.support) in results
-    points = len(est.grid)
-    assert len(calls) == params.ell * points
-    for lp in (1, 2, 3):
-        assert calls.count((lp, 2.0 ** -4, 2.0 ** (-4 * lp))) == points
 
 
 def test_grid_spec_geometry():
@@ -93,16 +89,58 @@ def test_recovery_config_holds_only_run_settings():
     assert names == ["sample_count", "grid_spacing", "grid_points", "seed"]
 
 
-def test_support_candidates_l_prime_without_gate_yes_points():
+def test_support_candidates_l_prime_above_support_size():
     # one string, ell = 2: the l' = 2 Hankel matrix of exact moments is
-    # singular at every point, so its gate passes none of them
+    # singular, exactly at some points and up to rounding at the others, so
+    # l' = 2 fails by name and l' = 1 gives the string
     d = SparseDistribution((BitString.from_string("110101"),), (1.0,))
     params = ProblemParams(6, 2, 0.9)
     est = exact_moments(d, default_grid(), 3)
     results, failures = recover_support_candidates(est, params)
     assert results == [(1, d.support)]
     assert len(failures) == 1 and failures[0][0] == 2
-    assert "0 gate-YES points" in failures[0][1]
+    assert "failed:" in failures[0][1]
+    config = RecoveryConfig(sample_count=100_000, seed=0)
+    assert recover_from_channel(d, params, config).distribution == d
+
+
+def test_l_prime_without_usable_points_fails_by_name():
+    # on the one-point grid z = 1 the l' = 2 Hankel system of a single
+    # string is exactly singular, so l' = 2 has no point left
+    d = SparseDistribution((BitString.from_string("110101"),), (1.0,))
+    est = exact_moments(d, arc_grid(0.23, 1), 3)
+    with pytest.raises(RecoveryFailedError) as info:
+        recover_support_candidates(est, ProblemParams(6, 2, 0.9))
+    failures = dict(info.value.diagnostics["failures"])
+    assert failures[1].startswith("coefficient recovery failed")
+    assert failures[2].startswith("prony failed")
+
+
+def test_singular_hankel_point_is_skipped(monkeypatch):
+    # equal popcounts: P(1; x) is the same for both strings, so the l' = 2
+    # Hankel system at z = 1 is exactly singular; that point is left out
+    # and the others still give the truth
+    d = SparseDistribution(
+        (BitString.from_string("110100"), BitString.from_string("001011")), (0.6, 0.4)
+    )
+    params = ProblemParams(6, 2, 0.9)
+    grid = default_grid()
+    est = exact_moments(d, grid, 3)
+    center = int(np.flatnonzero(grid == 1.0)[0])
+    assert solve_sigma(HankelSystem.from_power_sums(est.means[center, :4])) is None
+    used = []
+    solve = recovery.recover_polynomial
+    monkeypatch.setattr(
+        recovery,
+        "recover_polynomial",
+        lambda k, zs, *rest: used.append(list(zs)) or solve(k, zs, *rest),
+    )
+    results, _ = recover_support_candidates(est, params)
+    assert (2, d.support) in results
+    # l' = 1 solves sigma_1 on every point; l' = 2 solves sigma_1, sigma_2
+    # on all but z = 1
+    assert [len(zs) for zs in used] == [len(grid), len(grid) - 1, len(grid) - 1]
+    assert 1.0 not in used[1] and 1.0 not in used[2]
 
 
 def test_support_candidates_single_string():

@@ -1,13 +1,16 @@
 """Operating-envelope probe: success counts of the default pipeline over a
-fixed table of (n, l, p, N) cells.
+fixed table of (n, l, p, N) cells, and over a few cells whose mixture has
+fewer strings than the sparsity bound l.
 
-Each cell runs three seeds.  Seed s draws l distinct random n-bit strings
-and weights from U(0.3, 1), normalised, with numpy's default_rng(1000 n +
-10 l + s); the traces are sampled with channel seed s.  A run succeeds
-when recovery returns a mixture within total-variation distance eps = 0.1
-of the truth.  Prints one line per cell with its successes and the first
-failure reason (for a failed pipeline, its failure at the largest l'),
-then the total successes over the cells with p >= 0.5 and with p < 0.5.
+Each cell runs three seeds.  Seed s draws s_c distinct random n-bit
+strings (s_c = l in `CELLS`, fewer in `FEWER_CELLS`) and weights from
+U(0.3, 1), normalised, with numpy's default_rng(1000 n + 10 s_c + s); the
+traces are sampled with channel seed s and recovered with sparsity bound
+l.  A run succeeds when recovery returns a mixture within total-variation
+distance eps = 0.1 of the truth.  Prints one line per cell with its
+successes and the first failure reason (for a failed pipeline, its failure
+at the largest l'), then the total successes over the `CELLS` with
+p >= 0.5 and with p < 0.5, then the total over `FEWER_CELLS`.
 
     PYTHONPATH=src python tools/envelope_probe.py
 """
@@ -39,6 +42,13 @@ CELLS = [
     (8, 2, 0.2, 10**6),
     (8, 2, 0.12, 10**6),
 ]
+# (n, l, p, N, strings): the Hankel matrix at l' > strings is singular
+FEWER_CELLS = [
+    (8, 2, 0.9, 10**6, 1),
+    (8, 3, 0.9, 10**6, 2),
+    (10, 3, 0.9, 10**6, 2),
+    (12, 3, 0.9, 10**6, 2),
+]
 SEEDS = (0, 1, 2)
 EPS = 0.1
 
@@ -54,9 +64,9 @@ def random_instance(n: int, ell: int, seed: int) -> SparseDistribution:
 
 
 def failure_reason(exc: Exception) -> str:
-    """What a RecoveryFailedError reports for the largest l' (the probe's
-    instances have exactly l strings): its pipeline failure, or why its
-    candidate was rejected; else the exception itself."""
+    """What a RecoveryFailedError reports for the largest l': its pipeline
+    failure, or why its candidate was rejected; else the exception
+    itself."""
     diagnostics = getattr(exc, "diagnostics", {})
     outcomes = list(diagnostics.get("failures", []))
     outcomes += [
@@ -69,11 +79,12 @@ def failure_reason(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def run_cell(n: int, ell: int, p: float, count: int):
-    """(successes, first failure reason or None)."""
+def run_cell(n: int, ell: int, p: float, count: int, strings: int | None = None):
+    """(successes, first failure reason or None) on mixtures of `strings`
+    strings (default l) recovered with sparsity bound l."""
     wins, reason = 0, None
     for seed in SEEDS:
-        truth = random_instance(n, ell, seed)
+        truth = random_instance(n, strings or ell, seed)
         params = ProblemParams(n, ell, p, eps=EPS)
         config = RecoveryConfig(sample_count=count, seed=seed)
         try:
@@ -89,18 +100,27 @@ def run_cell(n: int, ell: int, p: float, count: int):
     return wins, reason
 
 
+def probe(n: int, ell: int, p: float, count: int, strings: int | None = None) -> int:
+    """Run one cell, print its line, and return its successes."""
+    start = time.perf_counter()
+    wins, reason = run_cell(n, ell, p, count, strings)
+    seconds = time.perf_counter() - start
+    label = f"{n:<2} {ell}  {p:<4} {count:<6.0e}"
+    if strings is not None:
+        label += f" {strings} string{'s' if strings > 1 else ''}"
+    print(f"{label} {wins}/{len(SEEDS)}        {seconds:7.1f}  {reason or '-'}", flush=True)
+    return wins
+
+
 def main() -> None:
     print("n  l  p    N      successes  seconds  first failure")
     high, low = [], []  # successes per cell with p >= 0.5 and with p < 0.5
     for n, ell, p, count in CELLS:
-        start = time.perf_counter()
-        wins, reason = run_cell(n, ell, p, count)
-        seconds = time.perf_counter() - start
-        (high if p >= 0.5 else low).append(wins)
-        print(f"{n:<2} {ell}  {p:<4} {count:<6.0e} {wins}/{len(SEEDS)}        "
-              f"{seconds:7.1f}  {reason or '-'}", flush=True)
+        (high if p >= 0.5 else low).append(probe(n, ell, p, count))
+    fewer = [probe(*cell) for cell in FEWER_CELLS]
     print(f"successes: {sum(high)}/{len(SEEDS) * len(high)} at p >= 0.5, "
           f"{sum(low)}/{len(SEEDS) * len(low)} at p < 0.5")
+    print(f"fewer strings than l: {sum(fewer)}/{len(SEEDS) * len(fewer)}")
 
 
 if __name__ == "__main__":
