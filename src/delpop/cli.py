@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 _DEFAULTS = {
     "seed": 0,
     "samples": RecoveryConfig.sample_count,
-    "p": 0.9,
+    "p": None,  # 0.9, unless the mode reads p from a trace file
     "n": 8,
     "ell": 2,
     "eps": 0.1,
@@ -105,7 +105,7 @@ _DEFAULTS = {
     "m": 3,
 }
 
-_CASTS = {k: type(v) for k, v in _DEFAULTS.items() if v is not None}
+_CASTS = {**{k: type(v) for k, v in _DEFAULTS.items() if v is not None}, "p": float}
 
 
 def _merge_options(args) -> dict:
@@ -123,6 +123,8 @@ def _merge_options(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             opts[key] = val
+    if opts["p"] is None and not (opts["traces"] and args.mode in ("estimate", "recover")):
+        opts["p"] = 0.9
     return opts
 
 
@@ -174,12 +176,16 @@ def _cmd_simulate(opts) -> int:
 
 
 def _read_traces(opts):
-    """(p from the header, padded trace rows, traces to use) of --traces."""
+    """(p from the header, padded trace rows, traces to use) of --traces.
+    A p given as a flag or config line must equal the header's."""
     header, traces = read_trace_file(opts["traces"])
     try:
         p = float(header["p"])
     except (KeyError, ValueError):
         raise ParameterError("trace file header must give a numeric p=")
+    if opts["p"] is not None and opts["p"] != p:
+        raise ParameterError(f"p={opts['p']} differs from the trace file's p={p}")
+    opts["p"] = p
     return p, traces, min(opts["samples"], len(traces))
 
 

@@ -11,6 +11,9 @@ with w_{B,r} = (z^(b_r + ... + b_k) - q) / p and f the gap-weighted chain
 sum over increasing index tuples.  f is computed by an O(n k) prefix
 recurrence rather than enumerating chains; the recurrence uses only a
 multiplicative running accumulator, so zero weights need no special case.
+It runs on the distinct trace rows transposed to an (n, U) C-contiguous
+array, so each step reads and writes whole contiguous rows (trace
+position j of all U traces) in place.
 
 A point where some |w_{B,r}| < 1e-12 is singular for the estimator (the
 composition coefficient divides by it) and raises SingularGridPointError;
@@ -83,44 +86,36 @@ def composition_weights(z: complex, parts, p: float):
     return w
 
 
-def f_sum_batch(X: np.ndarray, w) -> np.ndarray:
-    """f(x~, w) for each trace row of X (shape (N, n), entries 0/1), where
-    f(x~, w) = sum over 1 <= i_1 < ... < i_k <= n of
-    x~_{i_1} ... x~_{i_k} w_1^{i_1} w_2^{i_2-i_1} ... w_k^{i_k-i_{k-1}}.
-
-    Prefix recurrence over chain length r: S_r(j) holds the weighted sum of
-    all r-chains ending at index j; the accumulator carries
-    sum_{j' < j} S_{r-1}(j') * w_r^(j - j'), updated multiplicatively.
-    Column j of S_{r-1} is last read just before column j of S_r is
-    written, so S is updated in place.
-    """
-    N, n = X.shape
+def _chain_sums(XT: np.ndarray, w) -> np.ndarray:
+    """`f_sum_batch` of the rows of XT.T, given the (n, U) C-contiguous XT."""
+    n, U = XT.shape
     k = len(w)
     if k < 1:
         raise ParameterError("weight vector must be nonempty")
     if k > n:
-        return np.zeros(N, dtype=complex)
+        return np.zeros(U, dtype=complex)
     powers = np.empty(n, dtype=complex)
     acc_pow = w[0]
     for j in range(n):
         powers[j] = acc_pow
         acc_pow *= w[0]
-    S = X * powers[None, :]
+    S = XT * powers[:, None]
+    acc = np.empty(U, dtype=complex)
+    tmp = np.empty(U, dtype=complex)
     for r in range(1, k):
-        acc = np.zeros(N, dtype=complex)
+        acc.fill(0)
         for j in range(n):
-            chained = X[:, j] * acc
-            acc = (acc + S[:, j]) * w[r]
-            S[:, j] = chained
-    return S.sum(axis=1)
+            np.add(acc, S[j], out=tmp)
+            np.multiply(XT[j], acc, out=S[j])
+            np.multiply(tmp, w[r], out=acc)
+    return S.sum(axis=0)
 
 
-def g_batch(X: np.ndarray, z: complex, m: int, params: ProblemParams) -> np.ndarray:
-    """g_m(x~, z) for each trace row of X."""
+def _g_columns(XT: np.ndarray, z: complex, m: int, p: float) -> np.ndarray:
+    """g_m(x~, z) for each column of XT, laid out as in `_chain_sums`."""
     if m < 1:
         raise ParameterError("m must be >= 1")
-    p = params.p
-    total = np.zeros(X.shape[0], dtype=complex)
+    total = np.zeros(XT.shape[1], dtype=complex)
     for parts in compositions(m):
         k = len(parts)
         w = composition_weights(z, parts, p)
@@ -129,8 +124,28 @@ def g_batch(X: np.ndarray, z: complex, m: int, params: ProblemParams) -> np.ndar
         for wr in w:
             denom *= wr
         coef = multinomial(m, parts) * p ** (-k) * z ** expo / denom
-        total += coef * f_sum_batch(X, w)
+        total += coef * _chain_sums(XT, w)
     return total
+
+
+def f_sum_batch(X: np.ndarray, w) -> np.ndarray:
+    """f(x~, w) for each trace row of X (shape (N, n), entries 0/1), where
+    f(x~, w) = sum over 1 <= i_1 < ... < i_k <= n of
+    x~_{i_1} ... x~_{i_k} w_1^{i_1} w_2^{i_2-i_1} ... w_k^{i_k-i_{k-1}}.
+
+    Prefix recurrence over chain length r on the transposed rows XT (n, N):
+    row j of S_r holds, for every trace, the weighted sum of all r-chains
+    ending at index j; the accumulator carries
+    sum_{j' < j} S_{r-1}[j'] * w_r^(j - j'), updated multiplicatively.
+    Row j of S_{r-1} is last read just before row j of S_r is written, so
+    S is updated in place, and each step writes into an existing buffer.
+    """
+    return _chain_sums(np.ascontiguousarray(X.T), w)
+
+
+def g_batch(X: np.ndarray, z: complex, m: int, params: ProblemParams) -> np.ndarray:
+    """g_m(x~, z) for each trace row of X."""
+    return _g_columns(np.ascontiguousarray(X.T), z, m, params.p)
 
 
 @dataclass(frozen=True)
@@ -152,9 +167,17 @@ class TraceHistogram:
         arrays of shape (batch, n).  Batches are reduced one at a time, so
         memory stays O(distinct rows + one batch); rows are kept in packed
         byte order, so the result does not depend on how the traces were
-        ordered or batched."""
+        ordered or batched.
+
+        Each row's packed bytes are right-aligned in the smallest unsigned
+        integer of 1, 2, 4 or 8 bytes that holds them and read big-endian,
+        so the integer keys sort as the bytes do; rows wider than 64 bits
+        keep a raw byte-string key."""
         width = (n + 7) // 8
-        keys = np.empty(0, dtype=np.dtype((np.void, width)))
+        size = next((b for b in (1, 2, 4, 8) if b >= width), width)
+        wire = np.dtype(f">u{size}") if size <= 8 else np.dtype((np.void, size))
+        native = wire.newbyteorder("=")  # sort and concatenate in native byte order
+        keys = np.empty(0, dtype=native)
         counts = np.empty(0)
         total = 0
         for batch in batches:
@@ -165,23 +188,25 @@ class TraceHistogram:
             if len(batch) and (batch.min() < 0 or batch.max() > 1):
                 raise ParameterError("trace bits must be 0 or 1")
             total += len(batch)
-            new, new_counts = np.unique(
-                np.packbits(batch, axis=1).view(keys.dtype).ravel(), return_counts=True
-            )
+            packed = np.zeros((len(batch), size), dtype=np.uint8)
+            packed[:, size - width :] = np.packbits(batch, axis=1)
+            new, new_counts = np.unique(packed.view(wire).ravel().astype(native), return_counts=True)
             keys, inverse = np.unique(np.concatenate([keys, new]), return_inverse=True)
             counts = np.bincount(inverse, weights=np.concatenate([counts, new_counts]))
             if total >= limit:
                 break
         if total < limit:
             raise ParameterError(f"trace source exhausted after {total} of {limit} traces")
-        rows = np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1, count=n)
+        packed = keys.astype(wire).view(np.uint8).reshape(-1, size)[:, size - width :]
+        rows = np.unpackbits(packed, axis=1, count=n)
         return cls(rows.astype(np.int8), counts / total, total)
 
     def g_moments(self, z: complex, k_max: int, params: ProblemParams):
         """Weighted means of g_1..g_{k_max} at z, and their Hermitian
         covariance over one trace, C[i, j] = E[(g_{i+1} - b_{i+1})
         conj(g_{j+1} - b_{j+1})]."""
-        G = np.stack([g_batch(self.rows, z, k, params) for k in range(1, k_max + 1)], axis=1)
+        XT = np.ascontiguousarray(self.rows.T)
+        G = np.stack([_g_columns(XT, z, k, params.p) for k in range(1, k_max + 1)], axis=1)
         means = self.weights @ G
         D = G - means
         return means, (D.T * self.weights) @ D.conj()

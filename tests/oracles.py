@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 
 from delpop.core import BitString, SparseDistribution
+from delpop.estimator import composition_weights, compositions, multinomial
 
 
 def random_bitstring(rng, n):
@@ -82,6 +83,38 @@ def f_sum_naive(bits, w):
             prev = i
         total += term
     return total
+
+
+def f_sum_rows(X, w):
+    """The chain sum f(x~, w) per row of X by the row-major prefix
+    recurrence: column j of S_{r-1} is read and then overwritten with
+    column j of S_r.  A reference for the library's transposed kernel."""
+    N, n = X.shape
+    if len(w) > n:
+        return np.zeros(N, dtype=complex)
+    S = X * np.cumprod(np.full(n, w[0], dtype=complex))[None, :]
+    for wr in w[1:]:
+        acc = np.zeros(N, dtype=complex)
+        for j in range(n):
+            chained = X[:, j] * acc
+            acc = (acc + S[:, j]) * wr
+            S[:, j] = chained
+    return S.sum(axis=1)
+
+
+def g_moments_rows(rows, weights, z, k_max, p):
+    """Weighted means of g_1..g_{k_max} over the rows and their covariance,
+    built on `f_sum_rows`."""
+    G = np.zeros((len(rows), k_max), dtype=complex)
+    for m in range(1, k_max + 1):
+        for parts in compositions(m):
+            w = composition_weights(z, parts, p)
+            expo = sum((r + 1) * b for r, b in enumerate(parts))
+            coef = multinomial(m, parts) * p ** (-len(parts)) * z ** expo / np.prod(w)
+            G[:, m - 1] += coef * f_sum_rows(rows, w)
+    means = weights @ G
+    D = G - means
+    return means, (D.T * weights) @ D.conj()
 
 
 def elementary_symmetric(values, k):

@@ -144,6 +144,39 @@ def test_recover_takes_exactly_one_source(tmp_path, dist_file):
     assert run(["recover", "--out", out]) == EXIT_PARAMETER
 
 
+@pytest.mark.parametrize("mode", ["estimate", "recover"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_trace_modes_reject_p_other_than_the_header(tmp_path, dist_file, mode, source):
+    _, dist_path = dist_file
+    traces = tmp_path / "traces.txt"
+    run(["simulate", "--dist", str(dist_path), "--samples", "100", "--p", "0.9",
+         "--out", str(traces)])
+    argv = [mode, "--traces", str(traces), "--out", str(tmp_path / "o.json")]
+    if source == "flag":
+        argv += ["--p", "0.5"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p = 0.5\n")
+        argv += ["--config", str(cfg)]
+    assert run(argv) == EXIT_PARAMETER
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_trace_modes_accept_p_equal_to_the_header(tmp_path, dist_file):
+    _, dist_path = dist_file
+    traces = tmp_path / "traces.txt"
+    run(["simulate", "--dist", str(dist_path), "--samples", "5000", "--p", "0.8",
+         "--out", str(traces)])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 0.8\n")
+    out = tmp_path / "m.json"
+    for extra in ([], ["--p", "0.80"], ["--config", str(cfg)]):
+        assert run(["estimate", "--traces", str(traces), "--out", str(out)] + extra) == EXIT_OK
+        # the manifest echoes the p the estimate ran at
+        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+        assert manifest["options"]["p"] == 0.8
+
+
 def test_config_file_merging(tmp_path, dist_file):
     d, dist_path = dist_file
     cfg = tmp_path / "run.cfg"

@@ -19,7 +19,7 @@ from delpop.estimator import (
 )
 from delpop.oracle import exact_g_expectation
 from delpop.zgrid import arc_grid
-from oracles import f_sum_naive, random_bitstring
+from oracles import f_sum_naive, f_sum_rows, g_moments_rows, random_bitstring
 
 
 def test_compositions_small_cases():
@@ -76,6 +76,53 @@ def test_f_sum_zero_weight_entry():
     w = (0.0, 2.0)
     got = f_sum_batch(_rows(bits), w)[0]
     assert got == pytest.approx(f_sum_naive(bits, w))
+
+
+def test_f_sum_transposed_rows_k_above_n_and_zero_weight():
+    rows = _rows((1, 0, 1, 1), (0, 1, 1, 0), (1, 1, 1, 1), (0, 0, 0, 0))
+    assert np.array_equal(f_sum_batch(rows, (2.0,) * 5), np.zeros(4))
+    for w in ((0.0, 2.0), (1.5, 0.0), (0.5 + 1j, 0.0, -1.0)):
+        got = f_sum_batch(rows, w)
+        for bits, value, ref in zip(rows.tolist(), got, f_sum_rows(rows, w)):
+            assert value == pytest.approx(f_sum_naive(bits, w), abs=1e-12)
+            assert value == pytest.approx(ref, abs=1e-12)
+
+
+def test_g_moments_match_row_major_reference_at_benchmark_scale():
+    # n = 48, 2 000 distinct rows, k_max = 5: the size of one estimate-n48-l3 point
+    rng = np.random.default_rng(53)
+    rows = rng.integers(0, 2, size=(2000, 48)).astype(np.int8)
+    hist = TraceHistogram(rows, rng.dirichlet(np.ones(len(rows))))
+    params = ProblemParams(48, 3, 0.7)
+    for z in arc_grid(0.23, 13).tolist()[:6:2]:
+        means, cov = hist.g_moments(z, 5, params)
+        want_means, want_cov = g_moments_rows(rows, hist.weights, z, 5, params.p)
+        assert np.all(np.abs(means - want_means) <= 1e-12 * np.abs(want_means))
+        assert np.max(np.abs(cov - want_cov)) <= 1e-12 * np.max(np.abs(want_cov))
+
+
+def test_g_moments_k_max_above_n():
+    rows = _rows((1, 0, 1), (0, 1, 1), (1, 1, 0))
+    hist = TraceHistogram(rows, np.array([0.5, 0.3, 0.2]))
+    z = cmath.exp(-0.4j)
+    means, cov = hist.g_moments(z, 5, ProblemParams(3, 3, 0.6))
+    want_means, want_cov = g_moments_rows(rows, hist.weights, z, 5, 0.6)
+    assert means == pytest.approx(want_means, rel=1e-12)
+    assert cov == pytest.approx(want_cov, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 48, 63, 64, 65, 100])
+def test_histogram_rows_at_every_key_width(n):
+    # integer keys of 1, 2, 4 and 8 bytes, and byte-string keys above 64 bits
+    rng = np.random.default_rng(n)
+    distinct = rng.integers(0, 2, size=(25, n)).astype(np.int8)
+    rows = distinct[rng.integers(0, len(distinct), size=400)]
+    hist = TraceHistogram.from_batches([rows[:150], rows[150:151], rows[151:]], n, len(rows))
+    want, counts = np.unique(rows, axis=0, return_counts=True)
+    assert hist.rows.dtype == np.int8
+    assert np.array_equal(hist.rows, want)
+    assert np.array_equal(hist.weights, counts / len(rows))
+    assert hist.count == len(rows)
 
 
 def test_f_sum_matches_naive_enumeration():

@@ -1,0 +1,92 @@
+"""Paired benchmark runs of two checkouts of delpop, written as one JSON record.
+
+    git archive --prefix=base/ BASE_COMMIT | tar -x -C WORKDIR
+    python3 tools/bench_pairs.py --base WORKDIR/base --change . \
+        --seed 11 --pairs 10 --seconds 25 --out BENCH_estimator.json
+
+For every workload in the change's BENCHMARK.json, runs
+`perfbench/run.py --trace 0` in each checkout `--pairs` times, alternating
+which side runs first, and then one `--trace 1` run per side.  The record
+holds every run's metrics and failure counts, each side's median and
+quartiles of the end-to-end metrics, the pairs the change won on each
+metric, and the traced runs' per-layer metrics.  Runs go one at a time, so
+the two sides never share the machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench run; its last output line, parsed."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    )
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {
+        "attempted": out["attempted"],
+        "failed": out["failed"],
+        "metrics": {k: v["value"] for k, v in out["metrics"].items()},
+    }
+
+
+def summary(values) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", type=Path, required=True, help="checkout measured as the base")
+    parser.add_argument("--change", type=Path, required=True, help="checkout measured as the change")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--workload", action="append", help="default: every workload")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    sides = {"base": args.base.resolve(), "change": args.change.resolve()}
+    record = {
+        "machine": {"cpus": len(os.sched_getaffinity(0)),
+                    "python": platform.python_version(), "processor": platform.machine()},
+        "seed": args.seed,
+        "pairs": args.pairs,
+        "seconds": args.seconds,
+        "workloads": {},
+    }
+    for workload in args.workload or [w["name"] for w in spec["workloads"]]:
+        runs = {"base": [], "change": []}
+        for i in range(args.pairs):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for side in order:
+                runs[side].append(run_once(sides[side], workload, args.seed, args.seconds, 0))
+                print(f"{workload} pair {i} {side}: {runs[side][-1]}", file=sys.stderr, flush=True)
+        entry = {"runs": runs, "summary": {}, "change_wins": {}, "traced": {}}
+        for name, direction in better.items():
+            values = {side: [r["metrics"][name] for r in runs[side]] for side in runs}
+            entry["summary"][name] = {side: summary(v) for side, v in values.items()}
+            sign = 1 if direction == "higher" else -1
+            entry["change_wins"][name] = sum(
+                sign * (c - b) > 0 for b, c in zip(values["base"], values["change"]))
+        for side in ("base", "change"):
+            entry["traced"][side] = run_once(sides[side], workload, args.seed, args.seconds, 1)
+        record["workloads"][workload] = entry
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
