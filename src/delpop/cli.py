@@ -94,7 +94,7 @@ _DEFAULTS = {
     "seed": 0,
     "samples": RecoveryConfig.sample_count,
     "p": None,  # 0.9, unless the mode reads p from a trace file
-    "n": 8,
+    "n": None,  # 8 for oracle-check; every other mode reads n from its input
     "ell": 2,
     "eps": 0.1,
     "grid_points": RecoveryConfig.grid_points,
@@ -105,7 +105,7 @@ _DEFAULTS = {
     "m": 3,
 }
 
-_CASTS = {**{k: type(v) for k, v in _DEFAULTS.items() if v is not None}, "p": float}
+_CASTS = {**{k: type(v) for k, v in _DEFAULTS.items() if v is not None}, "p": float, "n": int}
 
 
 def _merge_options(args) -> dict:
@@ -125,6 +125,8 @@ def _merge_options(args) -> dict:
             opts[key] = val
     if opts["p"] is None and not (opts["traces"] and args.mode in ("estimate", "recover")):
         opts["p"] = 0.9
+    if opts["n"] is None and args.mode == "oracle-check":
+        opts["n"] = 8
     return opts
 
 
@@ -164,10 +166,24 @@ def emit_report(result: RecoveryResult, path) -> None:
             writer.writerows(points)
 
 
+def _take_n(opts, n: int, source: str) -> None:
+    """Record n of the input; an n given as a flag or config line must equal it."""
+    if opts["n"] is not None and opts["n"] != n:
+        raise ParameterError(f"n={opts['n']} differs from the {source}'s n={n}")
+    opts["n"] = n
+
+
+def _load_dist(opts) -> SparseDistribution:
+    """--dist, whose n any given n must equal."""
+    d = load_distribution(opts["dist"])
+    _take_n(opts, d.n, "distribution file")
+    return d
+
+
 def _cmd_simulate(opts) -> int:
     if not opts["dist"]:
         raise ParameterError("simulate requires --dist")
-    d = load_distribution(opts["dist"])
+    d = _load_dist(opts)
     cfg = ChannelConfig(opts["p"], opts["seed"])
     rng = np.random.default_rng(opts["seed"])
     bits, counts = sample_trace_batch(d, cfg, opts["samples"], rng)
@@ -177,7 +193,7 @@ def _cmd_simulate(opts) -> int:
 
 def _read_traces(opts):
     """(p from the header, padded trace rows, traces to use) of --traces.
-    A p given as a flag or config line must equal the header's."""
+    A p or n given as a flag or config line must equal the file's."""
     header, traces = read_trace_file(opts["traces"])
     try:
         p = float(header["p"])
@@ -186,6 +202,7 @@ def _read_traces(opts):
     if opts["p"] is not None and opts["p"] != p:
         raise ParameterError(f"p={opts['p']} differs from the trace file's p={p}")
     opts["p"] = p
+    _take_n(opts, traces.shape[1], "trace file")
     return p, traces, min(opts["samples"], len(traces))
 
 
@@ -217,7 +234,7 @@ def _cmd_recover(opts) -> int:
         params = ProblemParams(n=traces.shape[1], ell=opts["ell"], p=p, eps=opts["eps"])
         result = recover([traces], params, dataclasses.replace(config, sample_count=count))
     else:
-        d = load_distribution(opts["dist"])
+        d = _load_dist(opts)
         params = ProblemParams(n=d.n, ell=opts["ell"], p=opts["p"], eps=opts["eps"])
         result = recover_from_channel(d, params, config)
     emit_report(result, opts["out"])
@@ -227,7 +244,7 @@ def _cmd_recover(opts) -> int:
 def _cmd_distinguish(opts) -> int:
     if not opts["dist"]:
         raise ParameterError("distinguish requires --dist")
-    d = load_distribution(opts["dist"])
+    d = _load_dist(opts)
     params = ProblemParams(n=d.n, ell=opts["ell"], p=opts["p"], eps=opts["eps"])
     grid = arc_grid(opts["grid_spacing"], opts["grid_points"])
     est = exact_moments(d, grid, 2 * params.ell - 1)

@@ -8,16 +8,30 @@ B = (b_1..b_k) of m:
               / (w_{B,1} ... w_{B,k}) * f(x~, w_B),
 
 with w_{B,r} = (z^(b_r + ... + b_k) - q) / p and f the gap-weighted chain
-sum over increasing index tuples.  f is computed by an O(n k) prefix
-recurrence rather than enumerating chains; the recurrence uses only a
-multiplicative running accumulator, so zero weights need no special case.
-It runs on the distinct trace rows transposed to an (n, U) C-contiguous
-array, so each step reads and writes whole contiguous rows (trace
-position j of all U traces) in place.
+sum over increasing index tuples (`f_sum_batch`).
 
-A point where some |w_{B,r}| < 1e-12 is singular for the estimator (the
-composition coefficient divides by it) and raises SingularGridPointError;
-on the unit circle |w_{B,r}| >= 1, so no arc point is singular.
+The suffix sums m = s_1 > s_2 > ... > s_k >= 1 (s_{k+1} = 0) determine a
+composition, fix its weights w_{B,r} = W(s_r) = (z^(s_r) - q) / p, and,
+since sum_r r b_r = sum_r s_r, factor its coefficient as
+m! * prod_r phi(s_r, s_(r+1)) with phi(s, t) = z^s / (p W(s) (s - t)!).
+So the whole composition sum is one backward sweep over trace positions
+with one running state A_t per suffix value t = 1..k_max:
+
+    A_t[n]   = 0
+    B_s[j]   = x~_j (phi(s, 0) + sum_{t<s} phi(s, t) A_t[j])    for j = n..1
+    A_t[j-1] = W(t) (A_t[j] + B_t[j])
+    g_m      = m! A_m[0]                                       for m <= k_max
+
+B_s[j] sums the chains whose first index is j with suffix value s there,
+and A_t[j] those starting after j, each weighted by W(t)^(distance from
+j).  The sweep runs on the distinct trace rows transposed to an (n, U)
+C-contiguous array: each position costs one (k_max, k_max) matmul into a
+reused (k_max, U) buffer and a few in-place ufuncs.
+
+A point where some |W(s)| < 1e-12, s <= k_max, is singular for the
+estimator (the coefficients divide by it) and raises
+SingularGridPointError; on the unit circle |W(s)| >= 1, so no arc point is
+singular.
 """
 
 from __future__ import annotations
@@ -25,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,15 +49,12 @@ SINGULAR_TOL = 1e-12
 
 
 class SingularGridPointError(ParameterError):
-    """Some composition weight w_{B,r} vanishes at this z."""
+    """The weight W(s) = (z^s - q) / p vanishes at this z."""
 
-    def __init__(self, z, composition, r):
-        super().__init__(
-            f"w vanishes at z={z} for composition {composition} (position {r + 1})"
-        )
+    def __init__(self, z, s):
+        super().__init__(f"W(s) = (z^s - q)/p vanishes at z={z} for s={s}")
         self.z = z
-        self.composition = composition
-        self.r = r
+        self.s = s
 
 
 def compositions(m: int):
@@ -82,50 +94,8 @@ def composition_weights(z: complex, parts, p: float):
         suffix += parts[r]
         w[r] = (z ** suffix - q) / p
         if abs(w[r]) < SINGULAR_TOL:
-            raise SingularGridPointError(z, tuple(parts), r)
+            raise SingularGridPointError(z, suffix)
     return w
-
-
-def _chain_sums(XT: np.ndarray, w) -> np.ndarray:
-    """`f_sum_batch` of the rows of XT.T, given the (n, U) C-contiguous XT."""
-    n, U = XT.shape
-    k = len(w)
-    if k < 1:
-        raise ParameterError("weight vector must be nonempty")
-    if k > n:
-        return np.zeros(U, dtype=complex)
-    powers = np.empty(n, dtype=complex)
-    acc_pow = w[0]
-    for j in range(n):
-        powers[j] = acc_pow
-        acc_pow *= w[0]
-    S = XT * powers[:, None]
-    acc = np.empty(U, dtype=complex)
-    tmp = np.empty(U, dtype=complex)
-    for r in range(1, k):
-        acc.fill(0)
-        for j in range(n):
-            np.add(acc, S[j], out=tmp)
-            np.multiply(XT[j], acc, out=S[j])
-            np.multiply(tmp, w[r], out=acc)
-    return S.sum(axis=0)
-
-
-def _g_columns(XT: np.ndarray, z: complex, m: int, p: float) -> np.ndarray:
-    """g_m(x~, z) for each column of XT, laid out as in `_chain_sums`."""
-    if m < 1:
-        raise ParameterError("m must be >= 1")
-    total = np.zeros(XT.shape[1], dtype=complex)
-    for parts in compositions(m):
-        k = len(parts)
-        w = composition_weights(z, parts, p)
-        expo = sum((r + 1) * b for r, b in enumerate(parts))
-        denom = 1.0 + 0.0j
-        for wr in w:
-            denom *= wr
-        coef = multinomial(m, parts) * p ** (-k) * z ** expo / denom
-        total += coef * _chain_sums(XT, w)
-    return total
 
 
 def f_sum_batch(X: np.ndarray, w) -> np.ndarray:
@@ -140,12 +110,63 @@ def f_sum_batch(X: np.ndarray, w) -> np.ndarray:
     Row j of S_{r-1} is last read just before row j of S_r is written, so
     S is updated in place, and each step writes into an existing buffer.
     """
-    return _chain_sums(np.ascontiguousarray(X.T), w)
+    XT = np.ascontiguousarray(X.T)
+    n, N = XT.shape
+    k = len(w)
+    if k < 1:
+        raise ParameterError("weight vector must be nonempty")
+    if k > n:
+        return np.zeros(N, dtype=complex)
+    powers = np.empty(n, dtype=complex)
+    acc_pow = w[0]
+    for j in range(n):
+        powers[j] = acc_pow
+        acc_pow *= w[0]
+    S = XT * powers[:, None]
+    acc = np.empty(N, dtype=complex)
+    tmp = np.empty(N, dtype=complex)
+    for r in range(1, k):
+        acc.fill(0)
+        for j in range(n):
+            np.add(acc, S[j], out=tmp)
+            np.multiply(XT[j], acc, out=S[j])
+            np.multiply(tmp, w[r], out=acc)
+    return S.sum(axis=0)
+
+
+def _g_sweep(XT: np.ndarray, z: complex, k_max: int, p: float) -> np.ndarray:
+    """g_1..g_{k_max} as the rows of a (k_max, U) array, one column per
+    column of the (n, U) C-contiguous XT, by the backward sweep of the
+    module docstring."""
+    if k_max < 1:
+        raise ParameterError("m must be >= 1")
+    q = 1.0 - p
+    W = np.array([(z ** s - q) / p for s in range(1, k_max + 1)])
+    for s, w in enumerate(W.tolist(), 1):
+        if abs(w) < SINGULAR_TOL:
+            raise SingularGridPointError(z, s)
+    # phi[s - 1, t] = phi(s, t) for 0 <= t < s, and 0 for t >= s
+    phi = np.zeros((k_max, k_max + 1), dtype=complex)
+    for s in range(1, k_max + 1):
+        for t in range(s):
+            phi[s - 1, t] = z ** s / (p * W[s - 1] * math.factorial(s - t))
+    start, chain = phi[:, :1], phi[:, 1:]
+    W = W[:, None]
+    A = np.zeros((k_max, XT.shape[1]), dtype=complex)
+    B = np.empty_like(A)
+    for x in XT[::-1]:
+        np.matmul(chain, A, out=B)
+        B += start
+        B *= x
+        A += B
+        A *= W
+    A *= np.array([math.factorial(m) for m in range(1, k_max + 1)])[:, None]
+    return A
 
 
 def g_batch(X: np.ndarray, z: complex, m: int, params: ProblemParams) -> np.ndarray:
     """g_m(x~, z) for each trace row of X."""
-    return _g_columns(np.ascontiguousarray(X.T), z, m, params.p)
+    return _g_sweep(np.ascontiguousarray(X.T), z, m, params.p)[m - 1]
 
 
 @dataclass(frozen=True)
@@ -160,6 +181,11 @@ class TraceHistogram:
     rows: np.ndarray
     weights: np.ndarray
     count: int | None = None
+
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        """The rows transposed to an (n, U) C-contiguous array."""
+        return np.ascontiguousarray(self.rows.T)
 
     @classmethod
     def from_batches(cls, batches, n: int, limit: int) -> "TraceHistogram":
@@ -205,11 +231,10 @@ class TraceHistogram:
         """Weighted means of g_1..g_{k_max} at z, and their Hermitian
         covariance over one trace, C[i, j] = E[(g_{i+1} - b_{i+1})
         conj(g_{j+1} - b_{j+1})]."""
-        XT = np.ascontiguousarray(self.rows.T)
-        G = np.stack([_g_columns(XT, z, k, params.p) for k in range(1, k_max + 1)], axis=1)
-        means = self.weights @ G
-        D = G - means
-        return means, (D.T * self.weights) @ D.conj()
+        G = _g_sweep(self._columns, z, k_max, params.p)
+        means = G @ self.weights
+        D = G - means[:, None]
+        return means, (D * self.weights) @ D.conj().T
 
 
 @dataclass

@@ -177,6 +177,45 @@ def test_trace_modes_accept_p_equal_to_the_header(tmp_path, dist_file):
         assert manifest["options"]["p"] == 0.8
 
 
+@pytest.mark.parametrize("mode", ["estimate", "recover-traces", "recover-dist"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_input_modes_reject_n_other_than_the_input(tmp_path, dist_file, mode, source):
+    # dist_file and its traces have n = 8, the old default; 5 must be refused
+    _, dist_path = dist_file
+    traces = tmp_path / "traces.txt"
+    run(["simulate", "--dist", str(dist_path), "--samples", "100", "--out", str(traces)])
+    cmd, _, given = mode.partition("-")
+    given = ["--dist", str(dist_path)] if given == "dist" else ["--traces", str(traces)]
+    argv = [cmd, *given, "--out", str(tmp_path / "o.json")]
+    if source == "flag":
+        argv += ["--n", "5"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 5\n")
+        argv += ["--config", str(cfg)]
+    assert run(argv) == EXIT_PARAMETER
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_input_modes_accept_n_equal_to_the_input(tmp_path):
+    d = SparseDistribution((BitString.from_string("101101"),), (1.0,))
+    dist_path = tmp_path / "dist.json"
+    save_distribution(d, dist_path)
+    traces = tmp_path / "traces.txt"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 6\n")
+    for extra in ([], ["--n", "6"], ["--config", str(cfg)]):
+        assert run(["simulate", "--dist", str(dist_path), "--samples", "3000", "--out",
+                    str(traces)] + extra) == EXIT_OK
+        out = tmp_path / "m.json"
+        assert run(["estimate", "--traces", str(traces), "--ell", "1", "--out", str(out)]
+                   + extra) == EXIT_OK
+        # the manifests echo the n that ran, not the old default of 8
+        for path in (traces, out):
+            manifest = json.loads((tmp_path / f"{path.name}.manifest.json").read_text())
+            assert manifest["options"]["n"] == 6
+
+
 def test_config_file_merging(tmp_path, dist_file):
     d, dist_path = dist_file
     cfg = tmp_path / "run.cfg"

@@ -111,6 +111,43 @@ def test_g_moments_k_max_above_n():
     assert cov == pytest.approx(want_cov, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 3, 16, 48])
+@pytest.mark.parametrize("p", [0.12, 0.3, 0.5, 0.9])
+def test_g_moments_sweep_matches_composition_sum(n, p):
+    # every k_max from 1 to 6 (above n for n = 1, 3), an all-zero row, and
+    # arc points and points inside and outside the unit circle
+    rng = np.random.default_rng(n)
+    rows = rng.integers(0, 2, size=(30, n)).astype(np.int8)
+    rows[0] = 0
+    hist = TraceHistogram(rows, rng.dirichlet(np.ones(len(rows))))
+    params = ProblemParams(n, 3, p)
+    zs = (cmath.exp(-0.4j), cmath.exp(1.3j), 0.7 * cmath.exp(0.3j), 1.15 * cmath.exp(-1.1j), 0.5 + 0.2j)
+    for z in zs:
+        want_means, want_cov = g_moments_rows(rows, hist.weights, z, 6, p)
+        for k_max in range(1, 7):
+            means, cov = hist.g_moments(z, k_max, params)
+            want_c = want_cov[:k_max, :k_max]
+            assert np.all(np.abs(means - want_means[:k_max]) <= 1e-12 * np.abs(want_means[:k_max]))
+            assert np.max(np.abs(cov - want_c)) <= 1e-12 * np.max(np.abs(want_c))
+
+
+def test_singular_point_rule_per_order():
+    # at z = sqrt(q) only W(2) = (z^2 - q)/p vanishes: g_1 is defined, g_2 is not
+    p, z = 0.75, 0.5 + 0j
+    params = ProblemParams(5, 2, p)
+    X = _rows((1, 0, 1, 1, 0), (0, 1, 1, 0, 1), (0, 0, 0, 0, 0))
+    w = (z - (1 - p)) / p
+    want = z / (p * w) * (X * w ** np.arange(1, 6)).sum(axis=1)
+    assert g_batch(X, z, 1, params) == pytest.approx(want, rel=1e-14)
+    hist = TraceHistogram(X, np.full(3, 1 / 3))
+    for order_2 in (lambda: g_batch(X, z, 2, params), lambda: hist.g_moments(z, 2, params)):
+        with pytest.raises(SingularGridPointError) as err:
+            order_2()
+        assert err.value.s == 2
+    with pytest.raises(ParameterError):
+        g_batch(X, z, 0, params)
+
+
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 48, 63, 64, 65, 100])
 def test_histogram_rows_at_every_key_width(n):
     # integer keys of 1, 2, 4 and 8 bytes, and byte-string keys above 64 bits
