@@ -102,10 +102,12 @@ _DEFAULTS = {
     "out": "out.json",
     "dist": None,
     "traces": None,
-    "m": 3,
+    "m": None,  # 3 for oracle-check; 2*ell - 1, the order the recovery needs, otherwise
 }
 
-_CASTS = {**{k: type(v) for k, v in _DEFAULTS.items() if v is not None}, "p": float, "n": int}
+_CASTS = {
+    **{k: type(v) for k, v in _DEFAULTS.items() if v is not None}, "p": float, "n": int, "m": int,
+}
 
 
 def _merge_options(args) -> dict:
@@ -125,8 +127,14 @@ def _merge_options(args) -> dict:
             opts[key] = val
     if opts["p"] is None and not (opts["traces"] and args.mode in ("estimate", "recover")):
         opts["p"] = 0.9
-    if opts["n"] is None and args.mode == "oracle-check":
-        opts["n"] = 8
+    if args.mode == "oracle-check":
+        opts["n"] = 8 if opts["n"] is None else opts["n"]
+        opts["m"] = 3 if opts["m"] is None else opts["m"]
+    elif args.mode in ("estimate", "recover", "distinguish"):
+        m = 2 * opts["ell"] - 1
+        if opts["m"] is not None and opts["m"] != m:
+            raise ParameterError(f"m={opts['m']} differs from 2*ell - 1 = {m}, the order that runs")
+        opts["m"] = m
     return opts
 
 
@@ -212,7 +220,7 @@ def _cmd_estimate(opts) -> int:
     p, traces, count = _read_traces(opts)
     params = ProblemParams(n=traces.shape[1], ell=opts["ell"], p=p, eps=opts["eps"])
     grid = arc_grid(opts["grid_spacing"], opts["grid_points"])
-    est = accumulate_moments([traces], grid, 2 * params.ell - 1, params, count)
+    est = accumulate_moments([traces], grid, opts["m"], params, count)
     with open(opts["out"], "w") as fh:
         fh.write(est.to_json() + "\n")
     return EXIT_OK
@@ -247,7 +255,7 @@ def _cmd_distinguish(opts) -> int:
     d = _load_dist(opts)
     params = ProblemParams(n=d.n, ell=opts["ell"], p=opts["p"], eps=opts["eps"])
     grid = arc_grid(opts["grid_spacing"], opts["grid_points"])
-    est = exact_moments(d, grid, 2 * params.ell - 1)
+    est = exact_moments(d, grid, opts["m"])
     out = exhaustive_distinguisher(est, params)
     _write_json(opts["out"], out.to_json_dict())
     return EXIT_OK

@@ -169,6 +169,31 @@ def g_batch(X: np.ndarray, z: complex, m: int, params: ProblemParams) -> np.ndar
     return _g_sweep(np.ascontiguousarray(X.T), z, m, params.p)[m - 1]
 
 
+def _bit_batches(batches, n: int, limit: int):
+    """The first `limit` rows of an iterable of (batch, n) arrays, one int8
+    batch at a time, each checked to hold only 0 and 1.  The source is not
+    pulled past the batch that reaches `limit`; running out first raises."""
+    total = 0
+    for batch in batches:
+        batch = np.asarray(batch)
+        if batch.ndim != 2 or batch.shape[1] != n:
+            raise ParameterError("trace batch must have shape (count, n)")
+        batch = batch[: limit - total]
+        if batch.dtype != np.int8:
+            bits = batch.astype(np.int8)
+            if not np.array_equal(bits, batch):  # a value the cast wraps or truncates
+                raise ParameterError("trace bits must be 0 or 1")
+            batch = bits
+        # one pass: read as uint8, every int8 other than 0 and 1 exceeds 1
+        if len(batch) and batch.view(np.uint8).max() > 1:
+            raise ParameterError("trace bits must be 0 or 1")
+        yield batch
+        total += len(batch)
+        if total >= limit:
+            return
+    raise ParameterError(f"trace source exhausted after {total} of {limit} traces")
+
+
 @dataclass(frozen=True)
 class TraceHistogram:
     """A trace sample reduced to its distinct padded rows.
@@ -190,41 +215,44 @@ class TraceHistogram:
     @classmethod
     def from_batches(cls, batches, n: int, limit: int) -> "TraceHistogram":
         """Histogram of the first `limit` traces of an iterable of 0/1
-        arrays of shape (batch, n).  Batches are reduced one at a time, so
-        memory stays O(distinct rows + one batch); rows are kept in packed
-        byte order, so the result does not depend on how the traces were
-        ordered or batched.
+        arrays of shape (batch, n).  Rows come out in ascending order of
+        their bits read as a big-endian number, so the result does not
+        depend on how the traces were ordered or batched.  Batches are
+        reduced one at a time and the source is not pulled past the batch
+        that reaches `limit`.
 
-        Each row's packed bytes are right-aligned in the smallest unsigned
-        integer of 1, 2, 4 or 8 bytes that holds them and read big-endian,
-        so the integer keys sort as the bytes do; rows wider than 64 bits
-        keep a raw byte-string key."""
-        width = (n + 7) // 8
-        size = next((b for b in (1, 2, 4, 8) if b >= width), width)
-        wire = np.dtype(f">u{size}") if size <= 8 else np.dtype((np.void, size))
-        native = wire.newbyteorder("=")  # sort and concatenate in native byte order
-        keys = np.empty(0, dtype=native)
-        counts = np.empty(0)
-        total = 0
-        for batch in batches:
-            batch = np.asarray(batch, dtype=np.int8)
-            if batch.ndim != 2 or batch.shape[1] != n:
-                raise ParameterError("trace batch must have shape (count, n)")
-            batch = batch[: limit - total]
-            if len(batch) and (batch.min() < 0 or batch.max() > 1):
-                raise ParameterError("trace bits must be 0 or 1")
-            total += len(batch)
-            packed = np.zeros((len(batch), size), dtype=np.uint8)
-            packed[:, size - width :] = np.packbits(batch, axis=1)
-            new, new_counts = np.unique(packed.view(wire).ravel().astype(native), return_counts=True)
-            keys, inverse = np.unique(np.concatenate([keys, new]), return_inverse=True)
-            counts = np.bincount(inverse, weights=np.concatenate([counts, new_counts]))
-            if total >= limit:
-                break
-        if total < limit:
-            raise ParameterError(f"trace source exhausted after {total} of {limit} traces")
-        packed = keys.astype(wire).view(np.uint8).reshape(-1, size)[:, size - width :]
-        rows = np.unpackbits(packed, axis=1, count=n)
+        Rows of n <= 16 bits are counted: each row's key is its bits read
+        as an unsigned integer, most significant first, and every batch is
+        bincounted into one array of 2^n bins, so memory is O(2^n + one
+        batch).  Wider rows are sorted: each row's packed bytes are
+        right-aligned in the smallest unsigned integer of 1, 2, 4 or 8
+        bytes that holds them and read big-endian, so the integer keys sort
+        as the bytes do (rows wider than 64 bits keep a raw byte-string
+        key), and memory is O(distinct rows + one batch)."""
+        if n <= 16:
+            shifts = np.arange(n - 1, -1, -1)
+            powers = (1 << shifts).astype(np.uint8 if n <= 8 else np.uint16)
+            bins = np.zeros(1 << n, dtype=np.int64)
+            for batch in _bit_batches(batches, n, limit):
+                bins += np.bincount(batch.view(np.uint8) @ powers, minlength=len(bins))
+            keys = np.flatnonzero(bins)
+            rows, counts = (keys[:, None] >> shifts) & 1, bins[keys]
+        else:
+            width = (n + 7) // 8
+            size = next((b for b in (1, 2, 4, 8) if b >= width), width)
+            wire = np.dtype(f">u{size}") if size <= 8 else np.dtype((np.void, size))
+            native = wire.newbyteorder("=")  # sort and concatenate in native byte order
+            keys = np.empty(0, dtype=native)
+            counts = np.empty(0)
+            for batch in _bit_batches(batches, n, limit):
+                packed = np.zeros((len(batch), size), dtype=np.uint8)
+                packed[:, size - width :] = np.packbits(batch, axis=1)
+                new, new_counts = np.unique(packed.view(wire).ravel().astype(native), return_counts=True)
+                keys, inverse = np.unique(np.concatenate([keys, new]), return_inverse=True)
+                counts = np.bincount(inverse, weights=np.concatenate([counts, new_counts]))
+            packed = keys.astype(wire).view(np.uint8).reshape(-1, size)[:, size - width :]
+            rows = np.unpackbits(packed, axis=1, count=n)
+        total = int(counts.sum())
         return cls(rows.astype(np.int8), counts / total, total)
 
     def g_moments(self, z: complex, k_max: int, params: ProblemParams):

@@ -216,6 +216,61 @@ def test_input_modes_accept_n_equal_to_the_input(tmp_path):
             assert manifest["options"]["n"] == 6
 
 
+def _one_string_inputs(tmp_path):
+    """A one-string 6-bit distribution and 20 000 of its traces at p = 0.9."""
+    dist_path = tmp_path / "dist.json"
+    save_distribution(SparseDistribution((BitString.from_string("101101"),), (1.0,)), dist_path)
+    traces = tmp_path / "traces.txt"
+    run(["simulate", "--dist", str(dist_path), "--samples", "20000", "--out", str(traces)])
+    return {"estimate": ["--traces", str(traces)], "recover": ["--traces", str(traces)],
+            "distinguish": ["--dist", str(dist_path)]}
+
+
+@pytest.mark.parametrize("mode", ["estimate", "recover", "distinguish"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_moment_modes_reject_m_other_than_2_ell_minus_1(tmp_path, mode, source):
+    # at ell = 2 the moment order is 3; an m of 7 must be refused, not echoed
+    argv = [mode, *_one_string_inputs(tmp_path)[mode], "--ell", "2",
+            "--out", str(tmp_path / "o.json")]
+    if source == "flag":
+        argv += ["--m", "7"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m = 7\n")
+        argv += ["--config", str(cfg)]
+    assert run(argv) == EXIT_PARAMETER
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["estimate", "recover", "distinguish"])
+def test_moment_modes_accept_m_equal_to_2_ell_minus_1(tmp_path, mode):
+    given = _one_string_inputs(tmp_path)[mode]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m = 1\n")
+    out = tmp_path / "o.json"
+    for extra in ([], ["--m", "1"], ["--config", str(cfg)]):
+        assert run([mode, *given, "--ell", "1", "--out", str(out)] + extra) == EXIT_OK
+        # the manifest echoes the order that ran
+        manifest = json.loads((tmp_path / "o.json.manifest.json").read_text())
+        assert manifest["options"]["m"] == 1
+
+
+def test_estimate_at_ell_3_runs_at_m_5_without_m(tmp_path):
+    given = _one_string_inputs(tmp_path)["estimate"]
+    out = tmp_path / "m.json"
+    assert run(["estimate", *given, "--ell", "3", "--out", str(out)]) == EXIT_OK
+    assert max(rec["k"] for rec in json.loads(out.read_text())) == 5
+    manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+    assert manifest["options"]["m"] == 5
+
+
+def test_oracle_check_defaults_m_to_3(tmp_path):
+    out = tmp_path / "oracle.json"
+    assert run(["oracle-check", "--n", "4", "--p", "0.5", "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "oracle.json.manifest.json").read_text())
+    assert manifest["options"]["m"] == 3
+
+
 def test_config_file_merging(tmp_path, dist_file):
     d, dist_path = dist_file
     cfg = tmp_path / "run.cfg"

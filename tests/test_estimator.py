@@ -162,6 +162,60 @@ def test_histogram_rows_at_every_key_width(n):
     assert hist.count == len(rows)
 
 
+def _unequal_batches(n, sizes, seed):
+    rng = np.random.default_rng(seed)
+    distinct = rng.integers(0, 2, size=(60, n)).astype(np.int8)
+    rows = distinct[rng.integers(0, len(distinct), size=sum(sizes))]
+    return rows, np.split(rows, np.cumsum(sizes)[:-1])
+
+
+@pytest.mark.parametrize("n", [8, 16, 17])
+def test_histogram_stops_at_limit_inside_a_batch(n):
+    # 2^n bins up to 16 bits, the sorted keys at 17
+    rows, batches = _unequal_batches(n, [1, 37, 500, 3, 900], n)
+    limit = 1 + 37 + 211
+
+    def source():
+        yield from batches[:3]
+        raise AssertionError("source pulled past the batch that reaches limit")
+
+    hist = TraceHistogram.from_batches(source(), n, limit)
+    want, counts = np.unique(rows[:limit], axis=0, return_counts=True)
+    assert np.array_equal(hist.rows, want)
+    assert np.array_equal(hist.weights, counts / limit)
+    assert hist.count == limit
+
+
+@pytest.mark.parametrize("n", [8, 16, 17])
+def test_histogram_source_exhausted_before_limit(n):
+    rows, batches = _unequal_batches(n, [5, 40, 2], n)
+    with pytest.raises(ParameterError, match="exhausted after 47 of 48"):
+        TraceHistogram.from_batches(iter(batches), n, len(rows) + 1)
+
+
+@pytest.mark.parametrize("n", [4, 20])
+@pytest.mark.parametrize(
+    "dtype, bad", [(np.int64, 257), (np.int64, -255), (float, 0.5), (np.int8, 2), (np.int8, -1)]
+)
+def test_histogram_rejects_bits_other_than_0_and_1(n, dtype, bad):
+    # 257 and -255 wrap to 1 and 0.5 truncates to 0 under an int8 cast
+    batch = np.zeros((3, n), dtype=dtype)
+    batch[1, :2] = (0, 1)
+    batch[1, 2] = bad
+    with pytest.raises(ParameterError, match="trace bits must be 0 or 1"):
+        TraceHistogram.from_batches([batch], n, len(batch))
+
+
+@pytest.mark.parametrize("n", [4, 20])
+def test_histogram_accepts_0_1_bits_of_any_dtype(n):
+    rows = np.random.default_rng(n).integers(0, 2, size=(30, n)).astype(np.int8)
+    want = TraceHistogram.from_batches([rows], n, len(rows))
+    for dtype in (bool, np.int64, float):
+        got = TraceHistogram.from_batches([rows.astype(dtype)], n, len(rows))
+        assert np.array_equal(got.rows, want.rows)
+        assert np.array_equal(got.weights, want.weights)
+
+
 def test_f_sum_matches_naive_enumeration():
     rng = np.random.default_rng(17)
     for _ in range(200):
