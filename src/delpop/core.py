@@ -113,7 +113,7 @@ class SparseDistribution:
             raise ParameterError("support strings have differing lengths")
         if len(set(support)) != len(support):
             raise ParameterError("support strings must be distinct")
-        if any(a <= 0 for a in weights):
+        if not all(a > 0 for a in weights):  # NaN fails too
             raise ParameterError("weights must be positive")
         total = sum(weights)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
@@ -145,7 +145,7 @@ class SparseDistribution:
             n = int(obj["n"])
             support = tuple(BitString.from_string(s) for s in obj["support"])
             weights = tuple(float(a) for a in obj["weights"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"malformed distribution object: {exc}")
         if any(x.n != n for x in support):
             raise ParameterError("support string length disagrees with n")
@@ -154,7 +154,11 @@ class SparseDistribution:
 
 def load_distribution(path) -> SparseDistribution:
     with open(path) as fh:
-        return SparseDistribution.from_json_dict(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ParameterError(f"distribution file is not JSON: {exc}")
+    return SparseDistribution.from_json_dict(obj)
 
 
 def save_distribution(d: SparseDistribution, path) -> None:

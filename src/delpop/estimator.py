@@ -8,7 +8,9 @@ B = (b_1..b_k) of m:
               / (w_{B,1} ... w_{B,k}) * f(x~, w_B),
 
 with w_{B,r} = (z^(b_r + ... + b_k) - q) / p and f the gap-weighted chain
-sum over increasing index tuples (`f_sum_batch`).
+sum over increasing index tuples 1 <= i_1 < ... < i_k <= n,
+
+    f(x~, w) = sum x~_{i_1} ... x~_{i_k} w_1^(i_1) w_2^(i_2 - i_1) ... w_k^(i_k - i_(k-1)).
 
 The suffix sums m = s_1 > s_2 > ... > s_k >= 1 (s_{k+1} = 0) determine a
 composition, fix its weights w_{B,r} = W(s_r) = (z^(s_r) - q) / p, and,
@@ -96,42 +98,6 @@ def composition_weights(z: complex, parts, p: float):
         if abs(w[r]) < SINGULAR_TOL:
             raise SingularGridPointError(z, suffix)
     return w
-
-
-def f_sum_batch(X: np.ndarray, w) -> np.ndarray:
-    """f(x~, w) for each trace row of X (shape (N, n), entries 0/1), where
-    f(x~, w) = sum over 1 <= i_1 < ... < i_k <= n of
-    x~_{i_1} ... x~_{i_k} w_1^{i_1} w_2^{i_2-i_1} ... w_k^{i_k-i_{k-1}}.
-
-    Prefix recurrence over chain length r on the transposed rows XT (n, N):
-    row j of S_r holds, for every trace, the weighted sum of all r-chains
-    ending at index j; the accumulator carries
-    sum_{j' < j} S_{r-1}[j'] * w_r^(j - j'), updated multiplicatively.
-    Row j of S_{r-1} is last read just before row j of S_r is written, so
-    S is updated in place, and each step writes into an existing buffer.
-    """
-    XT = np.ascontiguousarray(X.T)
-    n, N = XT.shape
-    k = len(w)
-    if k < 1:
-        raise ParameterError("weight vector must be nonempty")
-    if k > n:
-        return np.zeros(N, dtype=complex)
-    powers = np.empty(n, dtype=complex)
-    acc_pow = w[0]
-    for j in range(n):
-        powers[j] = acc_pow
-        acc_pow *= w[0]
-    S = XT * powers[:, None]
-    acc = np.empty(N, dtype=complex)
-    tmp = np.empty(N, dtype=complex)
-    for r in range(1, k):
-        acc.fill(0)
-        for j in range(n):
-            np.add(acc, S[j], out=tmp)
-            np.multiply(XT[j], acc, out=S[j])
-            np.multiply(tmp, w[r], out=acc)
-    return S.sum(axis=0)
 
 
 def _g_sweep(XT: np.ndarray, z: complex, k_max: int, p: float) -> np.ndarray:

@@ -1,16 +1,17 @@
 """Brute-force ground truth for tests: exact channel laws by enumerating
 all 2^n retention subsets, exact estimator expectations, and exact
 elementary symmetric values.  Cost guards keep everything under a second.
-Law probabilities are compensated sums (math.fsum); estimator expectations
-are the weighted mean of a law's TraceHistogram, the path sampled moments
-take, and stay far below test tolerances.
+An exact law is a TraceHistogram without a trace count: its distinct
+padded rows in ascending order, each weighted by the compensated sum
+(math.fsum) of its probability terms.  Estimator expectations are the
+weighted mean of that histogram, the path sampled moments take, and stay
+far below test tolerances.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,53 +26,46 @@ from .core import (
 from .estimator import MomentEstimates, TraceHistogram, moments_from_values
 
 
-@dataclass(frozen=True)
-class ExactTraceLaw:
-    """Map from padded trace bits to exact probability."""
-
-    probs: tuple  # tuple of (bits tuple, probability), sorted by bits
-
-    def as_dict(self) -> dict:
-        return dict(self.probs)
-
-    def total(self) -> float:
-        return math.fsum(p for _, p in self.probs)
-
-    def histogram(self) -> TraceHistogram:
-        """The law as a trace histogram, with the probabilities as weights."""
-        rows = np.array([bits for bits, _ in self.probs], dtype=np.int8)
-        return TraceHistogram(rows, np.array([prob for _, prob in self.probs]))
+def _law(buckets: dict, norm: float = 1.0) -> TraceHistogram:
+    """The law whose row r has weight fsum(buckets[r]) / norm, with the
+    rows sorted ascending."""
+    if not buckets:
+        raise ParameterError("no retention subset meets the length bound")
+    rows = sorted(buckets)
+    weights = np.array([math.fsum(buckets[row]) / norm for row in rows])
+    return TraceHistogram(np.array(rows, dtype=np.int8), weights)
 
 
-def _pack(bits, keep_mask, n):
-    kept = tuple(b for b, k in zip(bits, keep_mask) if k)
-    return kept + (0,) * (n - len(kept)), len(kept)
-
-
-def exact_trace_law(x: BitString, p: float) -> ExactTraceLaw:
+def exact_trace_law(x: BitString, p: float, max_len: int | None = None) -> TraceHistogram:
     """Sum p^|S| (1-p)^(n-|S|) over all retention subsets S, grouped by the
-    padded output string."""
+    padded output string.  With max_len, only subsets with |S| <= max_len
+    count and the sum is renormalized: the law conditioned on trace length
+    <= max_len.  The length of a padded trace is ambiguous from its bits
+    alone, so the subsets are filtered, not the rows."""
     n = x.n
     if n > 16:
         raise ParameterError("exact_trace_law limited to n <= 16")
     if not (0.0 < p < 1.0):
         raise ParameterError("p must lie in (0,1)")
-    buckets = {}
+    buckets, norm_terms = {}, []
     for keep_mask in itertools.product((False, True), repeat=n):
-        out, r = _pack(x.bits, keep_mask, n)
+        kept = tuple(itertools.compress(x.bits, keep_mask))
+        r = len(kept)
+        if max_len is not None and r > max_len:
+            continue
         prob = p ** r * (1.0 - p) ** (n - r)
-        buckets.setdefault(out, []).append(prob)
-    probs = tuple((bits, math.fsum(terms)) for bits, terms in sorted(buckets.items()))
-    return ExactTraceLaw(probs)
+        norm_terms.append(prob)
+        buckets.setdefault(kept + (0,) * (n - r), []).append(prob)
+    return _law(buckets, 1.0 if max_len is None else math.fsum(norm_terms))
 
 
-def exact_mixture_trace_law(d: SparseDistribution, p: float) -> ExactTraceLaw:
+def exact_mixture_trace_law(d: SparseDistribution, p: float) -> TraceHistogram:
     buckets = {}
     for x, a in zip(d.support, d.weights):
-        for bits, prob in exact_trace_law(x, p).probs:
-            buckets.setdefault(bits, []).append(a * prob)
-    probs = tuple((bits, math.fsum(terms)) for bits, terms in sorted(buckets.items()))
-    return ExactTraceLaw(probs)
+        law = exact_trace_law(x, p)
+        for row, prob in zip(map(tuple, law.rows.tolist()), law.weights.tolist()):
+            buckets.setdefault(row, []).append(a * prob)
+    return _law(buckets)
 
 
 def exact_g_expectation(x: BitString, z: complex, m: int, p: float) -> complex:
@@ -80,8 +74,7 @@ def exact_g_expectation(x: BitString, z: complex, m: int, p: float) -> complex:
     n = x.n
     if n > 12:
         raise ParameterError("exact_g_expectation limited to n <= 12")
-    hist = exact_trace_law(x, p).histogram()
-    means, _ = hist.g_moments(z, m, ProblemParams(n=n, ell=1, p=p))
+    means, _ = exact_trace_law(x, p).g_moments(z, m, ProblemParams(n=n, ell=1, p=p))
     return complex(means[m - 1])
 
 
@@ -100,7 +93,7 @@ def exact_moments(d: SparseDistribution, grid, k_max: int) -> MomentEstimates:
     return moments_from_values(grid, k_max, lambda z, k: power_sum(d, z, k))
 
 
-def exact_subsample_law(x: BitString, p: float, t: int) -> ExactTraceLaw:
+def exact_subsample_law(x: BitString, p: float, t: int) -> TraceHistogram:
     """Exact output law of the small-p subsampling of x's traces:
     enumerate retention subsets with |S| >= t, the conditioned
     Bin(n, n^(-1/2)) length draw, and every subsequence choice."""
@@ -116,47 +109,22 @@ def exact_subsample_law(x: BitString, p: float, t: int) -> ExactTraceLaw:
     accept_terms = []
     buckets = {}
     for keep_mask in itertools.product((False, True), repeat=n):
-        kept, r = _pack(x.bits, keep_mask, n)
-        prob = p ** r * (1.0 - p) ** (n - r)
+        kept = tuple(itertools.compress(x.bits, keep_mask))
+        r = len(kept)
         if r < t:
             continue
-        accept_terms.append(prob)
-        retained = kept[:r]
-        for x_len in range(t + 1):
-            pl = len_law[x_len]
-            subs = list(itertools.combinations(range(r), x_len))
-            for idx in subs:
-                out = tuple(retained[i] for i in idx) + (0,) * (n - x_len)
-                buckets.setdefault(out, []).append(prob * pl / len(subs))
-    norm = math.fsum(accept_terms)
-    probs = tuple(
-        (bits, math.fsum(terms) / norm) for bits, terms in sorted(buckets.items())
-    )
-    return ExactTraceLaw(probs)
-
-
-def exact_conditioned_trace_law(x: BitString, p: float, t: int) -> ExactTraceLaw:
-    """Trace law at retention p conditioned on length <= t.  The length of a
-    padded trace is ambiguous from its bits alone, so this enumerates the
-    retention subsets directly rather than filtering exact_trace_law."""
-    n = x.n
-    buckets = {}
-    norm_terms = []
-    for keep_mask in itertools.product((False, True), repeat=n):
-        out, r = _pack(x.bits, keep_mask, n)
-        if r > t:
-            continue
         prob = p ** r * (1.0 - p) ** (n - r)
-        norm_terms.append(prob)
-        buckets.setdefault(out, []).append(prob)
-    norm = math.fsum(norm_terms)
-    probs = tuple(
-        (bits, math.fsum(terms) / norm) for bits, terms in sorted(buckets.items())
-    )
-    return ExactTraceLaw(probs)
+        accept_terms.append(prob)
+        for x_len in range(t + 1):
+            subs = list(itertools.combinations(kept, x_len))
+            for sub in subs:
+                out = sub + (0,) * (n - x_len)
+                buckets.setdefault(out, []).append(prob * len_law[x_len] / len(subs))
+    return _law(buckets, math.fsum(accept_terms))
 
 
-def law_tv(a: ExactTraceLaw, b: ExactTraceLaw) -> float:
-    da, db = a.as_dict(), b.as_dict()
-    keys = set(da) | set(db)
-    return 0.5 * math.fsum(abs(da.get(k, 0.0) - db.get(k, 0.0)) for k in keys)
+def law_tv(a: TraceHistogram, b: TraceHistogram) -> float:
+    """Total-variation distance between two trace laws over the same n."""
+    rows, inverse = np.unique(np.concatenate([a.rows, b.rows]), axis=0, return_inverse=True)
+    diff = np.bincount(inverse.ravel(), np.concatenate([a.weights, -b.weights]), len(rows))
+    return 0.5 * math.fsum(np.abs(diff))

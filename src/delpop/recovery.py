@@ -85,16 +85,12 @@ class RecoveryResult:
 
 def recover_support_candidates(estimates: MomentEstimates, params: ProblemParams):
     """Run prony -> coefficient recovery -> factoring once for each
-    l' = 1..l; returns ([(l', support strings)], [(l', failure message)]).
-    When nothing succeeds the failures are raised in aggregate instead."""
+    l' = 1..l; returns ([(l', support strings)], [(l', failure message)]),
+    every l' in exactly one of the two lists."""
     results, failures = [], []
     for ell_prime in range(1, params.ell + 1):
         outcome = _candidate(ell_prime, estimates, params)
         (failures if isinstance(outcome, str) else results).append((ell_prime, outcome))
-    if not results:
-        raise RecoveryFailedError(
-            "no support candidate survived the pipeline", {"failures": failures}
-        )
     return results, failures
 
 
@@ -243,6 +239,8 @@ def recover(
             seed=config.seed,
             config=asdict(config),
         )
+    if not candidates:
+        raise RecoveryFailedError("no support candidate survived the pipeline", diagnostics)
     raise RecoveryFailedError("all candidates failed moment validation", diagnostics)
 
 

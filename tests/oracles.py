@@ -102,6 +102,11 @@ def f_sum_rows(X, w):
     return S.sum(axis=1)
 
 
+def law_dict(hist):
+    """A trace law (or any TraceHistogram) as {padded row tuple: weight}."""
+    return dict(zip(map(tuple, hist.rows.tolist()), hist.weights.tolist()))
+
+
 def g_moments_rows(rows, weights, z, k_max, p):
     """Weighted means of g_1..g_{k_max} over the rows and their covariance,
     built on `f_sum_rows`."""

@@ -16,8 +16,9 @@ from delpop.channel import (
     write_trace_file,
 )
 from delpop.core import BitString, ParameterError, SparseDistribution
-from delpop.oracle import exact_mixture_trace_law
-from oracles import random_distribution
+from delpop.estimator import TraceHistogram
+from delpop.oracle import exact_mixture_trace_law, exact_subsample_law
+from oracles import law_dict, random_distribution
 
 
 def test_trace_padding_invariant():
@@ -58,25 +59,48 @@ def test_retained_count_mean():
     assert abs(mean - 6 * p) <= 5 * sigma
 
 
-def test_batch_agrees_with_exact_law_chi_square():
-    rng = np.random.default_rng(3)
-    d = random_distribution(rng, 5, 2)
-    p = 0.6
-    law = exact_mixture_trace_law(d, p).as_dict()
-    bits, _ = sample_trace_batch(d, ChannelConfig(p, 0), 1_000_000, rng)
-    observed = {}
-    for row in map(tuple, bits):
-        observed[row] = observed.get(row, 0) + 1
-    n_samp = len(bits)
+def _assert_chi_square_fits(law, observed, total):
+    """Pearson's statistic of the row counts `observed` in `total` draws
+    against the exact law, over the rows expected at least 10 times, is
+    within its 0.999 quantile; no row outside the law was drawn."""
+    assert set(observed) <= set(law)
     stat = 0.0
     dof = 0
     for key, prob in law.items():
-        exp = prob * n_samp
+        exp = prob * total
         if exp < 10:
             continue
         stat += (observed.get(key, 0) - exp) ** 2 / exp
         dof += 1
     assert stat <= chi2.ppf(0.999, dof - 1)
+
+
+def test_batch_agrees_with_exact_law_chi_square():
+    rng = np.random.default_rng(3)
+    d = random_distribution(rng, 5, 2)
+    p = 0.6
+    law = law_dict(exact_mixture_trace_law(d, p))
+    bits, _ = sample_trace_batch(d, ChannelConfig(p, 0), 1_000_000, rng)
+    hist = TraceHistogram.from_batches([bits], d.n, len(bits))
+    observed = {row: w * hist.count for row, w in law_dict(hist).items()}
+    _assert_chi_square_fits(law, observed, hist.count)
+
+
+def test_subsample_output_follows_exact_subsample_law():
+    # t < n, so the length draw's rejection of X > t shapes the law
+    x, p, t = BitString.from_string("110101"), 0.8, 5
+    cfg = SubsampleConfig(x.n, t)
+    rng = np.random.default_rng(5)
+    raw, counts = sample_trace_batch(
+        SparseDistribution((x,), (1.0,)), ChannelConfig(p, 0), 20_000, rng
+    )
+    observed = {}
+    for bits, count in zip(raw.tolist(), counts.tolist()):
+        out = subsample_trace(Trace(tuple(bits), count), cfg, rng)
+        if out is not None:
+            observed[out.bits] = observed.get(out.bits, 0) + 1
+    law = law_dict(exact_subsample_law(x, p, t))
+    _assert_chi_square_fits(law, observed, sum(observed.values()))
 
 
 def test_sampling_is_reproducible():

@@ -74,6 +74,24 @@ def test_estimate_rejects_malformed_trace_file(tmp_path, text):
     assert code == EXIT_PARAMETER
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 2, "support": ["10"], "weights": [1.0]',  # truncated JSON
+        '{"n": "x", "support": ["10"], "weights": [1.0]}',  # n not an integer
+        '{"n": 2, "support": ["10"], "weights": ["a"]}',  # weight not a number
+        '{"n": 2, "support": ["10", "01"], "weights": [NaN, 1.0]}',  # NaN weight
+    ],
+    ids=["truncated", "bad-n", "bad-weight", "nan-weight"],
+)
+@pytest.mark.parametrize("mode", ["simulate", "recover", "distinguish"])
+def test_dist_modes_reject_malformed_distribution_file(tmp_path, text, mode):
+    dist = tmp_path / "dist.json"
+    dist.write_text(text)
+    code = run([mode, "--dist", str(dist), "--out", str(tmp_path / "o.json")])
+    assert code == EXIT_PARAMETER
+
+
 def test_estimate_roundtrip(tmp_path, dist_file):
     d, dist_path = dist_file
     traces = tmp_path / "traces.txt"

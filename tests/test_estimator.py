@@ -12,7 +12,6 @@ from delpop.estimator import (
     accumulate_moments,
     composition_weights,
     compositions,
-    f_sum_batch,
     g_batch,
     moments_from_values,
     multinomial,
@@ -62,30 +61,29 @@ def _rows(*traces):
 
 def test_f_sum_examples():
     # trace 110, k=2, w=(2,3): only chain (1,2) contributes 2^1 * 3^1
-    got = f_sum_batch(_rows((0, 0, 0), (1, 1, 0)), (2.0, 3.0))
+    got = f_sum_rows(_rows((0, 0, 0), (1, 1, 0)), (2.0, 3.0))
     assert got == pytest.approx([0.0, 6.0])
-    assert f_sum_batch(_rows((1, 1, 1)), (1.0,)) == pytest.approx([3.0])
+    assert f_sum_rows(_rows((1, 1, 1)), (1.0,)) == pytest.approx([3.0])
 
 
 def test_f_sum_k_exceeds_n():
-    assert np.array_equal(f_sum_batch(_rows((1, 1)), (2.0, 2.0, 2.0)), [0])
+    assert np.array_equal(f_sum_rows(_rows((1, 1)), (2.0, 2.0, 2.0)), [0])
 
 
 def test_f_sum_zero_weight_entry():
     bits = (1, 0, 1, 1)
     w = (0.0, 2.0)
-    got = f_sum_batch(_rows(bits), w)[0]
+    got = f_sum_rows(_rows(bits), w)[0]
     assert got == pytest.approx(f_sum_naive(bits, w))
 
 
 def test_f_sum_transposed_rows_k_above_n_and_zero_weight():
     rows = _rows((1, 0, 1, 1), (0, 1, 1, 0), (1, 1, 1, 1), (0, 0, 0, 0))
-    assert np.array_equal(f_sum_batch(rows, (2.0,) * 5), np.zeros(4))
+    assert np.array_equal(f_sum_rows(rows, (2.0,) * 5), np.zeros(4))
     for w in ((0.0, 2.0), (1.5, 0.0), (0.5 + 1j, 0.0, -1.0)):
-        got = f_sum_batch(rows, w)
-        for bits, value, ref in zip(rows.tolist(), got, f_sum_rows(rows, w)):
+        got = f_sum_rows(rows, w)
+        for bits, value in zip(rows.tolist(), got):
             assert value == pytest.approx(f_sum_naive(bits, w), abs=1e-12)
-            assert value == pytest.approx(ref, abs=1e-12)
 
 
 def test_g_moments_match_row_major_reference_at_benchmark_scale():
@@ -223,7 +221,7 @@ def test_f_sum_matches_naive_enumeration():
         k = int(rng.integers(1, 5))
         bits = tuple(int(b) for b in rng.integers(0, 2, n))
         w = [complex(a, b) for a, b in rng.uniform(-1.2, 1.2, (k, 2))]
-        got = f_sum_batch(np.array([bits], dtype=np.int8), w)[0]
+        got = f_sum_rows(np.array([bits], dtype=np.int8), w)[0]
         want = f_sum_naive(bits, w)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 

@@ -7,7 +7,6 @@ import pytest
 
 from delpop.core import BitString, ParameterError, SparseDistribution, eval_poly, power_sum
 from delpop.oracle import (
-    exact_conditioned_trace_law,
     exact_g_expectation,
     exact_mixture_trace_law,
     exact_moments,
@@ -17,16 +16,16 @@ from delpop.oracle import (
     law_tv,
 )
 from delpop.zgrid import arc_grid
-from oracles import elementary_symmetric, random_bitstring, random_distribution
+from oracles import elementary_symmetric, law_dict, random_bitstring, random_distribution
 
 
 def test_trace_law_single_bit():
-    law = exact_trace_law(BitString.from_string("1"), 0.5).as_dict()
+    law = law_dict(exact_trace_law(BitString.from_string("1"), 0.5))
     assert law == {(1,): 0.5, (0,): 0.5}
 
 
 def test_trace_law_two_ones():
-    law = exact_trace_law(BitString.from_string("11"), 0.5).as_dict()
+    law = law_dict(exact_trace_law(BitString.from_string("11"), 0.5))
     assert law[(1, 1)] == pytest.approx(0.25)
     assert law[(1, 0)] == pytest.approx(0.5)
     assert law[(0, 0)] == pytest.approx(0.25)
@@ -38,18 +37,27 @@ def test_trace_law_normalization():
         n = int(rng.integers(1, 9))
         x = random_bitstring(rng, n)
         p = float(rng.uniform(0.1, 0.9))
-        assert exact_trace_law(x, p).total() == pytest.approx(1.0, abs=1e-14)
+        assert exact_trace_law(x, p).weights.sum() == pytest.approx(1.0, abs=1e-14)
+        law = exact_trace_law(x, p, max_len=int(rng.integers(0, n + 1)))
+        assert law.weights.sum() == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ParameterError):
         exact_trace_law(BitString((0,) * 17), 0.5)
+    with pytest.raises(ParameterError):
+        exact_trace_law(BitString((0,) * 17), 0.5, max_len=3)
+    # a length bound no retention subset meets leaves no law
+    with pytest.raises(ParameterError):
+        exact_trace_law(BitString.from_string("101"), 0.5, max_len=-1)
+    with pytest.raises(ParameterError):
+        exact_subsample_law(BitString.from_string("101"), 0.5, 4)
 
 
 def test_mixture_law_is_weighted_combination():
     d = SparseDistribution(
         (BitString.from_string("10"), BitString.from_string("11")), (0.3, 0.7)
     )
-    law = exact_mixture_trace_law(d, 0.6).as_dict()
-    l0 = exact_trace_law(d.support[0], 0.6).as_dict()
-    l1 = exact_trace_law(d.support[1], 0.6).as_dict()
+    law = law_dict(exact_mixture_trace_law(d, 0.6))
+    l0 = law_dict(exact_trace_law(d.support[0], 0.6))
+    l1 = law_dict(exact_trace_law(d.support[1], 0.6))
     for key in set(l0) | set(l1):
         want = 0.3 * l0.get(key, 0.0) + 0.7 * l1.get(key, 0.0)
         assert law[key] == pytest.approx(want)
@@ -114,9 +122,9 @@ def test_subsample_law_matches_conditioned_channel():
     for bits, p, t in cases:
         x = BitString(bits)
         sub = exact_subsample_law(x, p, t)
-        target = exact_conditioned_trace_law(x, x.n ** -0.5, t)
+        target = exact_trace_law(x, x.n ** -0.5, max_len=t)
         assert law_tv(sub, target) <= 1e-12
-        assert sub.total() == pytest.approx(1.0, abs=1e-12)
+        assert sub.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_law_tv_basic():

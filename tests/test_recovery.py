@@ -109,9 +109,9 @@ def test_l_prime_without_usable_points_fails_by_name():
     # string is exactly singular, so l' = 2 has no point left
     d = SparseDistribution((BitString.from_string("110101"),), (1.0,))
     est = exact_moments(d, arc_grid(0.23, 1), 3)
-    with pytest.raises(RecoveryFailedError) as info:
-        recover_support_candidates(est, ProblemParams(6, 2, 0.9))
-    failures = dict(info.value.diagnostics["failures"])
+    results, failures = recover_support_candidates(est, ProblemParams(6, 2, 0.9))
+    assert results == []
+    failures = dict(failures)
     assert failures[1].startswith("coefficient recovery failed")
     assert failures[2].startswith("prony failed")
 
@@ -246,21 +246,38 @@ def test_recover_validation_soundness():
             assert abs(power_sum(out, z, k) - est.means[i, k]) <= margin
 
 
+THREE_STRINGS = SparseDistribution(
+    (
+        BitString.from_string("111000"),
+        BitString.from_string("000111"),
+        BitString.from_string("101010"),
+    ),
+    (0.4, 0.35, 0.25),
+)
+
+
 def test_recovery_failure_carries_diagnostics():
     # moments of a 3-string mixture cannot be explained with ell = 1
-    d = SparseDistribution(
-        (
-            BitString.from_string("111000"),
-            BitString.from_string("000111"),
-            BitString.from_string("101010"),
-        ),
-        (0.4, 0.35, 0.25),
-    )
     params = ProblemParams(6, 1, 0.9)
-    est = exact_moments(d, default_grid(), 1)
-    with pytest.raises(RecoveryFailedError) as info:
-        recover_support_candidates(est, params)
-    assert info.value.diagnostics["failures"]
+    est = exact_moments(THREE_STRINGS, default_grid(), 1)
+    results, failures = recover_support_candidates(est, params)
+    assert results == []
+    assert [lp for lp, _ in failures] == [1]
+    assert "failed:" in failures[0][1]
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_recover_without_candidates_fails_with_full_diagnostics(ell):
+    # no l' yields a candidate: recover() still reports the grid, the
+    # points and the (empty) candidates alongside each l''s failure
+    config = RecoveryConfig(sample_count=20_000)
+    with pytest.raises(RecoveryFailedError, match="no support candidate survived") as info:
+        recover_from_channel(THREE_STRINGS, ProblemParams(6, ell, 0.9), config)
+    diagnostics = info.value.diagnostics
+    assert set(diagnostics) == {"grid_points", "points", "candidates", "failures"}
+    assert diagnostics["candidates"] == []
+    assert [lp for lp, _ in diagnostics["failures"]] == list(range(1, ell + 1))
+    assert len(diagnostics["points"]) == diagnostics["grid_points"]
 
 
 def test_small_p_moment_estimates_are_unbiased():
