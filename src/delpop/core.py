@@ -142,7 +142,10 @@ class SparseDistribution:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SparseDistribution":
         try:
-            n = int(obj["n"])
+            n = obj["n"]
+            if isinstance(n, bool) or not isinstance(n, (int, float)) or not float(n).is_integer():
+                raise ValueError(f"n = {n!r} is not an integer")
+            n = int(n)
             support = tuple(BitString.from_string(s) for s in obj["support"])
             weights = tuple(float(a) for a in obj["weights"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

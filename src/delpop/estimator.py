@@ -17,18 +17,29 @@ composition, fix its weights w_{B,r} = W(s_r) = (z^(s_r) - q) / p, and,
 since sum_r r b_r = sum_r s_r, factor its coefficient as
 m! * prod_r phi(s_r, s_(r+1)) with phi(s, t) = z^s / (p W(s) (s - t)!).
 So the whole composition sum is one backward sweep over trace positions
-with one running state A_t per suffix value t = 1..k_max:
+with one running state A_t per suffix value t = 1..k_max, scaled by t!
+so that the factorials meet as binomials C(s, t) (and A_0 := 1):
 
     A_t[n]   = 0
-    B_s[j]   = x~_j (phi(s, 0) + sum_{t<s} phi(s, t) A_t[j])    for j = n..1
+    B_s[j]   = x~_j z^s / (p W(s)) sum_{0<=t<s} C(s, t) A_t[j]    for j = n..1
     A_t[j-1] = W(t) (A_t[j] + B_t[j])
-    g_m      = m! A_m[0]                                       for m <= k_max
+    g_m      = A_m[0]                                              for m <= k_max
 
 B_s[j] sums the chains whose first index is j with suffix value s there,
 and A_t[j] those starting after j, each weighted by W(t)^(distance from
-j).  The sweep runs on the distinct trace rows transposed to an (n, U)
-C-contiguous array: each position costs one (k_max, k_max) matmul into a
-reused (k_max, U) buffer and a few in-place ufuncs.
+j).  A 0-bit only multiplies the state by W, so the sweep jumps from one
+1-bit to the next, last first.  With M = I + chain, where chain[s, t] =
+C(s, t) z^s / (p W(s)) for 1 <= t < s, and start[s] = z^s / (p W(s)),
+the state after the 1-bit at i, S = M A[i] + start, gives
+
+    S <- M (W^(i - i') S) + start    from the 1-bit at i to the next one down, at i'
+    g  = W^(i_1) S                   at the first 1-bit i_1
+
+and an all-zero row has g = 0.  The work is one (k_max, k_max) matmul
+per 1-bit, not per position.  The rows are sorted by 1-count, most
+first, so the rows that still hold a 1-bit at each step are a prefix,
+and each step is one gather from a table of the powers W^d, one
+multiply, one matmul and one add on that prefix.
 
 A point where some |W(s)| < 1e-12, s <= k_max, is singular for the
 estimator (the coefficients divide by it) and raises
@@ -42,6 +53,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,39 +112,87 @@ def composition_weights(z: complex, parts, p: float):
     return w
 
 
-def _g_sweep(XT: np.ndarray, z: complex, k_max: int, p: float) -> np.ndarray:
-    """g_1..g_{k_max} as the rows of a (k_max, U) array, one column per
-    column of the (n, U) C-contiguous XT, by the backward sweep of the
+class _JumpPlan(NamedTuple):
+    """The 1-bits of a set of rows, laid out for `_g_sweep`.
+
+    `order` sorts the rows by their number of 1-bits, most first, so the
+    rows that still hold a 1-bit at step r are a prefix of that order.
+    `gaps[r - 1]` holds, for each such row, the distance from the 1-bit of
+    step r - 1 down to that of step r (step 0 is each row's last 1-bit);
+    `first` is each sorted row's first 1-bit position, 1-based, and 0 for
+    an all-zero row."""
+
+    n: int
+    order: np.ndarray
+    gaps: list
+    first: np.ndarray
+    active: int  # rows with at least one 1-bit
+
+
+def _jump_plan(rows: np.ndarray) -> _JumpPlan:
+    """The `_JumpPlan` of a (U, n) 0/1 array."""
+    U, n = rows.shape
+    ones = np.count_nonzero(rows, axis=1)
+    order = np.argsort(-ones, kind="stable")
+    rows = rows[order]
+    # step r >= 1 takes the rows with more than r 1-bits, stored from offsets[r - 1]
+    widths = U - np.cumsum(np.bincount(ones))[1:-1]
+    offsets = np.concatenate([[0], np.cumsum(widths)])
+    flat = np.empty(offsets[-1], dtype=np.min_scalar_type(n))
+    seen = np.zeros(U, dtype=np.intp)  # 1-bits met so far, last first
+    last = np.zeros(U, dtype=np.intp)  # 1-based position of the latest of them
+    for pos in range(n, 0, -1):
+        hit = np.flatnonzero(rows[:, pos - 1])
+        later = hit[seen[hit] > 0]
+        flat[offsets[seen[later] - 1] + later] = last[later] - pos
+        last[hit] = pos
+        seen[hit] += 1
+    gaps = [flat[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+    return _JumpPlan(n, order, gaps, last, int(np.count_nonzero(seen)))
+
+
+def _g_sweep(plan: _JumpPlan, z: complex, k_max: int, p: float) -> np.ndarray:
+    """g_1..g_{k_max} as the rows of a (k_max, U) array, one column per row
+    of the plan's input, by the jump form of the backward sweep in the
     module docstring."""
     if k_max < 1:
         raise ParameterError("m must be >= 1")
     q = 1.0 - p
-    W = np.array([(z ** s - q) / p for s in range(1, k_max + 1)])
+    W = np.array([(z ** s - q) / p for s in range(1, k_max + 1)], dtype=complex)
     for s, w in enumerate(W.tolist(), 1):
         if abs(w) < SINGULAR_TOL:
             raise SingularGridPointError(z, s)
-    # phi[s - 1, t] = phi(s, t) for 0 <= t < s, and 0 for t >= s
-    phi = np.zeros((k_max, k_max + 1), dtype=complex)
-    for s in range(1, k_max + 1):
-        for t in range(s):
-            phi[s - 1, t] = z ** s / (p * W[s - 1] * math.factorial(s - t))
-    start, chain = phi[:, :1], phi[:, 1:]
-    W = W[:, None]
-    A = np.zeros((k_max, XT.shape[1]), dtype=complex)
-    B = np.empty_like(A)
-    for x in XT[::-1]:
-        np.matmul(chain, A, out=B)
-        B += start
-        B *= x
-        A += B
-        A *= W
-    A *= np.array([math.factorial(m) for m in range(1, k_max + 1)])[:, None]
+    # phi[s - 1, t] = C(s, t) z^s / (p W(s)) for 0 <= t < s, and 0 for t >= s
+    phi = np.array(
+        [[math.comb(s, t) * z ** s / (p * w) if t < s else 0 for t in range(k_max + 1)]
+         for s, w in enumerate(W.tolist(), 1)],
+        dtype=complex,
+    )
+    start, M = phi[:, :1], np.eye(k_max) + phi[:, 1:]
+    # powers[:, d] = W^d for 0 <= d <= n, by repeated multiplication
+    powers = np.ones((k_max, plan.n + 1), dtype=complex)
+    powers[:, 1:] = W[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    U = len(plan.order)
+    A = np.zeros((k_max, U), dtype=complex)
+    A[:, : plan.active] = start
+    buf = np.empty(k_max * U, dtype=complex)  # C-contiguous (k_max, u) prefixes
+    # every index is in range; mode="clip" lets take write into `out` unbuffered
+    for gap in plan.gaps:
+        u = len(gap)
+        Wd = np.take(powers, gap, axis=1, out=buf[: k_max * u].reshape(k_max, u), mode="clip")
+        Wd *= A[:, :u]
+        np.matmul(M, Wd, out=A[:, :u])
+        A[:, :u] += start
+    G = np.take(powers, plan.first, axis=1, out=buf.reshape(k_max, U), mode="clip")
+    G *= A
+    A[:, plan.order] = G
     return A
 
 
 def g_batch(X: np.ndarray, z: complex, m: int, params: ProblemParams) -> np.ndarray:
     """g_m(x~, z) for each trace row of X."""
-    return _g_sweep(np.ascontiguousarray(X.T), z, m, params.p)[m - 1]
+    return _g_sweep(_jump_plan(np.asarray(X)), z, m, params.p)[m - 1]
 
 
 def _bit_batches(batches, n: int, limit: int):
@@ -174,9 +234,9 @@ class TraceHistogram:
     count: int | None = None
 
     @cached_property
-    def _columns(self) -> np.ndarray:
-        """The rows transposed to an (n, U) C-contiguous array."""
-        return np.ascontiguousarray(self.rows.T)
+    def _plan(self) -> _JumpPlan:
+        """The rows' 1-bits, laid out for the moment sweep."""
+        return _jump_plan(self.rows)
 
     @classmethod
     def from_batches(cls, batches, n: int, limit: int) -> "TraceHistogram":
@@ -225,10 +285,10 @@ class TraceHistogram:
         """Weighted means of g_1..g_{k_max} at z, and their Hermitian
         covariance over one trace, C[i, j] = E[(g_{i+1} - b_{i+1})
         conj(g_{j+1} - b_{j+1})]."""
-        G = _g_sweep(self._columns, z, k_max, params.p)
+        G = _g_sweep(self._plan, z, k_max, params.p)
         means = G @ self.weights
-        D = G - means[:, None]
-        return means, (D * self.weights) @ D.conj().T
+        G -= means[:, None]
+        return means, (G * self.weights) @ G.conj().T
 
 
 @dataclass

@@ -81,8 +81,10 @@ def test_estimate_rejects_malformed_trace_file(tmp_path, text):
         '{"n": "x", "support": ["10"], "weights": [1.0]}',  # n not an integer
         '{"n": 2, "support": ["10"], "weights": ["a"]}',  # weight not a number
         '{"n": 2, "support": ["10", "01"], "weights": [NaN, 1.0]}',  # NaN weight
+        '{"n": 2.7, "support": ["10"], "weights": [1.0]}',  # int() would read n = 2
+        '{"n": true, "support": ["1"], "weights": [1.0]}',  # int() would read n = 1
     ],
-    ids=["truncated", "bad-n", "bad-weight", "nan-weight"],
+    ids=["truncated", "bad-n", "bad-weight", "nan-weight", "fractional-n", "bool-n"],
 )
 @pytest.mark.parametrize("mode", ["simulate", "recover", "distinguish"])
 def test_dist_modes_reject_malformed_distribution_file(tmp_path, text, mode):

@@ -140,3 +140,14 @@ def test_distribution_json_roundtrip(tmp_path):
     assert set(obj) == {"n", "support", "weights"}
     with pytest.raises(ParameterError):
         SparseDistribution.from_json_dict({"n": 2, "support": ["101"], "weights": [1.0]})
+
+
+@pytest.mark.parametrize("n", [2.7, True, "3", float("nan"), float("inf")])
+def test_distribution_json_rejects_n_that_is_not_an_integer(n):
+    with pytest.raises(ParameterError):
+        SparseDistribution.from_json_dict({"n": n, "support": ["101"], "weights": [1.0]})
+
+
+def test_distribution_json_accepts_integral_float_n():
+    d = SparseDistribution.from_json_dict({"n": 3.0, "support": ["101"], "weights": [1.0]})
+    assert d.n == 3

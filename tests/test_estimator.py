@@ -129,6 +129,53 @@ def test_g_moments_sweep_matches_composition_sum(n, p):
             assert np.max(np.abs(cov - want_c)) <= 1e-12 * np.max(np.abs(want_c))
 
 
+def _assert_matches_oracle(hist, z, k_max, p):
+    means, cov = hist.g_moments(z, k_max, ProblemParams(hist.rows.shape[1], 3, p))
+    want_means, want_cov = g_moments_rows(hist.rows, hist.weights, z, k_max, p)
+    assert np.all(np.abs(means - want_means) <= 1e-12 * np.abs(want_means))
+    assert np.max(np.abs(cov - want_cov)) <= 1e-12 * np.max(np.abs(want_cov))
+
+
+def test_jump_sweep_matches_composition_sum_on_edge_rows():
+    # padded channel rows (p = 0.3 leaves long trailing zero runs), then an
+    # all-zero row, a single 1 at position 1 and at position n, and an
+    # all-ones row, given in ascending order of 1-count where the sweep
+    # works in descending order: a sweep that did not restore the input
+    # order would pair each row's g with another row's weight
+    n, p = 16, 0.3
+    d = SparseDistribution((BitString.from_string("1101011101101011"),), (1.0,))
+    bits, _ = sample_trace_batch(d, ChannelConfig(p, 0), 40, np.random.default_rng(59))
+    edge = np.zeros((4, n), dtype=np.int8)
+    edge[1, 0] = edge[2, n - 1] = 1
+    edge[3] = 1
+    rows = np.concatenate([edge[:3], bits, edge[3:]])
+    rows = rows[np.argsort(rows.sum(axis=1), kind="stable")]
+    assert rows[:, n // 2 :].sum(axis=1).min() == 0  # some long trailing zero runs
+    hist = TraceHistogram(rows, np.random.default_rng(61).dirichlet(np.ones(len(rows))))
+    for z in (cmath.exp(-0.4j), cmath.exp(2.1j), 0.8 * cmath.exp(0.3j)):
+        _assert_matches_oracle(hist, z, 5, p)
+
+
+def test_jump_sweep_k_max_above_every_row_count():
+    rows = _rows((0, 1, 0, 0, 1, 0), (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0), (1, 1, 0, 1, 0, 0))
+    hist = TraceHistogram(rows, np.array([0.1, 0.2, 0.3, 0.4]))
+    for z in (cmath.exp(-1.1j), cmath.exp(0.5j)):
+        _assert_matches_oracle(hist, z, 6, 0.7)
+
+
+def test_g_batch_returns_values_in_input_row_order():
+    rng = np.random.default_rng(67)
+    X = rng.integers(0, 2, size=(25, 9)).astype(np.int8)
+    X[3] = 0
+    params = ProblemParams(9, 2, 0.6)
+    z = cmath.exp(-0.7j)
+    for m in (1, 3):
+        got = g_batch(X, z, m, params)
+        for i, row in enumerate(X):
+            want, _ = g_moments_rows(row[None], np.ones(1), z, m, params.p)
+            assert abs(got[i] - want[m - 1]) <= 1e-12 * max(1.0, abs(want[m - 1]))
+
+
 def test_singular_point_rule_per_order():
     # at z = sqrt(q) only W(2) = (z^2 - q)/p vanishes: g_1 is defined, g_2 is not
     p, z = 0.75, 0.5 + 0j
@@ -234,6 +281,9 @@ def test_g_at_z_one_counts_retained_ones():
     rows = np.sort(rng.integers(0, 2, (20, 6)), axis=1)[:, ::-1]
     got = g_batch(rows, 1.0, 1, ProblemParams(6, 1, 0.3))
     assert got == pytest.approx(rows.sum(axis=1) / 0.3)
+    # a real z (a Python float) for every order at once
+    hist = TraceHistogram(rows.astype(np.int8), np.full(len(rows), 1 / len(rows)))
+    _assert_matches_oracle(hist, 1.0, 3, 0.3)
 
 
 def test_g_exact_expectations_tiny_cases():
