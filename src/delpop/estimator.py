@@ -220,6 +220,23 @@ def _bit_batches(batches, n: int, limit: int):
     raise ParameterError(f"trace source exhausted after {total} of {limit} traces")
 
 
+_GATHER = np.uint64(0x8040201008040201)
+
+
+def _word_keys(rows: np.ndarray) -> np.ndarray:
+    """Integer keys of (U, 8) or (U, 16) 0/1 rows, their bits read most
+    significant first: one multiply and shift per 8-byte word."""
+    words = rows.view("<u8")
+    keys = words[:, 0] * _GATHER
+    keys >>= 56
+    if words.shape[1] == 2:
+        low = words[:, 1] * _GATHER
+        low >>= 56
+        keys <<= 8
+        keys |= low
+    return keys
+
+
 @dataclass(frozen=True)
 class TraceHistogram:
     """A trace sample reduced to its distinct padded rows.
@@ -250,18 +267,29 @@ class TraceHistogram:
         Rows of n <= 16 bits are counted: each row's key is its bits read
         as an unsigned integer, most significant first, and every batch is
         bincounted into one array of 2^n bins, so memory is O(2^n + one
-        batch).  Wider rows are sorted: each row's packed bytes are
+        batch).  The key reads each row, right-aligned in 8 or 16 bytes,
+        as one or two little-endian 8-byte words.  A word times
+        0x8040201008040201 moves byte i's bit to bit 63 - i of the
+        product, and no other term reaches those bits, so shifting the
+        product right by 56 leaves the word's 8 bits, first byte most
+        significant.  Wider rows are sorted: each row's packed bytes are
         right-aligned in the smallest unsigned integer of 1, 2, 4 or 8
         bytes that holds them and read big-endian, so the integer keys sort
         as the bytes do (rows wider than 64 bits keep a raw byte-string
         key), and memory is O(distinct rows + one batch)."""
         if n <= 16:
-            shifts = np.arange(n - 1, -1, -1)
-            powers = (1 << shifts).astype(np.uint8 if n <= 8 else np.uint16)
+            width = 8 if n <= 8 else 16
             bins = np.zeros(1 << n, dtype=np.int64)
             for batch in _bit_batches(batches, n, limit):
-                bins += np.bincount(batch.view(np.uint8) @ powers, minlength=len(bins))
+                if n < width:
+                    padded = np.zeros((len(batch), width), dtype=np.int8)
+                    padded[:, width - n :] = batch
+                    batch = padded
+                elif batch.strides[1] != 1:  # the word view needs contiguous rows
+                    batch = np.ascontiguousarray(batch)
+                bins += np.bincount(_word_keys(batch).view(np.int64), minlength=len(bins))
             keys = np.flatnonzero(bins)
+            shifts = np.arange(n - 1, -1, -1)
             rows, counts = (keys[:, None] >> shifts) & 1, bins[keys]
         else:
             width = (n + 7) // 8

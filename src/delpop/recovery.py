@@ -95,8 +95,9 @@ def recover_support_candidates(estimates: MomentEstimates, params: ProblemParams
 
 
 def _candidate(ell_prime, estimates, params):
-    """Solve sigma at every grid point, recover each sigma_k polynomial,
-    and factor.  Returns the support tuple or a failure string.
+    """Solve sigma at every grid point in one stacked call, recover each
+    sigma_k polynomial, and factor.  Returns the support tuple or a
+    failure string.
 
     Each point enters the coefficient solve with its own tolerance: the
     larger of a floor and a safety multiple of its predicted sigma error.
@@ -106,23 +107,16 @@ def _candidate(ell_prime, estimates, params):
     is numerically singular, or whose solve or predicted error is not
     finite, is left out: with exact moments its predicted error is 0, so
     only dropping it keeps its rounding noise out of the solve."""
-    rows, sigmas, stds = [], [], []
-    for i in range(len(estimates.grid)):
-        sys = HankelSystem.from_power_sums(estimates.means[i, : 2 * ell_prime])
-        sigma = solve_sigma(sys)
-        if sigma is None:
-            continue
-        cov = estimates.cov[i][: 2 * ell_prime - 1, : 2 * ell_prime - 1]
-        std = sigma_error_stds(sys, cov, estimates.count)
-        if np.all(np.isfinite(std)):
-            rows.append(i)
-            sigmas.append(sigma)
-            stds.append(std)
-    if not rows:
+    b = estimates.means[:, : 2 * ell_prime]
+    cov = estimates.cov[:, : 2 * ell_prime - 1, : 2 * ell_prime - 1]
+    sys = HankelSystem.from_power_sums(b)
+    sigmas = solve_sigma(sys)
+    stds = sigma_error_stds(sys, cov, estimates.count)
+    rows = np.isfinite(sigmas).all(axis=1) & np.isfinite(stds).all(axis=1)
+    if not rows.any():
         return "prony failed: every grid point's Hankel solve is singular or not finite"
-    zs = estimates.grid[rows]
-    sigmas = np.array(sigmas)
-    tols = np.maximum(COEFF_TOL, COEFF_SAFETY * np.array(stds))
+    zs, sigmas = estimates.grid[rows], sigmas[rows]
+    tols = np.maximum(COEFF_TOL, COEFF_SAFETY * stds[rows])
     polys = []
     for k in range(1, ell_prime + 1):
         try:

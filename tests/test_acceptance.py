@@ -108,7 +108,7 @@ def test_acceptance_3_prony_exactness_and_recurrence():
     for _ in range(100):
         lp = int(rng.integers(1, 6))
         u, a, b = _separated_instance(rng, lp)
-        sigma = solve_sigma(HankelSystem.from_power_sums(b))
+        [sigma] = solve_sigma(HankelSystem.from_power_sums([b]))
         for k in range(1, lp + 1):
             assert abs(sigma[k - 1] - elementary_symmetric(u, k)) <= 1e-9
         assert recurrence_check(b, sigma_to_recurrence(sigma)) <= 1e-10
@@ -121,17 +121,17 @@ def test_acceptance_4_robust_prony_bound():
     for _ in range(100):
         lp = int(rng.integers(1, 6))
         u, a, b = _separated_instance(rng, lp, min_sep=0.6, rad=(0.9, 1.3))
-        sys = HankelSystem.from_power_sums(b)
+        sys = HankelSystem.from_power_sums([b])
         V = np.array([[u[j] ** i for j in range(lp)] for i in range(lp)])
         smin_V = np.linalg.svd(V, compute_uv=False)[-1]
         gamma = min(1.0, smin_V / np.abs(u).max() ** lp)
-        smin_B = np.linalg.svd(sys.B_tilde, compute_uv=False)[-1]
+        smin_B = np.linalg.svd(sys.B_tilde[0], compute_uv=False)[-1]
         alpha = min(1.0, smin_B / gamma, float(a.min()))
-        w_exact = np.linalg.solve(sys.B_tilde, sys.v_tilde)
+        w_exact = np.linalg.solve(sys.B_tilde[0], sys.v_tilde[0])
         bound = alpha * gamma ** 2 * eta / (4 * lp ** 2)
         noise = bound * np.exp(1j * rng.uniform(0, 2 * math.pi, 2 * lp))
-        noisy = HankelSystem.from_power_sums(np.array(b) + noise)
-        w_tilde = np.linalg.solve(noisy.B_tilde, noisy.v_tilde)
+        noisy = HankelSystem.from_power_sums([np.array(b) + noise])
+        w_tilde = np.linalg.solve(noisy.B_tilde[0], noisy.v_tilde[0])
         assert float(np.linalg.norm(w_tilde - w_exact)) <= eta
 
 
@@ -141,11 +141,11 @@ def test_acceptance_5_gate_soundness():
     for _ in range(50):
         lp = int(rng.integers(1, 5))
         u, a, b = _separated_instance(rng, lp, min_sep=0.7, rad=(0.9, 1.2))
-        sys = HankelSystem.from_power_sums(b)
+        sys = HankelSystem.from_power_sums([b])
         V = np.array([[u[j] ** i for j in range(lp)] for i in range(lp)])
         alpha = float(a.min())
         beta = float(np.prod(a))
-        smin_B = np.linalg.svd(sys.B_tilde, compute_uv=False)[-1]
+        smin_B = np.linalg.svd(sys.B_tilde[0], compute_uv=False)[-1]
         # choose delta so |det V| >= delta and smin(V^T A V) >= alpha delta
         # hold with a factor-2 margin
         delta = min(1.0, abs(np.linalg.det(V)) / 2, smin_B / (2 * alpha))
@@ -153,8 +153,8 @@ def test_acceptance_5_gate_soundness():
         noise = (alpha * delta / (4 * lp)) * np.exp(
             1j * rng.uniform(0, 2 * math.pi, 2 * lp)
         )
-        noisy = HankelSystem.from_power_sums(np.array(b) + noise)
-        assert gate_stage(noisy, th) is None
+        noisy = HankelSystem.from_power_sums([np.array(b) + noise])
+        assert gate_stage(noisy, th) == [None]
     for _ in range(50):
         lp = int(rng.integers(2, 5))
         u = np.exp(1j * rng.uniform(0, 2 * math.pi, lp))
@@ -164,7 +164,8 @@ def test_acceptance_5_gate_soundness():
         b = np.array([complex((a * u ** k).sum()) for k in range(2 * lp)])
         th = PronyThresholds(0.25, 0.1, delta=0.05)
         noise = (0.25 * 0.05 / 100) * np.exp(1j * rng.uniform(0, 2 * math.pi, 2 * lp))
-        assert gate_stage(HankelSystem.from_power_sums(b + noise), th) is not None
+        [stage] = gate_stage(HankelSystem.from_power_sums([b + noise]), th)
+        assert stage is not None
 
 
 def test_acceptance_6_coefficient_recovery():

@@ -231,6 +231,27 @@ def test_histogram_stops_at_limit_inside_a_batch(n):
     assert hist.count == limit
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_histogram_word_keys_match_unique_rows(n):
+    # padded one-word (n < 8), exact one-word (8), padded two-word (9..15)
+    # and exact two-word (16) keys; unequal batches, a limit inside the
+    # last batch pulled, rows with leading zeros, a Fortran-ordered batch,
+    # which the 8-byte word view cannot take as is, and a row-strided one
+    rows, batches = _unequal_batches(n, [3, 1, 250, 40, 700], 100 + n)
+    rows[:30, : (n + 1) // 2] = 0
+    rows[30:40] = 0  # the batches are views of rows
+    batches[2] = np.asfortranarray(batches[2])
+    strided = np.repeat(batches[3], 2, axis=0)[::2]
+    assert not strided.flags.c_contiguous
+    batches[3] = strided
+    limit = len(rows) - 500
+    hist = TraceHistogram.from_batches(batches, n, limit)
+    want, counts = np.unique(rows[:limit], axis=0, return_counts=True)
+    assert np.array_equal(hist.rows, want)
+    assert np.array_equal(hist.weights, counts / limit)
+    assert hist.count == limit
+
+
 @pytest.mark.parametrize("n", [8, 16, 17])
 def test_histogram_source_exhausted_before_limit(n):
     rows, batches = _unequal_batches(n, [5, 40, 2], n)

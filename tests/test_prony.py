@@ -9,6 +9,7 @@ from delpop.core import ParameterError, SparseDistribution, BitString
 from delpop.core import ProblemParams
 from delpop.estimator import accumulate_moments, moments_from_values
 from delpop.core import power_sum
+from delpop.zgrid import arc_grid
 from delpop.prony import (
     HankelSystem,
     PronyThresholds,
@@ -33,13 +34,16 @@ def separated_instance(rng, lp, min_sep=0.6):
 
 
 def test_hankel_structure():
-    b = [1, 2, 3, 4]
-    sys = HankelSystem.from_power_sums(b)
+    # one (l', l') Hankel matrix and right-hand side per row of b-series
+    sys = HankelSystem.from_power_sums([[1, 2, 3, 4], [5, 6, 7, 8]])
     assert sys.ell_prime == 2
-    assert np.array_equal(sys.B_tilde, np.array([[1, 2], [2, 3]], dtype=complex))
-    assert np.array_equal(sys.v_tilde, np.array([3, 4], dtype=complex))
+    want_B = np.array([[[1, 2], [2, 3]], [[5, 6], [6, 7]]], dtype=complex)
+    assert np.array_equal(sys.B_tilde, want_B)
+    assert np.array_equal(sys.v_tilde, np.array([[3, 4], [7, 8]], dtype=complex))
     with pytest.raises(ParameterError):
-        HankelSystem.from_power_sums([1, 2, 3])
+        HankelSystem.from_power_sums([[1, 2, 3]])
+    with pytest.raises(ParameterError):  # no point axis
+        HankelSystem.from_power_sums([1, 2, 3, 4])
 
 
 def test_thresholds_validation():
@@ -54,10 +58,10 @@ def test_thresholds_validation():
 def test_gate_trivial_examples():
     th = PronyThresholds(0.5, 0.5, delta=0.5)
     # l' = 1, B = [1]: smin = 1 >= 0.1875, |det| = 1 >= 0.0625
-    assert gate_stage(HankelSystem.from_power_sums([1.0, 1.0]), th) is None
+    assert gate_stage(HankelSystem.from_power_sums([[1.0, 1.0]]), th) == [None]
     # all-zero b fails at the first (singular-value) stage
-    zero = HankelSystem.from_power_sums([0.0, 0.0, 0.0, 0.0])
-    assert gate_stage(zero, th) == "singular"
+    zero = HankelSystem.from_power_sums([[0.0, 0.0, 0.0, 0.0]])
+    assert gate_stage(zero, th) == ["singular"]
 
 
 def test_gate_duplicate_u_fails():
@@ -67,18 +71,20 @@ def test_gate_duplicate_u_fails():
     b = [complex((a * u ** k).sum()) for k in range(6)]
     noise = 1e-9 * np.exp(1j * rng.uniform(0, 2 * math.pi, 6))
     th = PronyThresholds(0.25, 0.02, delta=0.05)
-    assert gate_stage(HankelSystem.from_power_sums(b + noise), th) is not None
+    [stage] = gate_stage(HankelSystem.from_power_sums([b + noise]), th)
+    assert stage is not None
 
 
 def test_solve_sigma_single_component():
-    sigma = solve_sigma(HankelSystem.from_power_sums([1.0, 5.0]))
-    assert sigma == (pytest.approx(5.0),)
+    sigma = solve_sigma(HankelSystem.from_power_sums([[1.0, 5.0]]))
+    assert sigma.shape == (1, 1)
+    assert sigma[0, 0] == pytest.approx(5.0)
 
 
 def test_solve_sigma_two_component_example():
     # a = (0.5, 0.5), u = (1, 2): b = (1, 1.5, 2.5, 4.5), sigma = (3, 2)
-    sys = HankelSystem.from_power_sums([1.0, 1.5, 2.5, 4.5])
-    sigma = solve_sigma(sys)
+    sys = HankelSystem.from_power_sums([[1.0, 1.5, 2.5, 4.5]])
+    [sigma] = solve_sigma(sys)
     assert sigma[0] == pytest.approx(3.0)
     assert sigma[1] == pytest.approx(2.0)
     r = sigma_to_recurrence(sigma)
@@ -91,20 +97,27 @@ def test_solve_sigma_matches_elementary_symmetric():
     for _ in range(100):
         lp = int(rng.integers(1, 6))
         u, a, b = separated_instance(rng, lp)
-        sigma = solve_sigma(HankelSystem.from_power_sums(b))
+        [sigma] = solve_sigma(HankelSystem.from_power_sums([b]))
         for k in range(1, lp + 1):
             want = elementary_symmetric(u, k)
             assert abs(sigma[k - 1] - want) <= 1e-9
         assert recurrence_check(b, sigma_to_recurrence(sigma)) <= 1e-10
 
 
-def test_solve_sigma_singular_or_non_finite_returns_none():
-    assert solve_sigma(HankelSystem.from_power_sums([0.0, 0.0, 0.0, 0.0])) is None
+def test_solve_sigma_singular_or_non_finite_point_is_nan():
     # invertible in exact arithmetic, but singular to working precision
-    tiny = HankelSystem.from_power_sums([1.0, 1.0, 1.0 + 2.3e-16, 2.0])
-    assert np.linalg.det(tiny.B_tilde) != 0
-    assert solve_sigma(tiny) is None
-    assert solve_sigma(HankelSystem.from_power_sums([1.0, math.nan])) is None
+    tiny = [1.0, 1.0, 1.0 + 2.3e-16, 2.0]
+    assert np.linalg.det(HankelSystem.from_power_sums([tiny]).B_tilde[0]) != 0
+    # zero, nearly singular and non-finite B~ between two good points
+    good = [1.0, 1.5, 2.5, 4.5]
+    b = [good, [0.0, 0.0, 0.0, 0.0], tiny, [1.0, math.nan, 1.0, 1.0], good]
+    sigma = solve_sigma(HankelSystem.from_power_sums(b))
+    assert np.isnan(sigma[1:4]).all()
+    alone = solve_sigma(HankelSystem.from_power_sums([good]))
+    assert np.array_equal(sigma[[0, 4]], np.repeat(alone, 2, axis=0))
+    assert alone[0] == pytest.approx([3.0, 2.0])
+    # finite B~ and a non-finite right-hand side
+    assert np.isnan(solve_sigma(HankelSystem.from_power_sums([[1.0, math.nan]]))).all()
 
 
 def test_easy_matrix_factorization():
@@ -116,10 +129,11 @@ def test_easy_matrix_factorization():
         # V rows indexed by component: V[t, i] = u_t^i, so B = V^T A V
         V = np.array([[u[t] ** i for i in range(lp)] for t in range(lp)])
         A = np.diag(a)
-        sys = HankelSystem.from_power_sums(b)
-        assert np.allclose(sys.B_tilde, V.T @ A @ V, atol=1e-12 * max(1, np.abs(sys.B_tilde).max()))
+        sys = HankelSystem.from_power_sums([b])
+        B = sys.B_tilde[0]
+        assert np.allclose(B, V.T @ A @ V, atol=1e-12 * max(1, np.abs(B).max()))
         v = V.T @ A @ (u ** lp)
-        assert np.allclose(sys.v_tilde, v, atol=1e-12 * max(1, np.abs(v).max()))
+        assert np.allclose(sys.v_tilde[0], v, atol=1e-12 * max(1, np.abs(v).max()))
 
 
 def test_vandermonde_smallest_singular_value_bound():
@@ -145,8 +159,9 @@ def test_recurrence_check_examples():
 def _sigma_at(est, ell_prime, th):
     """Gate and solve the Hankel system of the first grid point: None when
     the gate rejects it."""
-    sys = HankelSystem.from_power_sums(est.means[0, : 2 * ell_prime])
-    return None if gate_stage(sys, th) is not None else solve_sigma(sys)
+    sys = HankelSystem.from_power_sums(est.means[:1, : 2 * ell_prime])
+    [stage] = gate_stage(sys, th)
+    return None if stage is not None else solve_sigma(sys)[0]
 
 
 def test_estimate_sigma_at_point_single_string():
@@ -202,9 +217,9 @@ def test_sigma_error_stds_match_replicate_spread():
     for _ in range(200):
         bits, _ = sample_trace_batch(d, ChannelConfig(0.8), count, rng)
         est = accumulate_moments([bits], grid, 3, params, count)
-        sys = HankelSystem.from_power_sums(est.means[1])
-        sigmas.append(solve_sigma(sys))
-        predicted.append(sigma_error_stds(sys, est.cov[1], count))
+        sys = HankelSystem.from_power_sums(est.means[1:])
+        sigmas.append(solve_sigma(sys)[0])
+        predicted.append(sigma_error_stds(sys, est.cov[1:], count)[0])
     sigmas = np.array(sigmas)
     empirical = np.sqrt(np.mean(np.abs(sigmas - sigmas.mean(axis=0)) ** 2, axis=0))
     for j in range(2):
@@ -218,5 +233,52 @@ def test_sigma_error_stds_zero_for_exact_moments():
         (BitString.from_string("110100"), BitString.from_string("011011")), (0.6, 0.4)
     )
     est = moments_from_values([cmath.exp(0.6j)], 3, lambda z, k: power_sum(d, z, k))
-    sys = HankelSystem.from_power_sums(est.means[0])
-    assert sigma_error_stds(sys, est.cov[0], est.count) == (0.0, 0.0)
+    sys = HankelSystem.from_power_sums(est.means)
+    assert sigma_error_stds(sys, est.cov, est.count).tolist() == [[0.0, 0.0]]
+
+
+def _per_point_reference(b, cov, count):
+    """sigma and its delta-method std at one point, by a dense solve and an
+    explicit inverse with the Jacobian built column by column."""
+    lp = len(b) // 2
+    B = np.array([[b[i + j] for j in range(lp)] for i in range(lp)])
+    v = np.array(b[lp:])
+    w = np.linalg.solve(B, v)
+    sigma = [(-1) ** (j - 1) * w[lp - j] for j in range(1, lp + 1)]
+    Binv = np.linalg.inv(B)
+    w = Binv @ v
+    J = np.empty((lp, 2 * lp - 1), dtype=complex)
+    for k in range(1, 2 * lp):
+        dv = np.array([1.0 if lp + i == k else 0.0 for i in range(lp)])
+        dB = np.array([[1.0 if i + j == k else 0.0 for j in range(lp)] for i in range(lp)])
+        J[:, k - 1] = Binv @ (dv - dB @ w)
+    var = np.einsum("ik,kl,il->i", J, cov, J.conj()).real / count
+    return np.array(sigma), np.sqrt(np.maximum(var, 0.0))[::-1]
+
+
+@pytest.mark.parametrize("ell_prime", [1, 2, 3])
+def test_stacked_solve_matches_per_point_reference(ell_prime):
+    # an acceptance-point estimate (n=8, l=2, p=0.9) up to b_5, with an
+    # all-zero row (exactly singular B~ at every l') and a NaN row spliced
+    # in among the 25 good points
+    d = SparseDistribution(
+        (BitString.from_string("10101010"), BitString.from_string("01010101")), (0.6, 0.4)
+    )
+    params = ProblemParams(8, 2, 0.9)
+    bits, _ = sample_trace_batch(d, ChannelConfig(0.9), 100_000, np.random.default_rng(3))
+    est = accumulate_moments([bits], arc_grid(0.23, 25), 5, params, len(bits))
+    bad = [7, 19]
+    means = np.insert(est.means, [7, 18], [[0.0] * 6, [1.0, math.nan] + [0.5] * 4], axis=0)
+    cov = np.insert(est.cov, [7, 18], est.cov[:2], axis=0)
+    b = means[:, : 2 * ell_prime]
+    cov = cov[:, : 2 * ell_prime - 1, : 2 * ell_prime - 1]
+    sys = HankelSystem.from_power_sums(b)
+    sigma = solve_sigma(sys)
+    std = sigma_error_stds(sys, cov, est.count)
+    assert sigma.shape == std.shape == (len(b), ell_prime)
+    dropped = ~(np.isfinite(sigma).all(axis=1) & np.isfinite(std).all(axis=1))
+    assert np.flatnonzero(dropped).tolist() == bad
+    for i in np.flatnonzero(~dropped):
+        want_sigma, want_std = _per_point_reference(b[i], cov[i], est.count)
+        assert np.allclose(sigma[i], want_sigma, rtol=1e-14, atol=0)
+        assert np.allclose(std[i], want_std, rtol=1e-14, atol=0)
