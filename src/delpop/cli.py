@@ -5,10 +5,13 @@ moment estimates), recover (end-to-end pipeline, on a trace file or on
 traces sampled from a distribution), distinguish (brute-force reference
 learner), oracle-check (estimator unbiasedness sweep).
 
-Options can come from a config file of `key = value` lines; flags win over
-the file.  Every run writes a manifest (config echo, seed, versions) next
-to its output.  Exit codes: 0 ok, 2 parameter error, 3 recovery failed,
-4 I/O error.
+Each subcommand takes only the options it reads (`_MODES`); any other is
+a parameter error.  A config file of `key = value` lines is read as the
+flags `--key=value`, ahead of the command line's own, so flags win over
+the file and a key the subcommand does not read is refused as its flag
+would be.  Every run writes a manifest (the options that ran, with the
+n, p and m it took from its input, seed, versions) next to its output.
+Exit codes: 0 ok, 2 parameter error, 3 recovery failed, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -23,17 +26,17 @@ import numpy as np
 
 from . import __name__ as _pkg
 from .core import (
+    BitString,
     ParameterError,
     ProblemParams,
     RecoveryFailedError,
     SparseDistribution,
+    eval_poly,
     load_distribution,
-    power_sum,
 )
 from .channel import ChannelConfig, read_trace_file, sample_trace_batch, write_trace_file
 from .estimator import accumulate_moments
 from .oracle import exact_g_expectation, exact_moments
-from .core import eval_poly, BitString
 from .recovery import (
     MarginError,
     RecoveryConfig,
@@ -49,9 +52,27 @@ EXIT_PARAMETER = 2
 EXIT_RECOVERY = 3
 EXIT_IO = 4
 
+# option -> (type, default, help); the manifest lists the options in this order
+_OPTIONS = {
+    "seed": (int, 0, "random seed; also the run's label in the manifest"),
+    "samples": (int, RecoveryConfig.sample_count, "number of traces to sample or use"),
+    "p": (float, 0.9, "retention probability of the deletion channel"),
+    "n": (int, 8, "string length"),
+    "ell": (int, 2, "sparsity bound; moment orders 1..2*ell - 1 are used"),
+    "eps": (float, 0.1, "target TV error; sets the weight pitch"),
+    "grid_points": (int, RecoveryConfig.grid_points, "odd number of grid points"),
+    "grid_spacing": (float, RecoveryConfig.grid_spacing, "grid spacing in radians"),
+    "out": (str, "out.json", "output file"),
+    "dist": (str, None, "distribution JSON file"),
+    "traces": (str, None, "trace file"),
+    "m": (int, 3, "highest moment order"),
+    "config": (str, None, "file of key = value lines; flags override"),
+}
 
-def _read_config_file(path) -> dict:
-    out = {}
+
+def _read_config_file(path) -> list:
+    """The `key = value` lines of a config file as `--key=value` flags."""
+    flags = []
     with open(path) as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
@@ -60,88 +81,44 @@ def _read_config_file(path) -> dict:
             if "=" not in line:
                 raise ParameterError(f"bad config line: {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            out[key.replace("-", "_")] = value
-    return out
+            if key == "config":
+                raise ParameterError("a config file cannot name another config file")
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="delpop", description=__doc__)
     sub = parser.add_subparsers(dest="mode", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value config file; flags override")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--samples", type=int, default=None)
-    common.add_argument("--p", type=float, default=None)
-    common.add_argument("--n", type=int, default=None)
-    common.add_argument("--ell", type=int, default=None)
-    common.add_argument("--eps", type=float, default=None)
-    common.add_argument("--grid-points", type=int, default=None)
-    common.add_argument("--grid-spacing", type=float, default=None)
-    common.add_argument("--out", default=None)
-    common.add_argument("--dist", help="distribution JSON file")
-    common.add_argument("--traces", help="trace file")
-    common.add_argument("--m", type=int, default=None, help="max moment order")
-
-    sub.add_parser("simulate", parents=[common])
-    sub.add_parser("estimate", parents=[common])
-    sub.add_parser("recover", parents=[common])
-    sub.add_parser("distinguish", parents=[common])
-    sub.add_parser("oracle-check", parents=[common])
+    for mode, (_, names) in _MODES.items():
+        mode_parser = sub.add_parser(mode, allow_abbrev=False)
+        for name in ("config", "out", "seed", *names):
+            kind, default, text = _OPTIONS[name]
+            mode_parser.add_argument(
+                "--" + name.replace("_", "-"), type=kind, default=default, help=text
+            )
+    # recover --traces takes p from the file's header, so a missing --p must show
+    sub.choices["recover"].set_defaults(p=None)
     return parser
 
 
-_DEFAULTS = {
-    "seed": 0,
-    "samples": RecoveryConfig.sample_count,
-    "p": None,  # 0.9, unless the mode reads p from a trace file
-    "n": None,  # 8 for oracle-check; every other mode reads n from its input
-    "ell": 2,
-    "eps": 0.1,
-    "grid_points": RecoveryConfig.grid_points,
-    "grid_spacing": RecoveryConfig.grid_spacing,
-    "out": "out.json",
-    "dist": None,
-    "traces": None,
-    "m": None,  # 3 for oracle-check; 2*ell - 1, the order the recovery needs, otherwise
-}
-
-_CASTS = {
-    **{k: type(v) for k, v in _DEFAULTS.items() if v is not None}, "p": float, "n": int, "m": int,
-}
-
-
-def _merge_options(args) -> dict:
-    opts = dict(_DEFAULTS)
+def _parse_options(argv) -> dict:
+    """Options of the mode argv[0] names: its defaults, then the --config
+    file's lines, then argv's own flags, each overriding the one before."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.config:
-        for key, raw in _read_config_file(args.config).items():
-            if key not in opts:
-                raise ParameterError(f"unknown config key {key!r}")
-            cast = _CASTS.get(key, str)
-            try:
-                opts[key] = cast(raw)
-            except ValueError:
-                raise ParameterError(f"config key {key!r}: {raw!r} is not a {cast.__name__}")
-    for key in opts:
-        val = getattr(args, key, None)
-        if val is not None:
-            opts[key] = val
-    if opts["p"] is None and not (opts["traces"] and args.mode in ("estimate", "recover")):
-        opts["p"] = 0.9
-    if args.mode == "oracle-check":
-        opts["n"] = 8 if opts["n"] is None else opts["n"]
-        opts["m"] = 3 if opts["m"] is None else opts["m"]
-    elif args.mode in ("estimate", "recover", "distinguish"):
-        m = 2 * opts["ell"] - 1
-        if opts["m"] is not None and opts["m"] != m:
-            raise ParameterError(f"m={opts['m']} differs from 2*ell - 1 = {m}, the order that runs")
-        opts["m"] = m
+        args = parser.parse_args([argv[0], *_read_config_file(args.config), *argv[1:]])
+    opts = vars(args)
+    if "ell" in opts:  # the modes that read ell use moment orders 1..2*ell - 1
+        opts["m"] = 2 * opts["ell"] - 1
     return opts
 
 
-def _manifest(opts, mode) -> dict:
+def _manifest(opts) -> dict:
     return {
-        "mode": mode,
-        "options": {k: v for k, v in opts.items()},
+        "mode": opts["mode"],
+        "options": {k: opts[k] for k in _OPTIONS if k in opts and k != "config"},
         "package": _pkg,
         "versions": {
             "python": sys.version.split()[0],
@@ -174,17 +151,10 @@ def emit_report(result: RecoveryResult, path) -> None:
             writer.writerows(points)
 
 
-def _take_n(opts, n: int, source: str) -> None:
-    """Record n of the input; an n given as a flag or config line must equal it."""
-    if opts["n"] is not None and opts["n"] != n:
-        raise ParameterError(f"n={opts['n']} differs from the {source}'s n={n}")
-    opts["n"] = n
-
-
 def _load_dist(opts) -> SparseDistribution:
-    """--dist, whose n any given n must equal."""
+    """--dist, whose n the manifest records."""
     d = load_distribution(opts["dist"])
-    _take_n(opts, d.n, "distribution file")
+    opts["n"] = d.n
     return d
 
 
@@ -200,17 +170,14 @@ def _cmd_simulate(opts) -> int:
 
 
 def _read_traces(opts):
-    """(p from the header, padded trace rows, traces to use) of --traces.
-    A p or n given as a flag or config line must equal the file's."""
+    """(p from the header, padded trace rows, traces to use) of --traces;
+    the manifest records the file's p and n."""
     header, traces = read_trace_file(opts["traces"])
     try:
         p = float(header["p"])
     except (KeyError, ValueError):
         raise ParameterError("trace file header must give a numeric p=")
-    if opts["p"] is not None and opts["p"] != p:
-        raise ParameterError(f"p={opts['p']} differs from the trace file's p={p}")
-    opts["p"] = p
-    _take_n(opts, traces.shape[1], "trace file")
+    opts["p"], opts["n"] = p, traces.shape[1]
     return p, traces, min(opts["samples"], len(traces))
 
 
@@ -218,7 +185,7 @@ def _cmd_estimate(opts) -> int:
     if not opts["traces"]:
         raise ParameterError("estimate requires --traces")
     p, traces, count = _read_traces(opts)
-    params = ProblemParams(n=traces.shape[1], ell=opts["ell"], p=p, eps=opts["eps"])
+    params = ProblemParams(n=traces.shape[1], ell=opts["ell"], p=p)
     grid = arc_grid(opts["grid_spacing"], opts["grid_points"])
     est = accumulate_moments([traces], grid, opts["m"], params, count)
     with open(opts["out"], "w") as fh:
@@ -238,12 +205,15 @@ def _cmd_recover(opts) -> int:
         seed=opts["seed"],
     )
     if opts["traces"]:
+        if opts["p"] is not None:
+            raise ParameterError("recover --traces takes p from the trace file's header")
         p, traces, count = _read_traces(opts)
-        params = ProblemParams(n=traces.shape[1], ell=opts["ell"], p=p, eps=opts["eps"])
+        params = ProblemParams(n=traces.shape[1], ell=opts["ell"], p=p)
         result = recover([traces], params, dataclasses.replace(config, sample_count=count))
     else:
         d = _load_dist(opts)
-        params = ProblemParams(n=d.n, ell=opts["ell"], p=opts["p"], eps=opts["eps"])
+        opts["p"] = _OPTIONS["p"][1] if opts["p"] is None else opts["p"]
+        params = ProblemParams(n=d.n, ell=opts["ell"], p=opts["p"])
         result = recover_from_channel(d, params, config)
     emit_report(result, opts["out"])
     return EXIT_OK
@@ -253,52 +223,52 @@ def _cmd_distinguish(opts) -> int:
     if not opts["dist"]:
         raise ParameterError("distinguish requires --dist")
     d = _load_dist(opts)
-    params = ProblemParams(n=d.n, ell=opts["ell"], p=opts["p"], eps=opts["eps"])
     grid = arc_grid(opts["grid_spacing"], opts["grid_points"])
     est = exact_moments(d, grid, opts["m"])
-    out = exhaustive_distinguisher(est, params)
+    out = exhaustive_distinguisher(est, d.n, opts["ell"], opts["eps"])
     _write_json(opts["out"], out.to_json_dict())
     return EXIT_OK
 
 
 def _cmd_oracle_check(opts) -> int:
-    """Unbiasedness sweep: max |E[g_m] - P^m| over random n-bit strings
-    (the exact oracle takes n <= 12)."""
+    """Unbiasedness sweep: max |E[g_k] - P^k| over random n-bit strings and
+    k = 1..m (the exact oracle takes n <= 12)."""
+    n, m = opts["n"], opts["m"]
+    if n < 1 or m < 1:
+        raise ParameterError(f"oracle-check needs n >= 1 and m >= 1, got n={n}, m={m}")
     rng = np.random.default_rng(opts["seed"])
-    n = opts["n"]
     zs = [complex(np.cos(t), np.sin(t)) for t in (-0.8, -0.35, 0.0, 0.35, 0.8)]
     worst = 0.0
     for _ in range(10):
         x = BitString(tuple(int(b) for b in rng.integers(0, 2, size=n)))
-        for m in range(1, opts["m"] + 1):
+        for k in range(1, m + 1):
             for z in zs:
-                got = exact_g_expectation(x, z, m, opts["p"])
-                want = eval_poly(x, z) ** m
+                got = exact_g_expectation(x, z, k, opts["p"])
+                want = eval_poly(x, z) ** k
                 worst = max(worst, abs(got - want))
     _write_json(opts["out"], {"n": n, "max_unbiasedness_deviation": worst})
     return EXIT_OK if worst <= 1e-8 else EXIT_RECOVERY
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "estimate": _cmd_estimate,
-    "recover": _cmd_recover,
-    "distinguish": _cmd_distinguish,
-    "oracle-check": _cmd_oracle_check,
+_GRID = ("grid_points", "grid_spacing")
+# mode -> (command, the options it reads besides config, out and seed)
+_MODES = {
+    "simulate": (_cmd_simulate, ("dist", "p", "samples")),
+    "estimate": (_cmd_estimate, ("traces", "ell", "samples", *_GRID)),
+    "recover": (_cmd_recover, ("traces", "dist", "p", "ell", "samples", *_GRID)),
+    "distinguish": (_cmd_distinguish, ("dist", "ell", "eps", *_GRID)),
+    "oracle-check": (_cmd_oracle_check, ("n", "m", "p")),
 }
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_PARAMETER if exc.code not in (0, None) else EXIT_OK
-    try:
-        opts = _merge_options(args)
-        code = _COMMANDS[args.mode](opts)
-        _write_json(str(opts["out"]) + ".manifest.json", _manifest(opts, args.mode))
+        opts = _parse_options(argv)
+        code = _MODES[opts["mode"]][0](opts)
+        _write_json(str(opts["out"]) + ".manifest.json", _manifest(opts))
         return code
+    except SystemExit as exc:  # argparse printed its usage error, or the help
+        return EXIT_OK if exc.code in (0, None) else EXIT_PARAMETER
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER

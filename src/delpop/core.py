@@ -10,7 +10,7 @@ equality and total-variation distance are canonical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ParameterError(ValueError):
@@ -41,8 +41,9 @@ WEIGHT_SUM_TOL = 1e-12
 class ProblemParams:
     """Instance parameters: string length n, sparsity bound ell, retention
     probability p (deletion probability q = 1 - p), target TV error eps.
-    Recovery does not read eps; the exhaustive distinguisher derives its
-    weight pitch from it."""
+    No function of the package reads eps; the field stays, validated,
+    because callers such as the benchmark harness, the envelope probe and
+    the tests construct ProblemParams with it."""
 
     n: int
     ell: int

@@ -272,11 +272,11 @@ class TraceHistogram:
         0x8040201008040201 moves byte i's bit to bit 63 - i of the
         product, and no other term reaches those bits, so shifting the
         product right by 56 leaves the word's 8 bits, first byte most
-        significant.  Wider rows are sorted: each row's packed bytes are
-        right-aligned in the smallest unsigned integer of 1, 2, 4 or 8
-        bytes that holds them and read big-endian, so the integer keys sort
-        as the bytes do (rows wider than 64 bits keep a raw byte-string
-        key), and memory is O(distinct rows + one batch)."""
+        significant.  Wider rows are sorted: each row's packed bytes (at
+        least 3) are right-aligned in the smallest unsigned integer of 4
+        or 8 bytes that holds them and read big-endian, so the integer
+        keys sort as the bytes do (rows wider than 64 bits keep a raw
+        byte-string key), and memory is O(distinct rows + one batch)."""
         if n <= 16:
             width = 8 if n <= 8 else 16
             bins = np.zeros(1 << n, dtype=np.int64)
@@ -293,7 +293,7 @@ class TraceHistogram:
             rows, counts = (keys[:, None] >> shifts) & 1, bins[keys]
         else:
             width = (n + 7) // 8
-            size = next((b for b in (1, 2, 4, 8) if b >= width), width)
+            size = next((b for b in (4, 8) if b >= width), width)
             wire = np.dtype(f">u{size}") if size <= 8 else np.dtype((np.void, size))
             native = wire.newbyteorder("=")  # sort and concatenate in native byte order
             keys = np.empty(0, dtype=native)
@@ -371,6 +371,8 @@ def moments_from_values(grid, k_max: int, value_fn) -> MomentEstimates:
     """Build MomentEstimates from a callable (z, k) -> complex (e.g. exact
     power sums, or a noisy wrapper in tests); the count is 1 and the
     covariances are zero."""
+    if k_max < 1:
+        raise ParameterError("k_max must be >= 1")
     grid = np.asarray(grid, dtype=complex)
     means = np.array(
         [[1.0] + [complex(value_fn(z, k)) for k in range(1, k_max + 1)] for z in grid.tolist()],

@@ -135,21 +135,3 @@ def sigma_error_stds(sys: HankelSystem, cov, count: int) -> np.ndarray:
     # w components map to sigma in reverse order (sigma_j from w_{l'+1-j})
     return np.sqrt(np.maximum(var, 0.0))[:, ::-1]
 
-
-def recurrence_check(b, r) -> float:
-    """Residual of b_{k+l} = sum_j r_j b_{k+l-j} over 0 <= k <= l-1."""
-    b = [complex(v) for v in b]
-    r = [complex(v) for v in r]
-    lp = len(r)
-    if len(b) != 2 * lp:
-        raise ParameterError("need len(b) = 2 * len(r)")
-    worst = 0.0
-    for k in range(lp):
-        pred = sum(r[j - 1] * b[k + lp - j] for j in range(1, lp + 1))
-        worst = max(worst, abs(b[k + lp] - pred))
-    return worst
-
-
-def sigma_to_recurrence(sigma) -> tuple:
-    """r_j = (-1)^(j-1) sigma_j."""
-    return tuple((-1) ** j * complex(s) if j % 2 else complex(s) for j, s in enumerate(sigma))

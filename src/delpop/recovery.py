@@ -11,8 +11,8 @@ support through the Prony/coefficient/factoring chain; failures are
 recorded rather than fatal, and the first candidate whose fitted mixture
 reproduces every moment estimate within the validation margin is
 returned.  Wrong guesses of l' are harmless: their candidates fail the
-validation.  `recover()` does not read `ProblemParams.eps`; only the
-reference `exhaustive_distinguisher` does.
+validation.  Nothing here reads `ProblemParams.eps`; the reference
+`exhaustive_distinguisher` takes the n, l and eps it reads as arguments.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import itertools
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import (
     BitString,
@@ -152,6 +151,11 @@ def fit_weights(support, estimates: MomentEstimates) -> list:
     Re/Im moment residual, each divided by its point's validation margin.
     The LP is feasible for every support; whether the fit is good enough
     is for `validate_candidate` to decide."""
+    # imported here, its only use: scipy.optimize more than doubles the
+    # package's import time and memory, which callers that fit no weights
+    # (the simulate, estimate, distinguish and oracle-check modes) skip
+    from scipy.optimize import linprog
+
     support = list(support)
     ns = len(support)
     if len(set(support)) != ns:
@@ -258,27 +262,30 @@ def recover_from_channel(
 
 def exhaustive_distinguisher(
     estimates: MomentEstimates,
-    params: ProblemParams,
+    n: int,
+    ell: int,
+    eps: float,
     weight_grid: float | None = None,
     margin: float = 1e-7,
 ) -> SparseDistribution:
     """Reference brute-force learner for tiny instances (n <= 8, l <= 2):
-    enumerate all supports of size <= l and find mixture weights matching
-    every moment estimate within margin.
+    enumerate all n-bit supports of size <= l and find mixture weights
+    matching every moment estimate within margin.  The weight pitch is
+    weight_grid, or eps / (4 l) if it is None.
 
     For a fixed pair of strings the moments are linear in the weight a, so
     the admissible a form an interval per constraint; the intersection over
     all (z, k) replaces an explicit scan of the weight grid, and the
     returned weight is snapped to the grid pitch when the snapped value
     stays admissible."""
-    if params.n > 8 or params.ell > 2:
-        raise ParameterError("exhaustive search limited to n <= 8, ell <= 2")
+    if not (1 <= n <= 8 and 1 <= ell <= 2):
+        raise ParameterError("exhaustive search limited to 1 <= n <= 8, 1 <= ell <= 2")
+    if not 0.0 < eps < 1.0:
+        raise ParameterError(f"eps must lie in (0,1), got {eps!r}")
     if margin < 0:
         raise ParameterError("margin must be nonnegative")
-    pitch = weight_grid if weight_grid is not None else params.eps / (4.0 * params.ell)
-    strings = [
-        BitString(bits) for bits in itertools.product((0, 1), repeat=params.n)
-    ]
+    pitch = weight_grid if weight_grid is not None else eps / (4.0 * ell)
+    strings = [BitString(bits) for bits in itertools.product((0, 1), repeat=n)]
     strings.sort()
     # one column per (point, k) constraint, one row per string
     M = _moment_powers(strings, estimates).reshape(-1, len(strings)).T
@@ -288,7 +295,7 @@ def exhaustive_distinguisher(
     if single.size:
         return SparseDistribution((strings[single[0]],), (1.0,))
 
-    if params.ell >= 2:
+    if ell >= 2:
         for si in range(len(strings) - 1):
             # every pair (si, sj > si) at once: |c a + d| <= margin per
             # constraint, with c = u_si^k - u_sj^k and d = u_sj^k - b

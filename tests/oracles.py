@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from delpop.core import BitString, SparseDistribution
+from delpop.core import BitString, ParameterError, SparseDistribution
 from delpop.estimator import composition_weights, compositions, multinomial
 
 
@@ -126,3 +126,23 @@ def elementary_symmetric(values, k):
     return sum(
         np.prod(c) for c in itertools.combinations([complex(v) for v in values], k)
     )
+
+
+def recurrence_check(b, r) -> float:
+    """Residual of the power-sum recurrence b_{k+l} = sum_j r_j b_{k+l-j}
+    over 0 <= k <= l-1."""
+    b = [complex(v) for v in b]
+    r = [complex(v) for v in r]
+    lp = len(r)
+    if len(b) != 2 * lp:
+        raise ParameterError("need len(b) = 2 * len(r)")
+    worst = 0.0
+    for k in range(lp):
+        pred = sum(r[j - 1] * b[k + lp - j] for j in range(1, lp + 1))
+        worst = max(worst, abs(b[k + lp] - pred))
+    return worst
+
+
+def sigma_to_recurrence(sigma) -> tuple:
+    """Recurrence coefficients r_j = (-1)^(j-1) sigma_j."""
+    return tuple((-1) ** j * complex(s) if j % 2 else complex(s) for j, s in enumerate(sigma))

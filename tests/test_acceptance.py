@@ -35,8 +35,6 @@ from delpop.prony import (
     HankelSystem,
     PronyThresholds,
     gate_stage,
-    recurrence_check,
-    sigma_to_recurrence,
     solve_sigma,
 )
 from delpop.recovery import RecoveryConfig, exhaustive_distinguisher, recover_from_channel
@@ -56,6 +54,8 @@ from oracles import (
     random_bitstring,
     random_distribution,
     random_support,
+    recurrence_check,
+    sigma_to_recurrence,
 )
 
 
@@ -261,9 +261,8 @@ def test_acceptance_10_exhaustive_distinguisher():
         support = random_support(rng, n, 2)
         a = float(rng.uniform(0.2, 0.8))
         d = SparseDistribution(support, (a, 1.0 - a))
-        params = ProblemParams(n, 2, 0.9, eps=0.25)
         est = exact_moments(d, grid, 3)
-        out = exhaustive_distinguisher(est, params)
+        out = exhaustive_distinguisher(est, n, 2, 0.25)
         assert tv_distance(out, d) <= 0.25
 
 

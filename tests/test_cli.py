@@ -187,14 +187,11 @@ def test_trace_modes_accept_p_equal_to_the_header(tmp_path, dist_file):
     traces = tmp_path / "traces.txt"
     run(["simulate", "--dist", str(dist_path), "--samples", "5000", "--p", "0.8",
          "--out", str(traces)])
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("p = 0.8\n")
     out = tmp_path / "m.json"
-    for extra in ([], ["--p", "0.80"], ["--config", str(cfg)]):
-        assert run(["estimate", "--traces", str(traces), "--out", str(out)] + extra) == EXIT_OK
-        # the manifest echoes the p the estimate ran at
-        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
-        assert manifest["options"]["p"] == 0.8
+    assert run(["estimate", "--traces", str(traces), "--out", str(out)]) == EXIT_OK
+    # the manifest echoes the p the estimate ran at
+    manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+    assert manifest["options"]["p"] == 0.8
 
 
 @pytest.mark.parametrize("mode", ["estimate", "recover-traces", "recover-dist"])
@@ -222,18 +219,14 @@ def test_input_modes_accept_n_equal_to_the_input(tmp_path):
     dist_path = tmp_path / "dist.json"
     save_distribution(d, dist_path)
     traces = tmp_path / "traces.txt"
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("n = 6\n")
-    for extra in ([], ["--n", "6"], ["--config", str(cfg)]):
-        assert run(["simulate", "--dist", str(dist_path), "--samples", "3000", "--out",
-                    str(traces)] + extra) == EXIT_OK
-        out = tmp_path / "m.json"
-        assert run(["estimate", "--traces", str(traces), "--ell", "1", "--out", str(out)]
-                   + extra) == EXIT_OK
-        # the manifests echo the n that ran, not the old default of 8
-        for path in (traces, out):
-            manifest = json.loads((tmp_path / f"{path.name}.manifest.json").read_text())
-            assert manifest["options"]["n"] == 6
+    assert run(["simulate", "--dist", str(dist_path), "--samples", "3000", "--out",
+                str(traces)]) == EXIT_OK
+    out = tmp_path / "m.json"
+    assert run(["estimate", "--traces", str(traces), "--ell", "1", "--out", str(out)]) == EXIT_OK
+    # the manifests echo the n that ran, not the old default of 8
+    for path in (traces, out):
+        manifest = json.loads((tmp_path / f"{path.name}.manifest.json").read_text())
+        assert manifest["options"]["n"] == 6
 
 
 def _one_string_inputs(tmp_path):
@@ -265,14 +258,11 @@ def test_moment_modes_reject_m_other_than_2_ell_minus_1(tmp_path, mode, source):
 @pytest.mark.parametrize("mode", ["estimate", "recover", "distinguish"])
 def test_moment_modes_accept_m_equal_to_2_ell_minus_1(tmp_path, mode):
     given = _one_string_inputs(tmp_path)[mode]
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("m = 1\n")
     out = tmp_path / "o.json"
-    for extra in ([], ["--m", "1"], ["--config", str(cfg)]):
-        assert run([mode, *given, "--ell", "1", "--out", str(out)] + extra) == EXIT_OK
-        # the manifest echoes the order that ran
-        manifest = json.loads((tmp_path / "o.json.manifest.json").read_text())
-        assert manifest["options"]["m"] == 1
+    assert run([mode, *given, "--ell", "1", "--out", str(out)]) == EXIT_OK
+    # the manifest echoes the order that ran
+    manifest = json.loads((tmp_path / "o.json.manifest.json").read_text())
+    assert manifest["options"]["m"] == 1
 
 
 def test_estimate_at_ell_3_runs_at_m_5_without_m(tmp_path):
@@ -282,6 +272,68 @@ def test_estimate_at_ell_3_runs_at_m_5_without_m(tmp_path):
     assert max(rec["k"] for rec in json.loads(out.read_text())) == 5
     manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
     assert manifest["options"]["m"] == 5
+
+
+def test_estimate_accepts_the_benchmark_argv(tmp_path):
+    given = _one_string_inputs(tmp_path)["estimate"]
+    out = tmp_path / "m.json"
+    argv = ["estimate", *given, "--ell", "3", "--samples", "20000", "--seed", "7",
+            "--out", str(out)]
+    assert run(argv) == EXIT_OK
+    assert all(rec["count"] == 20000 for rec in json.loads(out.read_text()))
+    manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+    assert manifest["options"]["seed"] == 7
+
+
+# the options each mode reads besides config, out and seed
+_MODE_OPTIONS = {
+    "simulate": {"dist", "p", "samples"},
+    "estimate": {"traces", "ell", "samples", "grid-points", "grid-spacing"},
+    "recover": {"traces", "dist", "p", "ell", "samples", "grid-points", "grid-spacing"},
+    "distinguish": {"dist", "ell", "eps", "grid-points", "grid-spacing"},
+    "oracle-check": {"n", "m", "p"},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_MODE_OPTIONS))
+def test_modes_refuse_options_they_do_not_read(tmp_path, mode):
+    inputs = _one_string_inputs(tmp_path)
+    dist, traces = inputs["distinguish"][1], inputs["estimate"][1]
+    # a run that succeeds, and a valid value for every option
+    given = {"simulate": ["--dist", dist, "--samples", "100"],
+             "estimate": ["--traces", traces, "--samples", "100", "--grid-points", "9"],
+             "recover": ["--traces", traces, "--ell", "1"],
+             "distinguish": ["--dist", dist, "--ell", "1"],
+             "oracle-check": ["--n", "4", "--m", "1", "--p", "0.5"]}[mode]
+    values = {"samples": "100", "p": "0.9", "n": "6", "ell": "1", "eps": "0.2",
+              "grid-points": "9", "grid-spacing": "0.4", "dist": dist, "traces": traces,
+              "m": "1"}
+    out = tmp_path / "o.json"
+    argv = [mode, *given, "--seed", "1", "--out", str(out)]
+    assert run(argv) == EXIT_OK
+    cfg = tmp_path / "run.cfg"
+    for option in sorted(set(values) - _MODE_OPTIONS[mode]):
+        out.unlink(missing_ok=True)
+        assert run(argv + [f"--{option}", values[option]]) == EXIT_PARAMETER, option
+        cfg.write_text(f"{option.replace('-', '_')} = {values[option]}\n")
+        assert run(argv + ["--config", str(cfg)]) == EXIT_PARAMETER, option
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("n, m", [("4", "0"), ("4", "-1"), ("-1", "1")])
+def test_oracle_check_rejects_n_or_m_below_1(tmp_path, n, m):
+    # at m < 1 no moment order would be checked, and a deviation of 0 reported
+    out = tmp_path / "oracle.json"
+    assert run(["oracle-check", "--n", n, "--m", m, "--out", str(out)]) == EXIT_PARAMETER
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [["--ell", "0"], ["--ell", "3"], ["--eps", "0"]])
+def test_distinguish_rejects_parameters_it_cannot_run(tmp_path, extra):
+    dist = _one_string_inputs(tmp_path)["distinguish"]
+    out = tmp_path / "o.json"
+    assert run(["distinguish", *dist, *extra, "--out", str(out)]) == EXIT_PARAMETER
+    assert not out.exists()
 
 
 def test_oracle_check_defaults_m_to_3(tmp_path):
@@ -322,7 +374,7 @@ def test_config_rejects_uncastable_value(tmp_path, dist_file, capsys):
     code = run(["simulate", "--dist", str(dist_path), "--config", str(cfg),
                 "--out", str(tmp_path / "o")])
     assert code == EXIT_PARAMETER
-    assert "'samples'" in capsys.readouterr().err
+    assert "--samples" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("points, spacing", [("24", "0.23"), ("61", "0.23"), ("9", "0")])

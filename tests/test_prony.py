@@ -14,12 +14,10 @@ from delpop.prony import (
     HankelSystem,
     PronyThresholds,
     gate_stage,
-    recurrence_check,
     sigma_error_stds,
-    sigma_to_recurrence,
     solve_sigma,
 )
-from oracles import elementary_symmetric
+from oracles import elementary_symmetric, recurrence_check, sigma_to_recurrence
 
 
 def separated_instance(rng, lp, min_sep=0.6):

@@ -4,6 +4,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from delpop.core import (
     BitString,
@@ -172,7 +173,7 @@ def test_fit_weights_solver_failure_is_internal_error(monkeypatch):
     d = SparseDistribution((BitString.from_string("1010"),), (1.0,))
     est = exact_moments(d, default_grid(), 1)
     failed = types.SimpleNamespace(success=False, message="numerical trouble")
-    monkeypatch.setattr(recovery, "linprog", lambda *args, **kwargs: failed)
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
     with pytest.raises(InternalInconsistencyError):
         fit_weights(d.support, est)
 
@@ -295,10 +296,9 @@ def test_small_p_moment_estimates_are_unbiased():
 
 def test_exhaustive_distinguisher_exact_single():
     d = SparseDistribution((BitString.from_string("0110"),), (1.0,))
-    params = ProblemParams(4, 2, 0.9, eps=0.25)
     grid = arc_grid(0.4, 9)
     est = exact_moments(d, grid, 3)
-    out = exhaustive_distinguisher(est, params)
+    out = exhaustive_distinguisher(est, 4, 2, 0.25)
     assert out == d
 
 
@@ -306,10 +306,9 @@ def test_exhaustive_distinguisher_exact_pair():
     d = SparseDistribution(
         (BitString.from_string("1000"), BitString.from_string("1110")), (0.77, 0.23)
     )
-    params = ProblemParams(4, 2, 0.9, eps=0.25)
     grid = arc_grid(0.4, 9)
     est = exact_moments(d, grid, 3)
-    out = exhaustive_distinguisher(est, params)
+    out = exhaustive_distinguisher(est, 4, 2, 0.25)
     assert tv_distance(out, d) <= 0.25
 
 
@@ -318,19 +317,17 @@ def test_exhaustive_distinguisher_margin_zero_with_noise():
     d = SparseDistribution(
         (BitString.from_string("100"), BitString.from_string("011")), (0.5, 0.5)
     )
-    params = ProblemParams(3, 2, 0.9, eps=0.25)
     grid = arc_grid(0.4, 9)
     est = moments_from_values(
         grid, 3, lambda z, k: power_sum(d, z, k) + 1e-3 * (rng.normal() + 1j * rng.normal())
     )
     with pytest.raises(MarginError):
-        exhaustive_distinguisher(est, params, margin=0.0)
+        exhaustive_distinguisher(est, 3, 2, 0.25, margin=0.0)
 
 
 def test_exhaustive_distinguisher_guards():
-    params = ProblemParams(9, 2, 0.9)
     grid = arc_grid(0.4, 9)
     d = SparseDistribution((BitString((0,) * 9),), (1.0,))
     est = exact_moments(d, grid, 3)
     with pytest.raises(ParameterError):
-        exhaustive_distinguisher(est, params)
+        exhaustive_distinguisher(est, 9, 2, 0.1)
