@@ -171,14 +171,15 @@ def _cmd_simulate(opts) -> int:
 
 def _read_traces(opts):
     """(p from the header, padded trace rows, traces to use) of --traces;
-    the manifest records the file's p and n."""
+    the manifest records the file's p and n and the traces used."""
     header, traces = read_trace_file(opts["traces"])
     try:
         p = float(header["p"])
     except (KeyError, ValueError):
         raise ParameterError("trace file header must give a numeric p=")
     opts["p"], opts["n"] = p, traces.shape[1]
-    return p, traces, min(opts["samples"], len(traces))
+    opts["samples"] = min(opts["samples"], len(traces))
+    return p, traces, opts["samples"]
 
 
 def _cmd_estimate(opts) -> int:

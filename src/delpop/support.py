@@ -4,21 +4,23 @@ Each string x maps to the integer y = P(2; x) = sum_i x_i 2^i — its own
 binary expansion shifted up one bit.  The recovered sigma_k evaluated at
 z = 2 are the elementary symmetric functions of the y's, so
 
-    prod_i (z - y_i) = z^l - Q_1(2) z^(l-1) + ... + (-1)^l Q_l(2)
+    f(z) = prod_i (z - y_i) = z^l - Q_1(2) z^(l-1) + ... + (-1)^l Q_l(2)
 
-is a monic integer polynomial with distinct nonnegative integer roots.
-Roots are recovered with exact big-integer arithmetic: each root found by
-a high-precision solver is rounded to the nearest integer, checked exactly
-by Horner's rule, and divided out exactly before the next root is sought.
-A rounded root that does not check, or a repeated root, means upstream
-recovery was wrong and is reported as corrupt input.
+is a monic integer polynomial with distinct nonnegative integer roots
+below 2^(n+1).  The roots are found in Python integers alone, largest
+first, by Newton's method from above.  All roots of f, f' and f'' lie at
+or below the largest root, so above it f is positive, increasing and
+convex: each Newton step x <- x - max(floor(f(x)/f'(x)), 1) stays at or
+above that integer root and reaches it exactly.  The root is divided out
+exactly and the search restarts from it on the quotient.  Input that
+breaks the promise — f(x) < 0, f'(x) <= 0 or x < 0 along the way, a
+repeated root, or no root within the step cap — was recovered wrongly
+upstream and is reported as corrupt.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import mpmath
 
 from .core import BitString, CorruptInputError, ParameterError
 from .coeffs import SymmetricPolynomial
@@ -110,36 +112,58 @@ def _deflate(coeffs, root):
     return quot
 
 
-def _approx_roots(coeffs):
-    """The roots of the polynomial with ascending integer coefficients
-    `coeffs`, each rounded to the nearest integer."""
-    bits = max(int(c).bit_length() for c in coeffs)
-    with mpmath.workdps(40 + bits):
-        roots = mpmath.polyroots(
-            [mpmath.mpf(c) for c in reversed(coeffs)], maxsteps=500, extraprec=200
-        )
-        return sorted(int(mpmath.nint(mpmath.re(r))) for r in roots)
+def _value_and_slope(coeffs, x: int):
+    """f(x) and f'(x), exactly, in one Horner pass over the ascending
+    coefficients `coeffs`."""
+    f = df = 0
+    for c in reversed(coeffs):
+        df = df * x + f
+        f = f * x + c
+    return f, df
+
+
+def _largest_root(coeffs, x: int, steps: int):
+    """The largest root of `coeffs` by at most `steps` integer Newton steps
+    down from x, which must be at or above it; None when the polynomial
+    shows that its roots are not all real with an integer largest root."""
+    for _ in range(steps):
+        if x < 0:
+            return None
+        f, df = _value_and_slope(coeffs, x)
+        if f == 0:
+            return x
+        if f < 0 or df <= 0:
+            return None
+        x -= max(f // df, 1)
+    return None
 
 
 def integer_roots(poly: MonicIntegerPolynomial, n: int) -> EncodedSupport:
     """All roots of a monic polynomial promised to split into distinct
     linear factors over the nonnegative integers (each root < 2^(n+1)).
-    Each rounded approximate root in that range is checked exactly and
-    divided out; input that does not split so is corrupt."""
+
+    Roots come largest first.  Each search starts at the smaller of the
+    Cauchy bound 1 + max|c_i| and the last root found (2^(n+1) - 1 for the
+    first), so it can only find a root in range.  At degree d, f/f' is at
+    least 1/d of the distance to the largest root, so a step shrinks the
+    distance's excess over d to under 1 - 1/d of itself; below d + 1,
+    each step takes at least one off.  So d * (n + 2) + 1 steps, d times
+    the bit length of 2^(n+1) plus one, always suffice; input that does
+    not split so is corrupt."""
     coeffs = list(poly.coeffs)
     limit = 1 << (n + 1)
+    hi = limit - 1
     roots = []
     while len(coeffs) > 1:
-        found = next(
-            (y for y in _approx_roots(coeffs) if 0 <= y < limit and eval_int(coeffs, y) == 0),
-            None,
-        )
+        start = min(1 + max(abs(c) for c in coeffs[:-1]), hi)
+        found = _largest_root(coeffs, start, (len(coeffs) - 1) * limit.bit_length() + 1)
         if found is None:
             raise CorruptInputError("no exact integer root located; upstream recovery wrong")
         if found in roots:
             raise CorruptInputError("repeated root; support strings must be distinct")
         roots.append(found)
         coeffs = _deflate(coeffs, found)
+        hi = found
     return EncodedSupport(tuple(sorted(roots)))
 
 

@@ -154,6 +154,28 @@ def test_recover_from_trace_file(tmp_path):
     assert payload["config"]["sample_count"] == 100000
 
 
+@pytest.mark.parametrize("mode", ["estimate", "recover"])
+def test_trace_modes_record_the_traces_that_ran(tmp_path, mode):
+    # --samples beyond the file's 200 traces runs on all 200, and the
+    # manifest says 200
+    d = SparseDistribution((BitString.from_string("101101"),), (1.0,))
+    dist_path = tmp_path / "dist.json"
+    save_distribution(d, dist_path)
+    traces = tmp_path / "traces.txt"
+    assert run(["simulate", "--dist", str(dist_path), "--samples", "200", "--out",
+                str(traces)]) == EXIT_OK
+    out = tmp_path / "o.json"
+    argv = [mode, "--traces", str(traces), "--ell", "1", "--samples", "500", "--out", str(out)]
+    assert run(argv) == EXIT_OK
+    manifest = json.loads((tmp_path / "o.json.manifest.json").read_text())
+    assert manifest["options"]["samples"] == 200
+    payload = json.loads(out.read_text())
+    if mode == "estimate":
+        assert all(rec["count"] == 200 for rec in payload)
+    else:
+        assert payload["config"]["sample_count"] == 200
+
+
 def test_recover_takes_exactly_one_source(tmp_path, dist_file):
     _, dist_path = dist_file
     traces = tmp_path / "traces.txt"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from delpop import support
 from delpop.coeffs import SymmetricPolynomial
 from delpop.core import BitString, CorruptInputError, ParameterError
 from delpop.support import (
@@ -126,3 +127,81 @@ def test_full_roundtrip_random_sets():
         char = assemble_char_poly(sigmas)
         enc = integer_roots(char, n)
         assert decode_support(enc, n) == support
+
+
+def _poly_with_roots(roots):
+    """Ascending coefficients of prod (z - r)."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [0] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= r * coeffs[i + 1]
+    return MonicIntegerPolynomial(tuple(coeffs))
+
+
+def _step_cap(degree, n):
+    """Newton steps integer_roots may take over all roots of a degree-d
+    polynomial: d' * (n + 2) + 1 for the quotient of each degree d'."""
+    return sum(d * (n + 2) + 1 for d in range(1, degree + 1))
+
+
+@pytest.fixture
+def newton_steps(monkeypatch):
+    """Counts the exact evaluations integer_roots makes, one per step."""
+    steps = [0]
+    evaluate = support._value_and_slope
+
+    def counted(coeffs, x):
+        steps[0] += 1
+        return evaluate(coeffs, x)
+
+    monkeypatch.setattr(support, "_value_and_slope", counted)
+    return steps
+
+
+def test_integer_roots_returns_the_encodings_it_was_built_from(newton_steps):
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        n = int(rng.integers(1, 65))
+        lp = int(rng.integers(1, min(6, 2 ** n) + 1))
+        encodings = sorted(encode_string(x) for x in random_support(rng, n, lp))
+        newton_steps[0] = 0
+        got = integer_roots(_poly_with_roots(encodings), n)
+        assert got.encodings == tuple(encodings)
+        assert newton_steps[0] <= _step_cap(lp, n)
+
+
+_NO_ROOT = "no exact integer root"
+
+
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        ((1, 0, 1), _NO_ROOT),  # z^2 + 1: no real root
+        ((7, -6, 1), _NO_ROOT),  # irrational roots 3 +- sqrt(2)
+        ((-32, 1), _NO_ROOT),  # root 2^(n+1)
+        ((4, 1), _NO_ROOT),  # negative root
+        ((4, -4, 1), "repeated root"),  # (z - 2)^2
+        ((-4, 1, -4, 1), _NO_ROOT),  # (z - 4)(z^2 + 1)
+    ],
+)
+def test_integer_roots_stops_on_corrupt_input_within_the_step_cap(coeffs, message, newton_steps):
+    n = 4
+    with pytest.raises(CorruptInputError, match=message):
+        integer_roots(MonicIntegerPolynomial(coeffs), n)
+    assert newton_steps[0] <= _step_cap(len(coeffs) - 1, n)
+
+
+def test_integer_roots_fails_after_dividing_out_the_integer_root(monkeypatch):
+    # (z - 4)(z^2 + 1): 4 is found and divided out, then z^2 + 1 fails
+    quotients = []
+    deflate = support._deflate
+
+    def recorded(coeffs, root):
+        quotients.append(deflate(coeffs, root))
+        return quotients[-1]
+
+    monkeypatch.setattr(support, "_deflate", recorded)
+    with pytest.raises(CorruptInputError, match="no exact integer root"):
+        integer_roots(MonicIntegerPolynomial((-4, 1, -4, 1)), 4)
+    assert quotients == [[1, 0, 1]]
