@@ -3,8 +3,9 @@
 The pipeline: unbiased moment estimators evaluated on a complex grid,
 a conditioned Hankel (Prony) solve for elementary symmetric polynomial
 values, recovery of their integer coefficients by weighted least squares
-and rounding, and exact
-integer factoring to read the support strings back out.
+and rounding, exact integer factoring to read the support strings back
+out, and one least-squares fit of the mixture weights, kept only if it
+reproduces every moment estimate.
 """
 
 from .core import (

@@ -29,11 +29,6 @@ class CorruptInputError(RuntimeError):
     """Structured input violates a guaranteed property (upstream bug)."""
 
 
-class InternalInconsistencyError(RuntimeError):
-    """A certified precondition failed downstream (e.g. the weight LP, feasible
-    by construction, reported failure)."""
-
-
 WEIGHT_SUM_TOL = 1e-12
 
 

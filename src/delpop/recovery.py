@@ -25,7 +25,6 @@ import numpy as np
 from .core import (
     BitString,
     CorruptInputError,
-    InternalInconsistencyError,
     ParameterError,
     ProblemParams,
     RecoveryFailedError,
@@ -147,39 +146,29 @@ def _validation_margin(estimates: MomentEstimates) -> np.ndarray:
 
 
 def fit_weights(support, estimates: MomentEstimates) -> list:
-    """Mixture weights a_i >= 0 with sum a_i = 1 that minimize the worst
-    Re/Im moment residual, each divided by its point's validation margin.
-    The LP is feasible for every support; whether the fit is good enough
-    is for `validate_candidate` to decide."""
-    # imported here, its only use: scipy.optimize more than doubles the
-    # package's import time and memory, which callers that fit no weights
-    # (the simulate, estimate, distinguish and oracle-check modes) skip
-    from scipy.optimize import linprog
-
+    """Mixture weights with sum a_i = 1 that minimize the sum over every
+    grid point and k of |model - estimate|^2 / margin^2, the squared form
+    of the residual `validate_candidate` checks.  Setting the last weight
+    to 1 - sum of the others leaves one least-squares solve over the
+    stacked real and imaginary rows.  The weights are not bounded below:
+    a string that does not fit may get a negative weight, which
+    `_build_distribution` drops; whether the fit is good enough is for
+    `validate_candidate` to decide."""
     support = list(support)
-    ns = len(support)
-    if len(set(support)) != ns:
+    if len(set(support)) != len(support):
         raise ParameterError("support strings must be distinct")
     margin = _validation_margin(estimates)
-    coef = _moment_powers(support, estimates) / margin[:, :, None]
-    target = estimates.means[:, 1:] / margin
-    # per (point, k): the +Re, +Im, -Re and -Im residuals, each <= the slack
-    A = np.stack([coef.real, coef.imag, -coef.real, -coef.imag], axis=2).reshape(-1, ns)
-    b = np.stack([target.real, target.imag, -target.real, -target.imag], axis=2).ravel()
-    A_ub = np.hstack([A, -np.ones((len(A), 1))])
-    A_eq = np.append(np.ones(ns), 0.0).reshape(1, -1)
-    c = np.zeros(ns + 1)
-    c[-1] = 1.0
-    bounds = [(0.0, 1.0)] * ns + [(0.0, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b, A_eq=A_eq, b_eq=[1.0], bounds=bounds, method="highs")
-    if not res.success:
-        raise InternalInconsistencyError(f"weight LP failed: {res.message}")
-    return [float(a) for a in res.x[:-1]]
+    cols = (_moment_powers(support, estimates) / margin[:, :, None]).reshape(margin.size, -1)
+    A = cols[:, :-1] - cols[:, -1:]
+    b = (estimates.means[:, 1:] / margin).ravel() - cols[:, -1]
+    head = np.linalg.lstsq(np.vstack([A.real, A.imag]), np.append(b.real, b.imag), rcond=None)[0]
+    return [*head.tolist(), 1.0 - float(head.sum())]
 
 
 def _build_distribution(support, weights) -> SparseDistribution:
-    """The candidate mixture without weights at or below WEIGHT_FLOOR; at
-    most l weights sum to 1, so the largest, at least 1/l, always stays."""
+    """The candidate mixture without weights at or below WEIGHT_FLOOR,
+    negative ones included, rescaled to sum to 1; at most l weights sum
+    to 1, so the largest, at least 1/l, always stays."""
     pairs = [(x, a) for x, a in zip(support, weights) if a > WEIGHT_FLOOR]
     total = sum(a for _, a in pairs)
     return SparseDistribution(

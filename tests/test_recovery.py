@@ -1,14 +1,11 @@
 import dataclasses
 import math
-import types
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from delpop.core import (
     BitString,
-    InternalInconsistencyError,
     ParameterError,
     ProblemParams,
     RecoveryFailedError,
@@ -154,12 +151,19 @@ def test_support_candidates_single_string():
 
 
 def test_fit_weights_truth_feasible():
-    rng = np.random.default_rng(2)
-    d = random_distribution(rng, 5, 2)
-    est = exact_moments(d, default_grid(), 3)
-    w = fit_weights(d.support, est)
-    assert w == pytest.approx(list(d.weights), abs=1e-6)
-    assert validate_candidate(d, est) == pytest.approx(0.0, abs=1e-9)
+    # exact moments up to k_max = 2l - 1, for l = 1..6
+    for n, ell, seed in [(5, 2, 2), (6, 1, 0), (8, 3, 1), (10, 4, 2), (12, 5, 3), (12, 6, 4)]:
+        rng = np.random.default_rng(seed)
+        d = random_distribution(rng, n, ell)
+        est = exact_moments(d, default_grid(), 2 * ell - 1)
+        w = fit_weights(d.support, est)
+        assert w == pytest.approx(list(d.weights), abs=1e-6)
+        fitted = recovery._build_distribution(d.support, w)
+        assert fitted.support == d.support
+        # the moments reach 1e10 at l = 6, so float rounding alone leaves
+        # residuals of about 1e-16 of the largest one
+        rounding = 1e-14 * np.abs(est.means).max() / recovery.VALIDATION_ABS
+        assert validate_candidate(fitted, est) == pytest.approx(0.0, abs=rounding)
 
 
 def test_fit_weights_single_string():
@@ -168,14 +172,20 @@ def test_fit_weights_single_string():
     assert fit_weights(d.support, est) == pytest.approx([1.0])
 
 
-def test_fit_weights_solver_failure_is_internal_error(monkeypatch):
-    # the LP is feasible by construction, so a solver failure is a fault
-    d = SparseDistribution((BitString.from_string("1010"),), (1.0,))
-    est = exact_moments(d, default_grid(), 1)
-    failed = types.SimpleNamespace(success=False, message="numerical trouble")
-    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
-    with pytest.raises(InternalInconsistencyError):
-        fit_weights(d.support, est)
+def test_fit_weights_drops_a_string_outside_the_mixture():
+    # nothing bounds a weight below, so the extra string's weight lands
+    # near 0 from either side and is dropped before validation
+    d = SparseDistribution(
+        (BitString.from_string("110100"), BitString.from_string("011011")), (0.65, 0.35)
+    )
+    extra = BitString.from_string("101110")
+    est = exact_moments(d, default_grid(), 5)
+    w = fit_weights((*d.support, extra), est)
+    assert w[-1] <= recovery.WEIGHT_FLOOR
+    fitted = recovery._build_distribution((*d.support, extra), w)
+    assert fitted.support == d.support
+    assert fitted.weights == pytest.approx(d.weights, abs=1e-6)
+    assert validate_candidate(fitted, est) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_missing_heavy_string_fails_validation():
