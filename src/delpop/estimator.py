@@ -27,19 +27,30 @@ so that the factorials meet as binomials C(s, t) (and A_0 := 1):
 
 B_s[j] sums the chains whose first index is j with suffix value s there,
 and A_t[j] those starting after j, each weighted by W(t)^(distance from
-j).  A 0-bit only multiplies the state by W, so the sweep jumps from one
-1-bit to the next, last first.  With M = I + chain, where chain[s, t] =
-C(s, t) z^s / (p W(s)) for 1 <= t < s, and start[s] = z^s / (p W(s)),
-the state after the 1-bit at i, S = M A[i] + start, gives
+j).  On the augmented state v = (A_1..A_k, 1) each position is affine:
+with M = I + chain, where chain[s, t] = C(s, t) z^s / (p W(s)) for
+1 <= t < s, start[s] = z^s / (p W(s)) and D = diag(W(1..k), 1),
 
-    S <- M (W^(i - i') S) + start    from the 1-bit at i to the next one down, at i'
-    g  = W^(i_1) S                   at the first 1-bit i_1
+    v[j-1] = D v[j]                          if x~_j = 0
+    v[j-1] = D [[M, start], [0, 1]] v[j]     if x~_j = 1
 
-and an all-zero row has g = 0.  The work is one (k_max, k_max) matmul
-per 1-bit, not per position.  The rows are sorted by 1-count, most
-first, so the rows that still hold a 1-bit at each step are a prefix,
-and each step is one gather from a table of the powers W^d, one
-multiply, one matmul and one add on that prefix.
+and g = v[0] without its last entry.  So CHUNK = 4 positions at a time
+are one (k+1)-square transfer matrix, one per 4-bit pattern, and one
+matmul per pattern advances every row through a chunk.  Rows that end in
+the same chunks share their state up to there: the sweep runs over the
+rows' suffix trie, built once per histogram, whose level j holds the
+distinct (pattern of chunk j, node of level j + 1) pairs; its root is the
+zero state v = (0, 1), which a zero-padded partial last chunk and an
+all-zero suffix leave as it is.  A row's leaf is its node at chunk 0; the
+weights of the rows that share a leaf are summed, and the means and
+covariances are taken over the leaves.  Chunks of 4 bits cut the node
+steps per point of 2 x 10^4 distinct 48-bit rows from 365k (single bits)
+to 99k, and their 16 matrices stay cheap to build; wider chunks spend
+more on 2^CHUNK matrices per point than they save on short rows.  Several
+grid points share one pass on a leading stack axis, as many as keep
+points times widest-level nodes within STACK_ROWS = 2^14: a few distinct
+rows sweep the whole grid at once, while 10^4 or more keep one point per
+pass and two state buffers of about 2 MB.
 
 A point where some |W(s)| < 1e-12, s <= k_max, is singular for the
 estimator (the coefficients divide by it) and raises
@@ -112,87 +123,109 @@ def composition_weights(z: complex, parts, p: float):
     return w
 
 
-class _JumpPlan(NamedTuple):
-    """The 1-bits of a set of rows, laid out for `_g_sweep`.
-
-    `order` sorts the rows by their number of 1-bits, most first, so the
-    rows that still hold a 1-bit at step r are a prefix of that order.
-    `gaps[r - 1]` holds, for each such row, the distance from the 1-bit of
-    step r - 1 down to that of step r (step 0 is each row's last 1-bit);
-    `first` is each sorted row's first 1-bit position, 1-based, and 0 for
-    an all-zero row."""
-
-    n: int
-    order: np.ndarray
-    gaps: list
-    first: np.ndarray
-    active: int  # rows with at least one 1-bit
+CHUNK = 4  # trace positions per trie level, one transfer matrix per pattern; divides 8
+STACK_ROWS = 1 << 14  # grid points times widest-level nodes swept in one pass
 
 
-def _jump_plan(rows: np.ndarray) -> _JumpPlan:
-    """The `_JumpPlan` of a (U, n) 0/1 array."""
+class _TriePlan(NamedTuple):
+    """The suffix trie of a set of rows, laid out for `_g_sweep`.
+
+    The rows are cut into CHUNK-bit chunks, a partial last chunk read as
+    zero-padded.  Level j's nodes are the distinct pairs (pattern of chunk
+    j, node of level j + 1), numbered by pattern first; the last chunk's
+    nodes hang from one root, the zero state.  `levels` holds, from the
+    last chunk down to chunk 0, each level's parent indices and its
+    non-empty pattern ranges (pattern, lo, hi).  `leaf[i]` is row i's node
+    at chunk 0."""
+
+    levels: list
+    leaf: np.ndarray
+    width: int  # nodes on the widest level
+
+
+def _trie_plan(rows: np.ndarray) -> _TriePlan:
+    """The `_TriePlan` of a (U, n) 0/1 array."""
     U, n = rows.shape
-    ones = np.count_nonzero(rows, axis=1)
-    order = np.argsort(-ones, kind="stable")
-    rows = rows[order]
-    # step r >= 1 takes the rows with more than r 1-bits, stored from offsets[r - 1]
-    widths = U - np.cumsum(np.bincount(ones))[1:-1]
-    offsets = np.concatenate([[0], np.cumsum(widths)])
-    flat = np.empty(offsets[-1], dtype=np.min_scalar_type(n))
-    seen = np.zeros(U, dtype=np.intp)  # 1-bits met so far, last first
-    last = np.zeros(U, dtype=np.intp)  # 1-based position of the latest of them
-    for pos in range(n, 0, -1):
-        hit = np.flatnonzero(rows[:, pos - 1])
-        later = hit[seen[hit] > 0]
-        flat[offsets[seen[later] - 1] + later] = last[later] - pos
-        last[hit] = pos
-        seen[hit] += 1
-    gaps = [flat[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
-    return _JumpPlan(n, order, gaps, last, int(np.count_nonzero(seen)))
+    packed = np.packbits(rows, axis=1)  # CHUNK divides 8: no chunk spans two bytes
+    node, count = np.zeros(U, dtype=np.int32), 1
+    levels, width = [], 1
+    for lo in range((n - 1) // CHUNK * CHUNK, -1, -CHUNK):
+        pattern = packed[:, lo // 8] >> (8 - CHUNK - lo % 8) & (1 << CHUNK) - 1
+        key = pattern.astype(np.intp) * count + node  # (pattern, parent), pattern first
+        seen = np.zeros(count << CHUNK, dtype=bool)  # set entries: distinct keys in order, no sort
+        seen[key] = True
+        keys = np.flatnonzero(seen)
+        rank = np.empty(len(seen), dtype=np.int32)
+        rank[keys] = np.arange(len(keys))
+        node = rank[key]
+        bounds = np.cumsum(np.count_nonzero(seen.reshape(-1, count), axis=1)).tolist()
+        ranges = [(c, a, b) for c, (a, b) in enumerate(zip([0] + bounds, bounds)) if a < b]
+        levels.append(((keys % count).astype(np.int32), ranges))
+        count = len(keys)
+        width = max(width, count)
+    return _TriePlan(levels, node, width)
 
 
-def _g_sweep(plan: _JumpPlan, z: complex, k_max: int, p: float) -> np.ndarray:
-    """g_1..g_{k_max} as the rows of a (k_max, U) array, one column per row
-    of the plan's input, by the jump form of the backward sweep in the
-    module docstring."""
+def _transfer_matrices(zs: np.ndarray, k_max: int, p: float) -> np.ndarray:
+    """T[i, c]: the (k_max + 1)-square matrix that carries the augmented
+    state (A_1..A_k, 1) from the end of a chunk with bit pattern c back to
+    its start, at zs[i]: the product over the chunk of D = diag(W, 1) per
+    0-bit and D [[M, start], [0, 1]] per 1-bit."""
+    q = 1.0 - p
+    zpow = zs[:, None] ** np.arange(1, k_max + 1)
+    W = (zpow - q) / p
+    singular = np.argwhere(np.abs(W) < SINGULAR_TOL)
+    if len(singular):
+        i, s = singular[0].tolist()
+        raise SingularGridPointError(complex(zs[i]), s + 1)
+    # binom[s - 1, t] = C(s, t) for 0 <= t < s, and 0 for t >= s
+    binom = np.array([[math.comb(s, t) if t < s else 0 for t in range(k_max + 1)]
+                      for s in range(1, k_max + 1)])
+    phi = (zpow / (p * W))[:, :, None] * binom  # phi[i, s - 1, t] = C(s, t) z^s / (p W(s))
+    diag = np.arange(k_max)
+    E = np.zeros((len(zs), 2, k_max + 1, k_max + 1), dtype=complex)
+    E[:, :, k_max, k_max] = 1
+    E[:, 0, diag, diag] = W
+    E[:, 1, :k_max, :k_max] = phi[:, :, 1:]  # M = I + chain
+    E[:, 1, diag, diag] += 1
+    E[:, 1, :k_max, k_max] = phi[:, :, 0]  # start
+    E[:, 1, :k_max] *= W[:, :, None]
+    T = E  # T[:, c] for patterns c of one more bit per step, first bit most significant
+    for _ in range(CHUNK - 1):
+        T = (T[:, :, None] @ E[:, None, :]).reshape(len(zs), -1, k_max + 1, k_max + 1)
+    return T
+
+
+def _g_sweep(plan: _TriePlan, zs: np.ndarray, k_max: int, p: float) -> np.ndarray:
+    """The augmented states (g_1..g_{k_max}, 1) of every leaf of the plan
+    at every point of the 1-D array zs, as the columns of a (len(zs),
+    k_max + 1, leaves) array, by the trie form of the backward sweep in the
+    module docstring.  Nodes lie along the last axis, so each matmul is a
+    small square matrix times a wide block: with nodes along the middle
+    axis (tall blocks) the sweep ran no faster, and OpenBLAS's threaded
+    path raised the peak RSS of 2 x 10^4 distinct 48-bit rows by 0.6 MB."""
     if k_max < 1:
         raise ParameterError("m must be >= 1")
-    q = 1.0 - p
-    W = np.array([(z ** s - q) / p for s in range(1, k_max + 1)], dtype=complex)
-    for s, w in enumerate(W.tolist(), 1):
-        if abs(w) < SINGULAR_TOL:
-            raise SingularGridPointError(z, s)
-    # phi[s - 1, t] = C(s, t) z^s / (p W(s)) for 0 <= t < s, and 0 for t >= s
-    phi = np.array(
-        [[math.comb(s, t) * z ** s / (p * w) if t < s else 0 for t in range(k_max + 1)]
-         for s, w in enumerate(W.tolist(), 1)],
-        dtype=complex,
-    )
-    start, M = phi[:, :1], np.eye(k_max) + phi[:, 1:]
-    # powers[:, d] = W^d for 0 <= d <= n, by repeated multiplication
-    powers = np.ones((k_max, plan.n + 1), dtype=complex)
-    powers[:, 1:] = W[:, None]
-    np.cumprod(powers, axis=1, out=powers)
-    U = len(plan.order)
-    A = np.zeros((k_max, U), dtype=complex)
-    A[:, : plan.active] = start
-    buf = np.empty(k_max * U, dtype=complex)  # C-contiguous (k_max, u) prefixes
+    T = _transfer_matrices(zs, k_max, p)
+    shape = (len(zs), k_max + 1, -1)
+    size = len(zs) * plan.width * (k_max + 1)
+    states, parents = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    state = states[: len(zs) * (k_max + 1)].reshape(shape)
+    state[:] = np.eye(k_max + 1)[:, k_max:]  # the root: (A_1..A_k, 1) = (0, 1) after the last bit
     # every index is in range; mode="clip" lets take write into `out` unbuffered
-    for gap in plan.gaps:
-        u = len(gap)
-        Wd = np.take(powers, gap, axis=1, out=buf[: k_max * u].reshape(k_max, u), mode="clip")
-        Wd *= A[:, :u]
-        np.matmul(M, Wd, out=A[:, :u])
-        A[:, :u] += start
-    G = np.take(powers, plan.first, axis=1, out=buf.reshape(k_max, U), mode="clip")
-    G *= A
-    A[:, plan.order] = G
-    return A
+    for parent, ranges in plan.levels:
+        used = len(zs) * len(parent) * (k_max + 1)
+        gathered = np.take(state, parent, axis=2, out=parents[:used].reshape(shape), mode="clip")
+        state = states[:used].reshape(shape)
+        for c, a, b in ranges:
+            np.matmul(T[:, c], gathered[:, :, a:b], out=state[:, :, a:b])
+    return state
 
 
 def g_batch(X: np.ndarray, z: complex, m: int, params: ProblemParams) -> np.ndarray:
     """g_m(x~, z) for each trace row of X."""
-    return _g_sweep(_jump_plan(np.asarray(X)), z, m, params.p)[m - 1]
+    plan = _trie_plan(np.asarray(X))
+    return _g_sweep(plan, np.array([z], dtype=complex), m, params.p)[0, m - 1, plan.leaf]
 
 
 def _bit_batches(batches, n: int, limit: int):
@@ -224,16 +257,18 @@ _GATHER = np.uint64(0x8040201008040201)
 
 
 def _word_keys(rows: np.ndarray) -> np.ndarray:
-    """Integer keys of (U, 8) or (U, 16) 0/1 rows, their bits read most
-    significant first: one multiply and shift per 8-byte word."""
-    words = rows.view("<u8")
-    keys = words[:, 0] * _GATHER
+    """Integer keys of C-contiguous (U, n) 0/1 rows, 8 <= n <= 16, their
+    bits read most significant first: each row is read as two overlapping
+    little-endian 8-byte words, its bytes 0..7 and n-8..n-1, and each word
+    gives its 8 bits by one multiply and shift."""
+    U, n = rows.shape
+    keys = np.ndarray((U,), "<u8", rows, 0, (n,)) * _GATHER
     keys >>= 56
-    if words.shape[1] == 2:
-        low = words[:, 1] * _GATHER
+    if n > 8:
+        low = np.ndarray((U,), "<u8", rows, n - 8, (n,)) * _GATHER
         low >>= 56
-        keys <<= 8
-        keys |= low
+        keys <<= n - 8
+        keys |= low  # the bits both words hold land on the same key bits
     return keys
 
 
@@ -251,9 +286,9 @@ class TraceHistogram:
     count: int | None = None
 
     @cached_property
-    def _plan(self) -> _JumpPlan:
-        """The rows' 1-bits, laid out for the moment sweep."""
-        return _jump_plan(self.rows)
+    def _plan(self) -> _TriePlan:
+        """The rows' suffix trie, laid out for the moment sweep."""
+        return _trie_plan(self.rows)
 
     @classmethod
     def from_batches(cls, batches, n: int, limit: int) -> "TraceHistogram":
@@ -267,8 +302,9 @@ class TraceHistogram:
         Rows of n <= 16 bits are counted: each row's key is its bits read
         as an unsigned integer, most significant first, and every batch is
         bincounted into one array of 2^n bins, so memory is O(2^n + one
-        batch).  The key reads each row, right-aligned in 8 or 16 bytes,
-        as one or two little-endian 8-byte words.  A word times
+        batch).  The key reads each row as two overlapping little-endian
+        8-byte words, its first and its last 8 bytes (a row of fewer than
+        8 bits is first right-aligned in 8 bytes).  A word times
         0x8040201008040201 moves byte i's bit to bit 63 - i of the
         product, and no other term reaches those bits, so shifting the
         product right by 56 leaves the word's 8 bits, first byte most
@@ -278,14 +314,15 @@ class TraceHistogram:
         keys sort as the bytes do (rows wider than 64 bits keep a raw
         byte-string key), and memory is O(distinct rows + one batch)."""
         if n <= 16:
-            width = 8 if n <= 8 else 16
             bins = np.zeros(1 << n, dtype=np.int64)
             for batch in _bit_batches(batches, n, limit):
-                if n < width:
-                    padded = np.zeros((len(batch), width), dtype=np.int8)
-                    padded[:, width - n :] = batch
+                if not len(batch):
+                    continue
+                if n < 8:
+                    padded = np.zeros((len(batch), 8), dtype=np.int8)
+                    padded[:, 8 - n :] = batch
                     batch = padded
-                elif batch.strides[1] != 1:  # the word view needs contiguous rows
+                elif not batch.flags.c_contiguous:  # the word views need contiguous rows
                     batch = np.ascontiguousarray(batch)
                 bins += np.bincount(_word_keys(batch).view(np.int64), minlength=len(bins))
             keys = np.flatnonzero(bins)
@@ -309,14 +346,20 @@ class TraceHistogram:
         total = int(counts.sum())
         return cls(rows.astype(np.int8), counts / total, total)
 
-    def g_moments(self, z: complex, k_max: int, params: ProblemParams):
+    def g_moments(self, z, k_max: int, params: ProblemParams):
         """Weighted means of g_1..g_{k_max} at z, and their Hermitian
         covariance over one trace, C[i, j] = E[(g_{i+1} - b_{i+1})
-        conj(g_{j+1} - b_{j+1})]."""
-        G = _g_sweep(self._plan, z, k_max, params.p)
-        means = G @ self.weights
-        G -= means[:, None]
-        return means, (G * self.weights) @ G.conj().T
+        conj(g_{j+1} - b_{j+1})].  z is one point or an array of them, and
+        the results gain its shape in front; one sweep serves them all."""
+        zs = np.asarray(z, dtype=complex)
+        states = _g_sweep(self._plan, zs.ravel(), k_max, params.p)
+        weights = np.bincount(self._plan.leaf, self.weights, states.shape[2])  # per leaf
+        means = states[:, :k_max] @ weights
+        D = states[:, :k_max] - means[:, :, None]
+        del states  # free the sweep's buffer before the weighted copy of D
+        Dw = D * weights
+        cov = Dw @ np.conjugate(D, out=D).transpose(0, 2, 1)
+        return means.reshape(zs.shape + (k_max,)), cov.reshape(zs.shape + (k_max, k_max))
 
 
 @dataclass
@@ -397,7 +440,9 @@ def accumulate_moments(
     as `zgrid.arc_grid` builds it: traces and channel parameters are real,
     so g_k(x~, conj(z)) is the conjugate of g_k(x~, z), and only the first
     half of the grid (the Im z <= 0 member of each pair on an arc) is
-    evaluated.  A singular grid point raises SingularGridPointError.
+    evaluated, in stacks of max(1, STACK_ROWS // nodes on the widest trie
+    level) points per sweep.  A singular grid point raises
+    SingularGridPointError.
     """
     if sample_count < 1:
         raise ParameterError("sample_count must be >= 1")
@@ -412,8 +457,10 @@ def accumulate_moments(
     cov = np.empty((P, k_max, k_max), dtype=complex)
     means[:, 0] = 1.0
     half = (P + 1) // 2
-    for i, z in enumerate(grid[:half].tolist()):
-        means[i, 1:], cov[i] = hist.g_moments(z, k_max, params)
+    stack = max(1, STACK_ROWS // hist._plan.width)
+    for i in range(0, half, stack):
+        j = min(i + stack, half)
+        means[i:j, 1:], cov[i:j] = hist.g_moments(grid[i:j], k_max, params)
     means[half:, 1:] = means[: P - half, 1:][::-1].conj()
     cov[half:] = cov[: P - half][::-1].conj()
     return MomentEstimates(grid, means, cov, hist.count)

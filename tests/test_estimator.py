@@ -6,7 +6,10 @@ import pytest
 
 from delpop.channel import ChannelConfig, sample_trace_batch
 from delpop.core import BitString, ParameterError, ProblemParams, SparseDistribution, eval_poly
+from delpop import estimator
 from delpop.estimator import (
+    CHUNK,
+    STACK_ROWS,
     SingularGridPointError,
     TraceHistogram,
     accumulate_moments,
@@ -109,14 +112,18 @@ def test_g_moments_k_max_above_n():
     assert cov == pytest.approx(want_cov, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 3, 16, 48])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 9, 13, 16, 17, 48])
 @pytest.mark.parametrize("p", [0.12, 0.3, 0.5, 0.9])
 def test_g_moments_sweep_matches_composition_sum(n, p):
-    # every k_max from 1 to 6 (above n for n = 1, 3), an all-zero row, and
-    # arc points and points inside and outside the unit circle
+    # every k_max from 1 to 6 (above n for n = 1, 3), full and partial last
+    # chunks, an all-zero row, rows that share every chunk but the first,
+    # and arc points and points inside and outside the unit circle
     rng = np.random.default_rng(n)
     rows = rng.integers(0, 2, size=(30, n)).astype(np.int8)
     rows[0] = 0
+    rows[1:17] = rows[1]
+    rows[1:17, :CHUNK] = ((np.arange(16)[:, None] >> np.arange(CHUNK - 1, -1, -1)) & 1)[:, :n]
+    rows = np.unique(rows, axis=0)
     hist = TraceHistogram(rows, rng.dirichlet(np.ones(len(rows))))
     params = ProblemParams(n, 3, p)
     zs = (cmath.exp(-0.4j), cmath.exp(1.3j), 0.7 * cmath.exp(0.3j), 1.15 * cmath.exp(-1.1j), 0.5 + 0.2j)
@@ -136,12 +143,12 @@ def _assert_matches_oracle(hist, z, k_max, p):
     assert np.max(np.abs(cov - want_cov)) <= 1e-12 * np.max(np.abs(want_cov))
 
 
-def test_jump_sweep_matches_composition_sum_on_edge_rows():
+def test_sweep_matches_composition_sum_on_edge_rows():
     # padded channel rows (p = 0.3 leaves long trailing zero runs), then an
     # all-zero row, a single 1 at position 1 and at position n, and an
-    # all-ones row, given in ascending order of 1-count where the sweep
-    # works in descending order: a sweep that did not restore the input
-    # order would pair each row's g with another row's weight
+    # all-ones row, given in ascending order of 1-count where the trie
+    # numbers its leaves by pattern: a sweep that did not map each row to
+    # its leaf would pair each row's g with another row's weight
     n, p = 16, 0.3
     d = SparseDistribution((BitString.from_string("1101011101101011"),), (1.0,))
     bits, _ = sample_trace_batch(d, ChannelConfig(p, 0), 40, np.random.default_rng(59))
@@ -156,24 +163,43 @@ def test_jump_sweep_matches_composition_sum_on_edge_rows():
         _assert_matches_oracle(hist, z, 5, p)
 
 
-def test_jump_sweep_k_max_above_every_row_count():
+def test_sweep_k_max_above_every_row_count():
     rows = _rows((0, 1, 0, 0, 1, 0), (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0), (1, 1, 0, 1, 0, 0))
     hist = TraceHistogram(rows, np.array([0.1, 0.2, 0.3, 0.4]))
     for z in (cmath.exp(-1.1j), cmath.exp(0.5j)):
         _assert_matches_oracle(hist, z, 6, 0.7)
 
 
+def test_g_moments_stack_of_points_matches_one_point_at_a_time():
+    # one sweep over an array of points gives each point's single-point
+    # results, in the array's shape
+    rng = np.random.default_rng(211)
+    rows = np.unique(rng.integers(0, 2, size=(40, 11)).astype(np.int8), axis=0)
+    hist = TraceHistogram(rows, rng.dirichlet(np.ones(len(rows))))
+    params = ProblemParams(11, 3, 0.7)
+    zs = np.array([[cmath.exp(-1.2j), 0.9 + 0.1j, cmath.exp(0.3j)]])
+    means, cov = hist.g_moments(zs, 4, params)
+    assert means.shape == (1, 3, 4) and cov.shape == (1, 3, 4, 4)
+    for i, z in enumerate(zs[0].tolist()):
+        one_means, one_cov = hist.g_moments(z, 4, params)
+        assert np.all(np.abs(means[0, i] - one_means) <= 1e-12 * np.abs(one_means))
+        assert np.max(np.abs(cov[0, i] - one_cov)) <= 1e-12 * np.max(np.abs(one_cov))
+
+
 def test_g_batch_returns_values_in_input_row_order():
+    # duplicate rows share one trie leaf, which gives each of them its value
     rng = np.random.default_rng(67)
     X = rng.integers(0, 2, size=(25, 9)).astype(np.int8)
     X[3] = 0
+    X = np.concatenate([X, X[[3, 7, 3, 20]]])
     params = ProblemParams(9, 2, 0.6)
-    z = cmath.exp(-0.7j)
-    for m in (1, 3):
-        got = g_batch(X, z, m, params)
-        for i, row in enumerate(X):
-            want, _ = g_moments_rows(row[None], np.ones(1), z, m, params.p)
-            assert abs(got[i] - want[m - 1]) <= 1e-12 * max(1.0, abs(want[m - 1]))
+    for z in (cmath.exp(-0.7j), 1.1 * cmath.exp(0.4j)):
+        for m in (1, 3, 6):
+            got = g_batch(X, z, m, params)
+            assert got.shape == (len(X),)
+            for i, row in enumerate(X):
+                want, _ = g_moments_rows(row[None], np.ones(1), z, m, params.p)
+                assert abs(got[i] - want[m - 1]) <= 1e-12 * max(1.0, abs(want[m - 1]))
 
 
 def test_singular_point_rule_per_order():
@@ -193,9 +219,10 @@ def test_singular_point_rule_per_order():
         g_batch(X, z, 0, params)
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 48, 63, 64, 65, 100])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 10, 12, 15, 16, 17, 48, 63, 64, 65, 100])
 def test_histogram_rows_at_every_key_width(n):
-    # integer keys of 1, 2, 4 and 8 bytes, and byte-string keys above 64 bits
+    # integer keys of 1, 2, 4 and 8 bytes, byte-string keys above 64 bits,
+    # and the two overlapping word reads of 8 < n < 16
     rng = np.random.default_rng(n)
     distinct = rng.integers(0, 2, size=(25, n)).astype(np.int8)
     rows = distinct[rng.integers(0, len(distinct), size=400)]
@@ -233,10 +260,11 @@ def test_histogram_stops_at_limit_inside_a_batch(n):
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_histogram_word_keys_match_unique_rows(n):
-    # padded one-word (n < 8), exact one-word (8), padded two-word (9..15)
-    # and exact two-word (16) keys; unequal batches, a limit inside the
-    # last batch pulled, rows with leading zeros, a Fortran-ordered batch,
-    # which the 8-byte word view cannot take as is, and a row-strided one
+    # padded one-word (n < 8), exact one-word (8), overlapping two-word
+    # (9..15) and disjoint two-word (16) keys; unequal batches, an empty
+    # one, a limit inside the last batch pulled, rows with leading zeros, a
+    # Fortran-ordered batch, which the 8-byte word views cannot take as is,
+    # and a row-strided one
     rows, batches = _unequal_batches(n, [3, 1, 250, 40, 700], 100 + n)
     rows[:30, : (n + 1) // 2] = 0
     rows[30:40] = 0  # the batches are views of rows
@@ -244,6 +272,7 @@ def test_histogram_word_keys_match_unique_rows(n):
     strided = np.repeat(batches[3], 2, axis=0)[::2]
     assert not strided.flags.c_contiguous
     batches[3] = strided
+    batches.insert(1, rows[:0])
     limit = len(rows) - 500
     hist = TraceHistogram.from_batches(batches, n, limit)
     want, counts = np.unique(rows[:limit], axis=0, return_counts=True)
@@ -404,21 +433,42 @@ def test_accumulate_moments_rejects_asymmetric_grid():
 
 @pytest.mark.parametrize("count", [1, 3, 25])
 def test_accumulate_moments_evaluates_one_point_per_conjugate_pair(monkeypatch, count):
+    # every point in one stack (the default), one point per stack, and two
+    # per stack (the 2 rows' widest trie level has 2 nodes)
     grid = arc_grid(0.23, count)
     params = ProblemParams(4, 2, 0.8)
     batch = np.array([(1, 0, 1, 0), (1, 1, 0, 0)], dtype=np.int8)
-    g_moments, seen = TraceHistogram.g_moments, []
+    g_moments = TraceHistogram.g_moments
+    for stack_rows in (STACK_ROWS, 1, 4):
+        seen = []
 
-    def counted(self, z, k_max, p):
-        seen.append(z)
-        return g_moments(self, z, k_max, p)
+        def counted(self, zs, k_max, p):
+            seen.append(np.array(zs))
+            return g_moments(self, zs, k_max, p)
 
-    monkeypatch.setattr(TraceHistogram, "g_moments", counted)
-    est = accumulate_moments([batch], grid, 3, params, 2)
-    assert len(seen) == (count + 1) // 2
-    # the Im z <= 0 member of each pair, passed as a Python complex
-    assert all(type(z) is complex and z.imag <= 0 for z in seen)
-    assert np.array_equal(est.means[::-1], est.means.conj())
+        monkeypatch.setattr(TraceHistogram, "g_moments", counted)
+        monkeypatch.setattr(estimator, "STACK_ROWS", stack_rows)
+        est = accumulate_moments([batch], grid, 3, params, 2)
+        # the Im z <= 0 member of each pair, each once, over all the calls
+        evaluated = np.concatenate(seen)
+        assert np.array_equal(evaluated, grid[: (count + 1) // 2])
+        assert np.all(evaluated.imag <= 0)
+        assert len(seen) == -(-len(evaluated) // max(1, stack_rows // 2))
+        assert np.array_equal(est.means[::-1], est.means.conj())
+
+
+def test_accumulate_moments_one_point_per_stack_matches_default(monkeypatch):
+    rng = np.random.default_rng(47)
+    distinct = rng.integers(0, 2, size=(50, 10)).astype(np.int8)
+    rows = distinct[rng.integers(0, len(distinct), size=2000)]
+    grid = arc_grid(0.23, 25)
+    params = ProblemParams(10, 3, 0.7)
+    want = accumulate_moments([rows], grid, 5, params, len(rows))
+    monkeypatch.setattr(estimator, "STACK_ROWS", 1)
+    got = accumulate_moments([rows], grid, 5, params, len(rows))
+    assert np.all(np.abs(got.means - want.means) <= 1e-12 * np.abs(want.means))
+    for c, w in zip(got.cov, want.cov):
+        assert np.max(np.abs(c - w)) <= 1e-12 * np.max(np.abs(w))
 
 
 def test_accumulate_moments_conjugate_symmetry():
