@@ -149,11 +149,13 @@ def write_trace_file(path, traces, p: float, seed: int) -> None:
 def read_trace_file(path):
     """Returns (header dict, (N, n) int8 array of padded traces).
 
-    The header line is `#key=value ...` and must give n; every other
-    non-blank line is one trace of exactly n characters 0/1."""
+    The file must be exactly what write_trace_file writes: a header line
+    `#key=value ...` that gives n, then N lines of exactly n characters
+    0/1, each ended by a `\n`.  Blank lines, `\r\n` line ends and a missing
+    final newline are parameter errors."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", "replace").strip()
-        lines = [line.strip() for line in fh]
+        body = fh.read()
     if not header.startswith("#"):
         raise ParameterError("trace file missing header line")
     fields = {}
@@ -168,10 +170,10 @@ def read_trace_file(path):
         n = 0
     if n < 1:
         raise ParameterError("trace file header must give a positive integer n=")
-    lines = [line for line in lines if line]
-    if any(len(line) != n for line in lines):
+    chars = np.frombuffer(body, dtype=np.uint8)
+    if chars.size % (n + 1) or np.any(chars[n :: n + 1] != ord("\n")):
         raise ParameterError("trace line length disagrees with header n")
-    rows = np.frombuffer(b"".join(lines), dtype=np.uint8).reshape(len(lines), n) - ord("0")
+    rows = chars.reshape(-1, n + 1)[:, :n] - ord("0")  # uint8: characters below "0" wrap above 1
     if rows.size and rows.max() > 1:
         raise ParameterError("trace lines may hold only the characters 0 and 1")
     return fields, rows.astype(np.int8)

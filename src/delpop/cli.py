@@ -45,7 +45,7 @@ from .recovery import (
     recover,
     recover_from_channel,
 )
-from .zgrid import arc_grid
+from .zgrid import recovery_grid, unit_roots
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -60,8 +60,7 @@ _OPTIONS = {
     "n": (int, 8, "string length"),
     "ell": (int, 2, "sparsity bound; moment orders 1..2*ell - 1 are used"),
     "eps": (float, 0.1, "target TV error; sets the weight pitch"),
-    "grid_points": (int, RecoveryConfig.grid_points, "odd number of grid points"),
-    "grid_spacing": (float, RecoveryConfig.grid_spacing, "grid spacing in radians"),
+    "grid_points": (int, 25, "odd number of grid points, the roots of unity of that order"),
     "out": (str, "out.json", "output file"),
     "dist": (str, None, "distribution JSON file"),
     "traces": (str, None, "trace file"),
@@ -187,7 +186,7 @@ def _cmd_estimate(opts) -> int:
         raise ParameterError("estimate requires --traces")
     p, traces, count = _read_traces(opts)
     params = ProblemParams(n=traces.shape[1], ell=opts["ell"], p=p)
-    grid = arc_grid(opts["grid_spacing"], opts["grid_points"])
+    grid = unit_roots(opts["grid_points"])
     est = accumulate_moments([traces], grid, opts["m"], params, count)
     with open(opts["out"], "w") as fh:
         fh.write(est.to_json() + "\n")
@@ -199,12 +198,7 @@ def _cmd_recover(opts) -> int:
     traces sampled out of a known distribution (--dist)."""
     if bool(opts["traces"]) == bool(opts["dist"]):
         raise ParameterError("recover requires exactly one of --traces and --dist")
-    config = RecoveryConfig(
-        sample_count=opts["samples"],
-        grid_points=opts["grid_points"],
-        grid_spacing=opts["grid_spacing"],
-        seed=opts["seed"],
-    )
+    config = RecoveryConfig(sample_count=opts["samples"], seed=opts["seed"])
     if opts["traces"]:
         if opts["p"] is not None:
             raise ParameterError("recover --traces takes p from the trace file's header")
@@ -224,8 +218,7 @@ def _cmd_distinguish(opts) -> int:
     if not opts["dist"]:
         raise ParameterError("distinguish requires --dist")
     d = _load_dist(opts)
-    grid = arc_grid(opts["grid_spacing"], opts["grid_points"])
-    est = exact_moments(d, grid, opts["m"])
+    est = exact_moments(d, recovery_grid(d.n, opts["ell"]), opts["m"])
     out = exhaustive_distinguisher(est, d.n, opts["ell"], opts["eps"])
     _write_json(opts["out"], out.to_json_dict())
     return EXIT_OK
@@ -251,13 +244,12 @@ def _cmd_oracle_check(opts) -> int:
     return EXIT_OK if worst <= 1e-8 else EXIT_RECOVERY
 
 
-_GRID = ("grid_points", "grid_spacing")
 # mode -> (command, the options it reads besides config, out and seed)
 _MODES = {
     "simulate": (_cmd_simulate, ("dist", "p", "samples")),
-    "estimate": (_cmd_estimate, ("traces", "ell", "samples", *_GRID)),
-    "recover": (_cmd_recover, ("traces", "dist", "p", "ell", "samples", *_GRID)),
-    "distinguish": (_cmd_distinguish, ("dist", "ell", "eps", *_GRID)),
+    "estimate": (_cmd_estimate, ("traces", "ell", "samples", "grid_points")),
+    "recover": (_cmd_recover, ("traces", "dist", "p", "ell", "samples")),
+    "distinguish": (_cmd_distinguish, ("dist", "ell", "eps")),
     "oracle-check": (_cmd_oracle_check, ("n", "m", "p")),
 }
 

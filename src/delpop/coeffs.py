@@ -7,8 +7,9 @@ So once sigma_k is estimated at enough grid points, each with its own
 tolerance, one least-squares solve of the Vandermonde system for
 t_k..t_{kn}, with every point weighted by the inverse of its tolerance,
 followed by rounding, gives its coefficients.  The exact factoring and moment
-validation downstream certify the answer; near-full-circle arcs keep the
-system well conditioned (Moitra, STOC 2015).
+validation downstream certify the answer.  On the P-th roots of unity of
+`zgrid.recovery_grid`, P > k*n, the Vandermonde columns z^k..z^{kn} are
+orthogonal, so the system before weighting is perfectly conditioned.
 """
 
 from __future__ import annotations

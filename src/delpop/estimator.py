@@ -54,7 +54,7 @@ pass and two state buffers of about 2 MB.
 
 A point where some |W(s)| < 1e-12, s <= k_max, is singular for the
 estimator (the coefficients divide by it) and raises
-SingularGridPointError; on the unit circle |W(s)| >= 1, so no arc point is
+SingularGridPointError; on the unit circle |W(s)| >= 1, so no grid point is
 singular.
 """
 
@@ -437,10 +437,10 @@ def accumulate_moments(
     trace_source is an iterable of 0/1 arrays of shape (batch, n); the
     traces are reduced to a TraceHistogram and the same histogram feeds
     every (z, k).  The grid must be conjugate-symmetric in reverse order,
-    as `zgrid.arc_grid` builds it: traces and channel parameters are real,
-    so g_k(x~, conj(z)) is the conjugate of g_k(x~, z), and only the first
-    half of the grid (the Im z <= 0 member of each pair on an arc) is
-    evaluated, in stacks of max(1, STACK_ROWS // nodes on the widest trie
+    as `zgrid` builds it: traces and channel parameters are real, so
+    g_k(x~, conj(z)) is the conjugate of g_k(x~, z), and only the first
+    half of the grid (the Im z <= 0 member of each pair on the roots of
+    unity) is evaluated, in stacks of max(1, STACK_ROWS // nodes on the widest trie
     level) points per sweep.  A singular grid point raises
     SingularGridPointError.
     """

@@ -36,7 +36,7 @@ from .coeffs import CoefficientRecoveryError, recover_polynomial
 from .estimator import MomentEstimates, accumulate_moments
 from .prony import HankelSystem, sigma_error_stds, solve_sigma
 from .support import assemble_char_poly, decode_support, integer_roots
-from .zgrid import arc_grid
+from .zgrid import recovery_grid
 
 
 class MarginError(RuntimeError):
@@ -57,19 +57,12 @@ WEIGHT_FLOOR = 1e-6
 
 @dataclass
 class RecoveryConfig:
-    """What a run varies: sample_count traces feed the moment estimates on
-    `zgrid.arc_grid`, grid_points points (an odd count) spaced
-    grid_spacing radians apart on a symmetric arc of half-width at most
-    2*pi, and seed drives the channel sampler.  The default arc is wide:
-    for moderate-to-large p the estimator weights stay bounded by
-    (1 + q)/p over the whole unit circle, so wide arcs cost little
-    variance and keep the Vandermonde system of the integer coefficient
-    recovery well conditioned.
+    """What a run varies: sample_count traces feed the moment estimates,
+    and seed drives the channel sampler.  The grid is not a setting:
+    `zgrid.recovery_grid` derives it from n and l.
     """
 
     sample_count: int = 100_000
-    grid_spacing: float = 0.23
-    grid_points: int = 25
     seed: int = 0
 
 
@@ -196,7 +189,7 @@ def recover(
     config = config or RecoveryConfig()
     if config.sample_count < 1:
         raise ParameterError("sample_count must be >= 1")
-    grid = arc_grid(config.grid_spacing, config.grid_points)
+    grid = recovery_grid(params.n, params.ell)
     k_max = 2 * params.ell - 1
     estimates = accumulate_moments(trace_source, grid, k_max, params, config.sample_count)
     diagnostics = {
@@ -254,13 +247,12 @@ def exhaustive_distinguisher(
     n: int,
     ell: int,
     eps: float,
-    weight_grid: float | None = None,
     margin: float = 1e-7,
 ) -> SparseDistribution:
     """Reference brute-force learner for tiny instances (n <= 8, l <= 2):
     enumerate all n-bit supports of size <= l and find mixture weights
     matching every moment estimate within margin.  The weight pitch is
-    weight_grid, or eps / (4 l) if it is None.
+    eps / (4 l).
 
     For a fixed pair of strings the moments are linear in the weight a, so
     the admissible a form an interval per constraint; the intersection over
@@ -273,7 +265,7 @@ def exhaustive_distinguisher(
         raise ParameterError(f"eps must lie in (0,1), got {eps!r}")
     if margin < 0:
         raise ParameterError("margin must be nonnegative")
-    pitch = weight_grid if weight_grid is not None else eps / (4.0 * ell)
+    pitch = eps / (4.0 * ell)
     strings = [BitString(bits) for bits in itertools.product((0, 1), repeat=n)]
     strings.sort()
     # one column per (point, k) constraint, one row per string
@@ -315,7 +307,7 @@ def exhaustive_distinguisher(
                 continue
             j = hits[0]
             lo, hi = float(lo[j]), float(hi[j])
-            a = round(((lo + hi) / 2.0) / pitch) * pitch if pitch > 0 else (lo + hi) / 2.0
+            a = round(((lo + hi) / 2.0) / pitch) * pitch
             if not (lo <= a <= hi):
                 a = (lo + hi) / 2.0
             return SparseDistribution((strings[si], strings[si + 1 + j]), (a, 1.0 - a))

@@ -64,8 +64,12 @@ def test_missing_traces_file_is_io_error(tmp_path):
         "#n=4 p=0.9 seed\n1010\n",  # header token without =
         "#n=4 p=0.9 seed=0\n1012\n",  # a 2 in a row
         "#n=4 p=0.9 seed=0\n1010\n101\n",  # a short row
+        "#n=4 p=0.9 seed=0\n1010\n\n1100\n",  # a blank line
+        "#n=4 p=0.9 seed=0\n1010\r\n1100\r\n",  # \r\n line ends
+        "#n=4 p=0.9 seed=0\n1010\n1100",  # no final newline
     ],
-    ids=["missing-n", "bad-token", "bad-char", "short-row"],
+    ids=["missing-n", "bad-token", "bad-char", "short-row", "blank-line", "crlf",
+         "no-final-newline"],
 )
 def test_estimate_rejects_malformed_trace_file(tmp_path, text):
     traces = tmp_path / "traces.txt"
@@ -102,7 +106,7 @@ def test_estimate_roundtrip(tmp_path, dist_file):
     out = tmp_path / "moments.json"
     code = run(
         ["estimate", "--traces", str(traces), "--samples", "5000", "--ell", "2",
-         "--grid-points", "9", "--grid-spacing", "0.4", "--out", str(out)]
+         "--grid-points", "9", "--out", str(out)]
     )
     assert code == EXIT_OK
     recs = json.loads(out.read_text())
@@ -115,8 +119,7 @@ def test_recover_end_to_end(tmp_path, dist_file):
     out = tmp_path / "result.json"
     code = run(
         ["recover", "--dist", str(dist_path), "--samples", "200000", "--p", "0.9",
-         "--ell", "2", "--grid-points", "25", "--grid-spacing", "0.23",
-         "--seed", "0", "--out", str(out)]
+         "--ell", "2", "--seed", "0", "--out", str(out)]
     )
     assert code == EXIT_OK
     payload = json.loads(out.read_text())
@@ -129,7 +132,7 @@ def test_recover_end_to_end(tmp_path, dist_file):
         rows = list(csv.reader(fh))
     # one row per grid point: z, stderr of b_1..b_3
     assert rows[0] == ["z_real", "z_imag", "stderr_1", "stderr_2", "stderr_3"]
-    assert len(rows) == 1 + 25
+    assert len(rows) == 1 + 2 * 2 * 8 + 1
     assert all(float(row[2]) > 0 for row in rows[1:])
 
 
@@ -310,9 +313,9 @@ def test_estimate_accepts_the_benchmark_argv(tmp_path):
 # the options each mode reads besides config, out and seed
 _MODE_OPTIONS = {
     "simulate": {"dist", "p", "samples"},
-    "estimate": {"traces", "ell", "samples", "grid-points", "grid-spacing"},
-    "recover": {"traces", "dist", "p", "ell", "samples", "grid-points", "grid-spacing"},
-    "distinguish": {"dist", "ell", "eps", "grid-points", "grid-spacing"},
+    "estimate": {"traces", "ell", "samples", "grid-points"},
+    "recover": {"traces", "dist", "p", "ell", "samples"},
+    "distinguish": {"dist", "ell", "eps"},
     "oracle-check": {"n", "m", "p"},
 }
 
@@ -328,7 +331,7 @@ def test_modes_refuse_options_they_do_not_read(tmp_path, mode):
              "distinguish": ["--dist", dist, "--ell", "1"],
              "oracle-check": ["--n", "4", "--m", "1", "--p", "0.5"]}[mode]
     values = {"samples": "100", "p": "0.9", "n": "6", "ell": "1", "eps": "0.2",
-              "grid-points": "9", "grid-spacing": "0.4", "dist": dist, "traces": traces,
+              "grid-points": "9", "dist": dist, "traces": traces,
               "m": "1"}
     out = tmp_path / "o.json"
     argv = [mode, *given, "--seed", "1", "--out", str(out)]
@@ -399,14 +402,14 @@ def test_config_rejects_uncastable_value(tmp_path, dist_file, capsys):
     assert "--samples" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("points, spacing", [("24", "0.23"), ("61", "0.23"), ("9", "0")])
-def test_estimate_rejects_grid_it_cannot_build(tmp_path, dist_file, points, spacing):
-    # an even count, or an arc past 2*pi, is refused rather than shrunk
+@pytest.mark.parametrize("points", ["24", "0", "-3"])
+def test_estimate_rejects_grid_it_cannot_build(tmp_path, dist_file, points):
+    # an even or nonpositive count is refused rather than rounded
     _, dist_path = dist_file
     traces = tmp_path / "traces.txt"
     run(["simulate", "--dist", str(dist_path), "--samples", "100", "--out", str(traces)])
     code = run(["estimate", "--traces", str(traces), "--grid-points", points,
-                "--grid-spacing", spacing, "--out", str(tmp_path / "m.json")])
+                "--out", str(tmp_path / "m.json")])
     assert code == EXIT_PARAMETER
 
 
@@ -435,7 +438,7 @@ def test_distinguish_mode(tmp_path):
     save_distribution(d, dist_path)
     out = tmp_path / "out.json"
     code = run(["distinguish", "--dist", str(dist_path), "--ell", "2", "--eps", "0.25",
-                "--grid-points", "9", "--grid-spacing", "0.4", "--out", str(out)])
+                "--out", str(out)])
     assert code == EXIT_OK
     got = SparseDistribution.from_json_dict(json.loads(out.read_text()))
     from delpop.core import tv_distance

@@ -29,13 +29,12 @@ from delpop.recovery import (
     recover_support_candidates,
     validate_candidate,
 )
-from delpop.zgrid import arc_grid
+from delpop.zgrid import arc_grid, recovery_grid
 from oracles import random_distribution
 
 
-def default_grid(config=None):
-    config = config or RecoveryConfig()
-    return arc_grid(config.grid_spacing, config.grid_points)
+def default_grid(params=ProblemParams(6, 2, 0.9)):
+    return recovery_grid(params.n, params.ell)
 
 
 def test_candidate_enumeration_ranges(monkeypatch):
@@ -64,12 +63,13 @@ def test_candidate_enumeration_ranges(monkeypatch):
 
 
 def test_grid_spec_geometry():
-    config = RecoveryConfig()
-    assert (config.grid_spacing, config.grid_points) == (0.23, 25)
-    grid = default_grid(config)
-    assert len(grid) == 25
-    assert grid[12] == 1.0
-    assert np.angle(grid[-1]) == pytest.approx(12 * 0.23)
+    for n, ell in [(1, 1), (6, 2), (8, 2), (16, 3)]:
+        grid = recovery_grid(n, ell)
+        count = 2 * ell * n + 1
+        assert len(grid) == count
+        assert grid[(count - 1) // 2] == 1.0
+        assert np.array_equal(grid[::-1], grid.conj())
+        assert np.abs(grid ** count - 1.0).max() <= 1e-12
 
 
 def test_support_candidates_from_exact_moments():
@@ -82,9 +82,20 @@ def test_support_candidates_from_exact_moments():
     assert d.support in supports
 
 
+@pytest.mark.parametrize("n, ell", [(16, 2), (12, 3), (24, 2)])
+def test_support_candidates_from_exact_moments_at_k_n_above_25(n, ell):
+    # sigma_ell has ell*n - ell + 1 > 25 unknown coefficients, more than a
+    # 25-point conjugate-symmetric grid gives independent real equations
+    params = ProblemParams(n, ell, 0.9)
+    d = random_distribution(np.random.default_rng(n), n, ell)
+    est = exact_moments(d, default_grid(params), 2 * ell - 1)
+    results, failures = recover_support_candidates(est, params)
+    assert (ell, d.support) in results, failures
+
+
 def test_recovery_config_holds_only_run_settings():
     names = [f.name for f in dataclasses.fields(RecoveryConfig)]
-    assert names == ["sample_count", "grid_spacing", "grid_points", "seed"]
+    assert names == ["sample_count", "seed"]
 
 
 def test_support_candidates_l_prime_above_support_size():
@@ -244,7 +255,7 @@ def test_recover_validation_soundness():
     )
     params = ProblemParams(6, 2, 0.9)
     config = RecoveryConfig(sample_count=100_000, seed=5)
-    grid = default_grid(config)
+    grid = default_grid(params)
     from delpop.estimator import accumulate_moments
 
     est = accumulate_moments(
