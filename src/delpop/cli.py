@@ -187,7 +187,7 @@ def _cmd_estimate(opts) -> int:
     p, traces, count = _read_traces(opts)
     params = ProblemParams(n=traces.shape[1], ell=opts["ell"], p=p)
     grid = unit_roots(opts["grid_points"])
-    est = accumulate_moments([traces], grid, opts["m"], params, count)
+    est = accumulate_moments([traces], grid, opts["m"], params, count, covariance=False)
     with open(opts["out"], "w") as fh:
         fh.write(est.to_json() + "\n")
     return EXIT_OK

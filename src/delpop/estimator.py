@@ -42,15 +42,34 @@ rows' suffix trie, built once per histogram, whose level j holds the
 distinct (pattern of chunk j, node of level j + 1) pairs; its root is the
 zero state v = (0, 1), which a zero-padded partial last chunk and an
 all-zero suffix leave as it is.  A row's leaf is its node at chunk 0; the
-weights of the rows that share a leaf are summed, and the means and
-covariances are taken over the leaves.  Chunks of 4 bits cut the node
+weights of the rows that share a leaf are summed, and `g_moments` takes
+the means and covariances over the leaves.  Chunks of 4 bits cut the node
 steps per point of 2 x 10^4 distinct 48-bit rows from 365k (single bits)
 to 99k, and their 16 matrices stay cheap to build; wider chunks spend
-more on 2^CHUNK matrices per point than they save on short rows.  Several
-grid points share one pass on a leading stack axis, as many as keep
-points times widest-level nodes within STACK_ROWS = 2^14: a few distinct
-rows sweep the whole grid at once, while 10^4 or more keep one point per
-pass and two state buffers of about 2 MB.
+more on 2^CHUNK matrices per point than they save on short rows.
+
+The means alone are linear in the row weights, so `g_means` stops the
+sweep JUNCTION = 8 bits short of the leaves.  It sums the rows' weighted
+states at bit 8 per first byte, their prefix (one gather, one multiply,
+one reduceat), and carries each sum to bit 0 through the prefix's two
+chunk matrices, T[hi] (T[lo] sum).  With n <= 8 the trie is empty, and the
+zero-padded bits of the prefix byte leave the root state as it is.  Rows
+part most near their start, so the two chunks next to bit 0 hold the
+trie's widest levels: for 2 x 10^4 distinct 48-bit rows, 39 898 of the
+98 680 node steps per point, which the junction replaces by 237 prefix
+groups.  A 12-bit stop leaves 39 202 node steps but 2 211 prefix groups,
+and ran at 6.6 ms per point against 5.2 ms on 2 shared vCPUs; its 4 096 possible prefix
+products alone, as stacked 6 x 6 products of three chunk matrices, take
+9.4 ms.  The covariance is a weighted sum of outer products g g^H, not
+of states, so `g_moments` keeps the full sweep.
+
+Several grid points share one pass on a leading stack axis, as many as
+keep points times columns within STACK_ROWS = 2^14, the columns being
+the widest level's nodes and, for `g_means`, the junction's (prefix,
+node) pairs if more: a few distinct rows sweep the whole grid at once,
+while 10^4 or more keep one point per pass and two state buffers of about
+2 MB.  Two threads over the points ran slower than one pass at a time
+next to OpenBLAS's own two threads (104 against 97 ms for 13 points).
 
 A point where some |W(s)| < 1e-12, s <= k_max, is singular for the
 estimator (the coefficients divide by it) and raises
@@ -124,32 +143,36 @@ def composition_weights(z: complex, parts, p: float):
 
 
 CHUNK = 4  # trace positions per trie level, one transfer matrix per pattern; divides 8
+JUNCTION = 2 * CHUNK  # the bit where the means sweep stops; one prefix byte, two chunk matrices
 STACK_ROWS = 1 << 14  # grid points times widest-level nodes swept in one pass
 
 
 class _TriePlan(NamedTuple):
-    """The suffix trie of a set of rows, laid out for `_g_sweep`.
+    """The suffix trie of a set of rows from a stop bit on, laid out for
+    `_g_sweep`.
 
     The rows are cut into CHUNK-bit chunks, a partial last chunk read as
     zero-padded.  Level j's nodes are the distinct pairs (pattern of chunk
     j, node of level j + 1), numbered by pattern first; the last chunk's
     nodes hang from one root, the zero state.  `levels` holds, from the
-    last chunk down to chunk 0, each level's parent indices and its
-    non-empty pattern ranges (pattern, lo, hi).  `leaf[i]` is row i's node
-    at chunk 0."""
+    last chunk down to the chunk that starts at the stop bit, each level's
+    parent indices and its non-empty pattern ranges (pattern, lo, hi).
+    `leaf[i]` is row i's node at the stop bit: the root when the rows end
+    there."""
 
     levels: list
     leaf: np.ndarray
     width: int  # nodes on the widest level
 
 
-def _trie_plan(rows: np.ndarray) -> _TriePlan:
-    """The `_TriePlan` of a (U, n) 0/1 array."""
+def _trie_plan(rows: np.ndarray, stop: int = 0) -> _TriePlan:
+    """The `_TriePlan` of a (U, n) 0/1 array over its bits from `stop` (a
+    multiple of CHUNK) on."""
     U, n = rows.shape
     packed = np.packbits(rows, axis=1)  # CHUNK divides 8: no chunk spans two bytes
     node, count = np.zeros(U, dtype=np.int32), 1
     levels, width = [], 1
-    for lo in range((n - 1) // CHUNK * CHUNK, -1, -CHUNK):
+    for lo in range((n - 1) // CHUNK * CHUNK, stop - 1, -CHUNK):
         pattern = packed[:, lo // 8] >> (8 - CHUNK - lo % 8) & (1 << CHUNK) - 1
         key = pattern.astype(np.intp) * count + node  # (pattern, parent), pattern first
         seen = np.zeros(count << CHUNK, dtype=bool)  # set entries: distinct keys in order, no sort
@@ -166,11 +189,27 @@ def _trie_plan(rows: np.ndarray) -> _TriePlan:
     return _TriePlan(levels, node, width)
 
 
+class _Junction(NamedTuple):
+    """The rows of a histogram grouped for `TraceHistogram.g_means`: the
+    suffix trie of their bits from JUNCTION on, and their distinct pairs
+    (first byte, node at bit JUNCTION) ordered by that byte, the prefix.
+    `columns[c]` is pair c's node and `weights[c]` the summed weight of its
+    rows; the pairs of prefix `prefixes[g]` start at `starts[g]`."""
+
+    plan: _TriePlan
+    columns: np.ndarray
+    weights: np.ndarray
+    starts: np.ndarray
+    prefixes: np.ndarray
+
+
 def _transfer_matrices(zs: np.ndarray, k_max: int, p: float) -> np.ndarray:
     """T[i, c]: the (k_max + 1)-square matrix that carries the augmented
     state (A_1..A_k, 1) from the end of a chunk with bit pattern c back to
     its start, at zs[i]: the product over the chunk of D = diag(W, 1) per
     0-bit and D [[M, start], [0, 1]] per 1-bit."""
+    if k_max < 1:
+        raise ParameterError("m must be >= 1")
     q = 1.0 - p
     zpow = zs[:, None] ** np.arange(1, k_max + 1)
     W = (zpow - q) / p
@@ -196,25 +235,25 @@ def _transfer_matrices(zs: np.ndarray, k_max: int, p: float) -> np.ndarray:
     return T
 
 
-def _g_sweep(plan: _TriePlan, zs: np.ndarray, k_max: int, p: float) -> np.ndarray:
-    """The augmented states (g_1..g_{k_max}, 1) of every leaf of the plan
-    at every point of the 1-D array zs, as the columns of a (len(zs),
-    k_max + 1, leaves) array, by the trie form of the backward sweep in the
-    module docstring.  Nodes lie along the last axis, so each matmul is a
-    small square matrix times a wide block: with nodes along the middle
-    axis (tall blocks) the sweep ran no faster, and OpenBLAS's threaded
-    path raised the peak RSS of 2 x 10^4 distinct 48-bit rows by 0.6 MB."""
-    if k_max < 1:
-        raise ParameterError("m must be >= 1")
-    T = _transfer_matrices(zs, k_max, p)
-    shape = (len(zs), k_max + 1, -1)
-    size = len(zs) * plan.width * (k_max + 1)
+def _g_sweep(plan: _TriePlan, T: np.ndarray) -> np.ndarray:
+    """The augmented states (A_1..A_k, 1) of every leaf of the plan at
+    every point of a stack, as the columns of a (points, k + 1, leaves)
+    array, by the trie form of the backward sweep in the module docstring;
+    T holds the points' `_transfer_matrices`.  With the plan stopped at bit
+    0 the states are (g_1..g_k, 1).  Nodes lie along the last axis, so each
+    matmul is a small square matrix times a wide block: with nodes along
+    the middle axis (tall blocks) the sweep ran no faster, and OpenBLAS's
+    threaded path raised the peak RSS of 2 x 10^4 distinct 48-bit rows by
+    0.6 MB."""
+    points, _, K, _ = T.shape
+    shape = (points, K, -1)
+    size = points * plan.width * K
     states, parents = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
-    state = states[: len(zs) * (k_max + 1)].reshape(shape)
-    state[:] = np.eye(k_max + 1)[:, k_max:]  # the root: (A_1..A_k, 1) = (0, 1) after the last bit
+    state = states[: points * K].reshape(shape)
+    state[:] = np.eye(K)[:, K - 1 :]  # the root: (A_1..A_k, 1) = (0, 1) after the last bit
     # every index is in range; mode="clip" lets take write into `out` unbuffered
     for parent, ranges in plan.levels:
-        used = len(zs) * len(parent) * (k_max + 1)
+        used = points * len(parent) * K
         gathered = np.take(state, parent, axis=2, out=parents[:used].reshape(shape), mode="clip")
         state = states[:used].reshape(shape)
         for c, a, b in ranges:
@@ -225,7 +264,8 @@ def _g_sweep(plan: _TriePlan, zs: np.ndarray, k_max: int, p: float) -> np.ndarra
 def g_batch(X: np.ndarray, z: complex, m: int, params: ProblemParams) -> np.ndarray:
     """g_m(x~, z) for each trace row of X."""
     plan = _trie_plan(np.asarray(X))
-    return _g_sweep(plan, np.array([z], dtype=complex), m, params.p)[0, m - 1, plan.leaf]
+    T = _transfer_matrices(np.array([z], dtype=complex), m, params.p)
+    return _g_sweep(plan, T)[0, m - 1, plan.leaf]
 
 
 def _bit_batches(batches, n: int, limit: int):
@@ -290,6 +330,19 @@ class TraceHistogram:
         """The rows' suffix trie, laid out for the moment sweep."""
         return _trie_plan(self.rows)
 
+    @cached_property
+    def _junction(self) -> _Junction:
+        """The rows' suffix trie stopped at bit JUNCTION and their prefix
+        groups, laid out for `g_means`; the rows may come in any order."""
+        plan = _trie_plan(self.rows, JUNCTION)
+        prefix = np.packbits(self.rows[:, :JUNCTION], axis=1)[:, 0]  # zero-padded when n < 8
+        count = int(plan.leaf.max()) + 1
+        keys, inverse = np.unique(prefix.astype(np.intp) * count + plan.leaf, return_inverse=True)
+        pair_prefix = keys // count
+        starts = np.flatnonzero(np.diff(pair_prefix, prepend=-1))
+        return _Junction(plan, keys % count, np.bincount(inverse, self.weights, len(keys)),
+                         starts, pair_prefix[starts])
+
     @classmethod
     def from_batches(cls, batches, n: int, limit: int) -> "TraceHistogram":
         """Histogram of the first `limit` traces of an iterable of 0/1
@@ -352,7 +405,7 @@ class TraceHistogram:
         conj(g_{j+1} - b_{j+1})].  z is one point or an array of them, and
         the results gain its shape in front; one sweep serves them all."""
         zs = np.asarray(z, dtype=complex)
-        states = _g_sweep(self._plan, zs.ravel(), k_max, params.p)
+        states = _g_sweep(self._plan, _transfer_matrices(zs.ravel(), k_max, params.p))
         weights = np.bincount(self._plan.leaf, self.weights, states.shape[2])  # per leaf
         means = states[:, :k_max] @ weights
         D = states[:, :k_max] - means[:, :, None]
@@ -361,16 +414,36 @@ class TraceHistogram:
         cov = Dw @ np.conjugate(D, out=D).transpose(0, 2, 1)
         return means.reshape(zs.shape + (k_max,)), cov.reshape(zs.shape + (k_max, k_max))
 
+    def g_means(self, z, k_max: int, params: ProblemParams) -> np.ndarray:
+        """The means of `g_moments` alone, with the same shape, by the
+        junction of the module docstring: the sweep stops at bit JUNCTION,
+        the weighted states are summed per prefix byte, and each sum is
+        carried to bit 0 by its two chunk matrices, T[hi] (T[lo] sum): two
+        matrix-vector products per prefix took a fifth of the time of the
+        products T[hi] @ T[lo] and their contraction."""
+        zs = np.asarray(z, dtype=complex)
+        junction = self._junction
+        T = _transfer_matrices(zs.ravel(), k_max, params.p)
+        states = _g_sweep(junction.plan, T)
+        weighted = np.take(states, junction.columns, axis=2)
+        weighted *= junction.weights
+        sums = np.add.reduceat(weighted, junction.starts, axis=2)  # (points, k + 1, prefixes)
+        hi, lo = junction.prefixes >> CHUNK, junction.prefixes & (1 << CHUNK) - 1
+        carried = np.einsum("pgij,pjg->pgi", T[:, lo], sums)
+        means = np.einsum("pgij,pgj->pi", T[:, hi, :k_max], carried)
+        return means.reshape(zs.shape + (k_max,))
+
 
 @dataclass
 class MomentEstimates:
     """Sample means of g_0..g_{k_max} at every grid point (g_0 := 1), with
     the covariance of (g_1..g_{k_max}) over one trace for the delta-method
-    error model downstream.  Row i of `means` and `cov` belongs to grid[i]."""
+    error model downstream, or None when only the means were taken.  Row i
+    of `means` and `cov` belongs to grid[i]."""
 
     grid: np.ndarray  # (P,) complex points on the unit circle
     means: np.ndarray  # (P, k_max + 1) complex; column 0 is 1
-    cov: np.ndarray  # (P, k_max, k_max) complex Hermitian
+    cov: np.ndarray | None  # (P, k_max, k_max) complex Hermitian
     count: int  # traces behind every mean
 
     @property
@@ -380,6 +453,8 @@ class MomentEstimates:
     @property
     def stderrs(self) -> np.ndarray:
         """(P, k_max + 1) standard errors of the means; column 0 is 0."""
+        if self.cov is None:
+            raise ParameterError("these estimates hold means only: no covariance, no standard errors")
         var = np.diagonal(self.cov, axis1=1, axis2=2).real / self.count
         return np.concatenate([np.zeros((len(var), 1)), np.sqrt(var)], axis=1)
 
@@ -401,7 +476,6 @@ class MomentEstimates:
                 recs.append(
                     {
                         "z": [z.real, z.imag],
-                        "grid_kind": "arc",
                         "k": k,
                         "mean": [float(mean.real), float(mean.imag)],
                         "count": self.count,
@@ -430,9 +504,12 @@ def accumulate_moments(
     k_max: int,
     params: ProblemParams,
     sample_count: int,
+    covariance: bool = True,
 ) -> MomentEstimates:
     """Mean of g_k over the same sample_count traces, per grid point and
-    0 <= k <= k_max (g_0 := 1), with the covariance of (g_1..g_{k_max}).
+    0 <= k <= k_max (g_0 := 1), with the covariance of (g_1..g_{k_max}),
+    or with cov None and the means alone by `TraceHistogram.g_means` when
+    `covariance` is False.
 
     trace_source is an iterable of 0/1 arrays of shape (batch, n); the
     traces are reduced to a TraceHistogram and the same histogram feeds
@@ -440,9 +517,10 @@ def accumulate_moments(
     as `zgrid` builds it: traces and channel parameters are real, so
     g_k(x~, conj(z)) is the conjugate of g_k(x~, z), and only the first
     half of the grid (the Im z <= 0 member of each pair on the roots of
-    unity) is evaluated, in stacks of max(1, STACK_ROWS // nodes on the widest trie
-    level) points per sweep.  A singular grid point raises
-    SingularGridPointError.
+    unity) is evaluated, in stacks of max(1, STACK_ROWS // columns) points
+    per sweep, where columns is the widest trie level and, for the means
+    alone, the junction's (prefix, node) pairs if more.  A singular grid
+    point raises SingularGridPointError.
     """
     if sample_count < 1:
         raise ParameterError("sample_count must be >= 1")
@@ -454,13 +532,22 @@ def accumulate_moments(
     hist = TraceHistogram.from_batches(trace_source, params.n, sample_count)
     P = len(grid)
     means = np.empty((P, k_max + 1), dtype=complex)
-    cov = np.empty((P, k_max, k_max), dtype=complex)
     means[:, 0] = 1.0
     half = (P + 1) // 2
-    stack = max(1, STACK_ROWS // hist._plan.width)
+    if covariance:
+        cov = np.empty((P, k_max, k_max), dtype=complex)
+        columns = hist._plan.width
+    else:
+        cov = None
+        columns = max(hist._junction.plan.width, len(hist._junction.columns))
+    stack = max(1, STACK_ROWS // columns)
     for i in range(0, half, stack):
         j = min(i + stack, half)
-        means[i:j, 1:], cov[i:j] = hist.g_moments(grid[i:j], k_max, params)
+        if covariance:
+            means[i:j, 1:], cov[i:j] = hist.g_moments(grid[i:j], k_max, params)
+        else:
+            means[i:j, 1:] = hist.g_means(grid[i:j], k_max, params)
     means[half:, 1:] = means[: P - half, 1:][::-1].conj()
-    cov[half:] = cov[: P - half][::-1].conj()
+    if covariance:
+        cov[half:] = cov[: P - half][::-1].conj()
     return MomentEstimates(grid, means, cov, hist.count)

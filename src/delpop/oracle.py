@@ -74,7 +74,7 @@ def exact_g_expectation(x: BitString, z: complex, m: int, p: float) -> complex:
     n = x.n
     if n > 12:
         raise ParameterError("exact_g_expectation limited to n <= 12")
-    means, _ = exact_trace_law(x, p).g_moments(z, m, ProblemParams(n=n, ell=1, p=p))
+    means = exact_trace_law(x, p).g_means(z, m, ProblemParams(n=n, ell=1, p=p))
     return complex(means[m - 1])
 
 

@@ -114,6 +114,37 @@ def test_estimate_roundtrip(tmp_path, dist_file):
     assert all(rec["count"] == 5000 for rec in recs)
 
 
+def test_estimate_takes_the_means_alone(tmp_path, monkeypatch):
+    # estimate writes means only: it never forms the covariance of
+    # TraceHistogram.g_moments, and its means are that path's
+    import numpy as np
+
+    from delpop.core import ProblemParams
+    from delpop.estimator import TraceHistogram, accumulate_moments
+    from delpop.zgrid import unit_roots
+
+    dist_path = tmp_path / "dist.json"
+    d = SparseDistribution(
+        (BitString.from_string("10110100111010110010"), BitString.from_string("01101101000111010101")),
+        (0.6, 0.4))
+    save_distribution(d, dist_path)
+    traces = tmp_path / "traces.txt"
+    run(["simulate", "--dist", str(dist_path), "--samples", "3000", "--p", "0.7", "--out", str(traces)])
+    _, bits = read_trace_file(traces)
+    want = accumulate_moments([bits], unit_roots(9), 3, ProblemParams(20, 2, 0.7), len(bits))
+
+    def refused(*args):
+        raise AssertionError("estimate formed the covariance")
+
+    monkeypatch.setattr(TraceHistogram, "g_moments", refused)
+    out = tmp_path / "moments.json"
+    assert run(["estimate", "--traces", str(traces), "--ell", "2", "--samples", "3000",
+                "--grid-points", "9", "--out", str(out)]) == EXIT_OK
+    recs = json.loads(out.read_text())
+    got = np.array([complex(*rec["mean"]) for rec in recs]).reshape(9, 4)
+    assert np.all(np.abs(got - want.means) <= 1e-12 * np.abs(want.means))
+
+
 def test_recover_end_to_end(tmp_path, dist_file):
     d, dist_path = dist_file
     out = tmp_path / "result.json"

@@ -186,6 +186,32 @@ def test_g_moments_stack_of_points_matches_one_point_at_a_time():
         assert np.max(np.abs(cov[0, i] - one_cov)) <= 1e-12 * np.max(np.abs(one_cov))
 
 
+@pytest.mark.parametrize("n", [1, 3, 7, 8, 9, 12, 16, 21, 48])
+def test_g_means_match_g_moments(n):
+    # a directly built histogram: unsorted rows, unequal weights, rows that
+    # share their bits from 8 on but not their first byte and rows that
+    # share their first byte only; a stack of points on, inside and outside
+    # the unit circle, and a single point
+    rng = np.random.default_rng(300 + n)
+    rows = rng.integers(0, 2, size=(60, n)).astype(np.int8)
+    rows[:20, 8:] = rows[0, 8:]
+    rows[20:40, :8] = rows[20, :8]
+    rows = np.unique(rows, axis=0)
+    rows = rows[rng.permutation(len(rows))]
+    hist = TraceHistogram(rows, rng.dirichlet(np.ones(len(rows))))
+    params = ProblemParams(n, 3, 0.7)
+    zs = np.array([[cmath.exp(-0.4j), cmath.exp(2.6j), 0.8 * cmath.exp(0.3j)],
+                   [1.15 * cmath.exp(-1.1j), 0.5 + 0.2j, 1.0 + 0j]])
+    for k_max in range(1, 7):
+        want, _ = hist.g_moments(zs, k_max, params)
+        got = hist.g_means(zs, k_max, params)
+        assert got.shape == zs.shape + (k_max,)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        one = hist.g_means(zs[1, 0], k_max, params)
+        assert one.shape == (k_max,)
+        assert np.all(np.abs(one - want[1, 0]) <= 1e-12 * np.abs(want[1, 0]))
+
+
 def test_g_batch_returns_values_in_input_row_order():
     # duplicate rows share one trie leaf, which gives each of them its value
     rng = np.random.default_rng(67)
@@ -422,6 +448,10 @@ def test_accumulate_moments_raises_on_singular_point():
         accumulate_moments([batch], [0.5 + 0j], 1, params, 1)
     est = accumulate_moments([batch], [1.0 + 0j], 1, params, 1)
     assert est.means[0, 1] == pytest.approx(2 / 0.5)  # z = 1: (retained ones) / p
+    with pytest.raises(SingularGridPointError):
+        accumulate_moments([batch], [0.5 + 0j], 1, params, 1, covariance=False)
+    est = accumulate_moments([batch], [1.0 + 0j], 1, params, 1, covariance=False)
+    assert est.means[0, 1] == pytest.approx(2 / 0.5)
 
 
 def test_accumulate_moments_rejects_asymmetric_grid():
@@ -429,6 +459,8 @@ def test_accumulate_moments_rejects_asymmetric_grid():
     batch = np.array([(1, 1, 0)], dtype=np.int8)
     with pytest.raises(ParameterError):
         accumulate_moments([batch], [1j, 1.0 + 0j], 1, params, 1)
+    with pytest.raises(ParameterError):
+        accumulate_moments([batch], [1j, 1.0 + 0j], 1, params, 1, covariance=False)
 
 
 @pytest.mark.parametrize("count", [1, 3, 25])
@@ -469,6 +501,39 @@ def test_accumulate_moments_one_point_per_stack_matches_default(monkeypatch):
     assert np.all(np.abs(got.means - want.means) <= 1e-12 * np.abs(want.means))
     for c, w in zip(got.cov, want.cov):
         assert np.max(np.abs(c - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("n", [6, 20])
+def test_accumulate_moments_means_only(monkeypatch, n):
+    # the means of the covariance path, no covariance, no standard errors;
+    # a stack of points holds STACK_ROWS // (the junction's (prefix, node)
+    # pairs) when they outnumber the widest trie level's nodes
+    rng = np.random.default_rng(59 + n)
+    distinct = rng.integers(0, 2, size=(30, n)).astype(np.int8)
+    rows = distinct[rng.integers(0, len(distinct), size=900)]
+    grid = arc_grid(0.23, 25)
+    params = ProblemParams(n, 3, 0.7)
+    want = accumulate_moments([rows], grid, 5, params, len(rows))
+    for stack_rows in (STACK_ROWS, 1):
+        monkeypatch.setattr(estimator, "STACK_ROWS", stack_rows)
+        got = accumulate_moments([rows], grid, 5, params, len(rows), covariance=False)
+        assert got.cov is None and got.count == want.count
+        assert np.all(np.abs(got.means - want.means) <= 1e-12 * np.abs(want.means))
+        with pytest.raises(ParameterError):
+            got.stderrs
+    batch = np.array([(1, 0, 1, 0, 0, 1), (1, 1, 0, 0, 1, 0)], dtype=np.int8)
+    g_means = TraceHistogram.g_means
+    seen = []
+
+    def counted(self, zs, k_max, p):
+        seen.append(len(zs))
+        return g_means(self, zs, k_max, p)
+
+    monkeypatch.setattr(TraceHistogram, "g_means", counted)
+    monkeypatch.setattr(estimator, "STACK_ROWS", 4)
+    accumulate_moments([batch], grid, 3, ProblemParams(6, 2, 0.8), 2, covariance=False)
+    # 6-bit rows leave an empty trie, of width 1, and two (prefix, node) pairs
+    assert seen == [2] * 6 + [1]
 
 
 def test_accumulate_moments_conjugate_symmetry():
@@ -523,8 +588,7 @@ def test_moment_json_has_contracted_fields():
     recs = json.loads(est.to_json())
     assert len(recs) == 3 * 3
     for rec in recs:
-        assert set(rec) == {"z", "grid_kind", "k", "mean", "count"}
-        assert rec["grid_kind"] == "arc"
+        assert set(rec) == {"z", "k", "mean", "count"}
 
 
 def test_moment_json_k0_mean_is_positive_one_at_every_point():

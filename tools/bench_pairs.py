@@ -11,6 +11,13 @@ holds every run's metrics and failure counts, each side's median and
 quartiles of the end-to-end metrics, the pairs the change won on each
 metric, and the traced runs' per-layer metrics.  Runs go one at a time, so
 the two sides never share the machine.
+
+Each end-to-end metric of each workload also gets a verdict:
+`claim_met` when the change won at least nine tenths of the pairs (ties
+count for neither) and its median is better than the base's by more than
+the base's q3 - q1; `within_bound` when its median is worse than the base's
+by no more than the metric's BENCHMARK.json bound, a fraction of the
+base's median.
 """
 
 from __future__ import annotations
@@ -45,6 +52,16 @@ def summary(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(base: dict, change: dict, wins: int, pairs: int, direction: str, bound: float) -> dict:
+    """The claim and bound verdicts of one metric from each side's summary."""
+    sign = 1 if direction == "higher" else -1
+    gain = sign * (change["median"] - base["median"])
+    return {
+        "claim_met": 10 * wins >= 9 * pairs and gain > base["q3"] - base["q1"],
+        "within_bound": gain >= -bound * abs(base["median"]),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, required=True, help="checkout measured as the base")
@@ -57,7 +74,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     record = {
         "machine": {"cpus": len(os.sched_getaffinity(0)),
@@ -74,13 +91,16 @@ def main(argv=None) -> int:
             for side in order:
                 runs[side].append(run_once(sides[side], workload, args.seed, args.seconds, 0))
                 print(f"{workload} pair {i} {side}: {runs[side][-1]}", file=sys.stderr, flush=True)
-        entry = {"runs": runs, "summary": {}, "change_wins": {}, "traced": {}}
-        for name, direction in better.items():
+        entry = {"runs": runs, "summary": {}, "change_wins": {}, "verdict": {}, "traced": {}}
+        for name, metric in metrics.items():
             values = {side: [r["metrics"][name] for r in runs[side]] for side in runs}
             entry["summary"][name] = {side: summary(v) for side, v in values.items()}
-            sign = 1 if direction == "higher" else -1
+            sign = 1 if metric["better"] == "higher" else -1
             entry["change_wins"][name] = sum(
                 sign * (c - b) > 0 for b, c in zip(values["base"], values["change"]))
+            entry["verdict"][name] = verdict(
+                entry["summary"][name]["base"], entry["summary"][name]["change"],
+                entry["change_wins"][name], args.pairs, metric["better"], metric["bound"])
         for side in ("base", "change"):
             entry["traced"][side] = run_once(sides[side], workload, args.seed, args.seconds, 1)
         record["workloads"][workload] = entry
