@@ -1,11 +1,11 @@
 """Learn sparse mixtures of bit strings from deletion-channel traces.
 
 The pipeline: unbiased moment estimators evaluated on a complex grid,
-a conditioned Hankel (Prony) solve for elementary symmetric polynomial
-values, recovery of their integer coefficients by weighted least squares
-and rounding, exact integer factoring to read the support strings back
-out, and one least-squares fit of the mixture weights, kept only if it
-reproduces every moment estimate.
+one integer least-squares solve of the joint Prony system for the
+integer coefficients of the elementary symmetric polynomials, exact
+integer factoring to read the support strings back out, and one
+least-squares fit of the mixture weights, kept only if it reproduces
+every moment estimate.
 """
 
 from .core import (

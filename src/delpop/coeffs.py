@@ -3,13 +3,25 @@
 sigma_k(z) of a mixture of n-bit strings is a polynomial in z with
 nonnegative integer coefficients: degree <= k*n, each coefficient at most
 binom(l, k) * n^k, and t_0..t_{k-1} = 0 because P has no constant term.
-So once sigma_k is estimated at enough grid points, each with its own
-tolerance, one least-squares solve of the Vandermonde system for
-t_k..t_{kn}, with every point weighted by the inverse of its tolerance,
-followed by rounding, gives its coefficients.  The exact factoring and moment
-validation downstream certify the answer.  On the P-th roots of unity of
-`zgrid.recovery_grid`, P > k*n, the Vandermonde columns z^k..z^{kn} are
-orthogonal, so the system before weighting is perfectly conditioned.
+
+`recover_sigmas` is the recovery route.  The Prony recurrence
+sum_j (-1)^(j-1) sigma_j(z) b_{k+l'-j}(z) = b_{k+l'}(z), k = 0..l'-1, is
+linear in every coefficient t_{j,d} of every sigma_j at once, so one
+system over the grid holds all U = sum_j (j(n-1)+1) unknowns.  Every
+product in it has degree at most (2l'-1)n, below the P of
+`zgrid.recovery_grid`, so on that grid the equations are the polynomial
+identity itself: a point whose Hankel matrix is singular still satisfies
+them at the true sigma, and no point is left out.  Each point's rows are
+divided by the standard error of b_{2l'-1}; the real and imaginary rows
+are stacked and the columns scaled to unit norm; one QR gives the rank
+check and, in integer coordinates, Babai's nearest plane (Babai 1986),
+which rounds one unknown at a time from the last, each against the ones
+already fixed.  The exact factoring and moment validation downstream
+certify the answer, so no residual rule or tolerance is applied.
+
+`recover_polynomial` rounds one sigma_k from per-point values and
+tolerances; it reproduces the paper's coefficient-recovery lemma and the
+pipeline does not call it.
 """
 
 from __future__ import annotations
@@ -26,18 +38,18 @@ class CoefficientRecoveryError(RuntimeError):
     """sigma_k could not be recovered; the message gives the reason."""
 
     def __init__(self, k, message):
-        super().__init__(f"sigma_{k}: {message}")
+        super().__init__(message if k is None else f"sigma_{k}: {message}")
         self.k = k
 
 
 class NoFeasibleCoefficientError(CoefficientRecoveryError):
-    """The rounded polynomial breaks the coefficient bound or misses a point
-    by more than its tolerance (tolerance too tight or estimates too noisy)."""
+    """The integer solution breaks the coefficient bound, or misses a point
+    by more than its tolerance (estimates too noisy)."""
 
 
 class AmbiguousCoefficientError(CoefficientRecoveryError):
     """The grid points do not determine the coefficients (too few points or
-    a numerically rank-deficient system)."""
+    a numerically rank-deficient system); k is None for the joint system."""
 
 
 @dataclass(frozen=True)
@@ -55,6 +67,69 @@ class SymmetricPolynomial:
 
 def coefficient_bound(params: ProblemParams, k: int) -> int:
     return math.comb(params.ell, k) * params.n ** k
+
+
+def recover_sigmas(ell_prime: int, estimates, params: ProblemParams) -> list:
+    """[sigma_1 .. sigma_l'] as SymmetricPolynomials from one integer
+    least-squares solve of the joint Prony system of `estimates`, the
+    MomentEstimates of b_0..b_{2l'-1} or more on a conjugate-symmetric
+    grid.
+
+    The conjugate rows repeat the others' equations, so the first half of
+    the grid (centre included) makes the (points, l', U) system.  Each
+    point's rows are divided by the standard error of b_{2l'-1}, floored
+    at float64 eps times the point's largest |b_k|, so exact moments (zero
+    covariance) are weighted by their rounding level.  Raises
+    CoefficientRecoveryError when a moment or weight is not finite,
+    AmbiguousCoefficientError when some |R_ii| of the column-scaled QR is
+    at most max|R_ii| * max(shape) * eps, and NoFeasibleCoefficientError
+    when a coefficient lies outside [0, coefficient_bound]."""
+    n, lp = params.n, ell_prime
+    half = (len(estimates.grid) + 1) // 2
+    b = estimates.means[:half, : 2 * lp]
+    eps = np.finfo(float).eps
+    weight = np.maximum(estimates.stderrs[:half, 2 * lp - 1], eps * np.abs(b).max(axis=1))
+    if not (np.isfinite(b).all() and np.isfinite(weight).all()):
+        raise CoefficientRecoveryError(None, "a moment estimate or its standard error is not finite")
+    powers = estimates.grid[:half, None] ** np.arange(lp * n + 1)
+    # row k of point z: sum_{j,d} (-1)^(j-1) b_{k+l'-j}(z) z^d t_{j,d} = b_{k+l'}(z)
+    k = np.arange(lp)
+    A = np.concatenate(
+        [(-1) ** (j - 1) * b[:, k + lp - j, None] * powers[:, None, j : j * n + 1]
+         for j in range(1, lp + 1)],
+        axis=2,
+    ) / weight[:, None, None]
+    rhs = (b[:, lp:] / weight[:, None]).ravel()
+    A = A.reshape(len(rhs), -1)
+    A, rhs = np.vstack([A.real, A.imag]), np.concatenate([rhs.real, rhs.imag])
+    unknowns = A.shape[1]
+    norms = np.linalg.norm(A, axis=0)
+    # R of [A / norms, rhs]: its last column is Q^T rhs, so Q is never formed
+    R = np.linalg.qr(np.column_stack([A / np.where(norms > 0, norms, 1.0), rhs]), mode="r")
+    R, target = R[:unknowns, :unknowns], R[:unknowns, unknowns]
+    diag = np.abs(np.diagonal(R))
+    rank = int(np.count_nonzero(diag > diag.max(initial=0.0) * max(A.shape) * eps))
+    if rank < unknowns:
+        raise AmbiguousCoefficientError(
+            None, f"{len(rhs)} real equations of rank {rank} for {unknowns} unknown coefficients"
+        )
+    # Babai's nearest plane in integer coordinates: R diag(norms) t ~ Q^T rhs
+    R = R * norms
+    t = np.zeros(unknowns)
+    for i in range(unknowns - 1, -1, -1):
+        t[i] = np.rint((target[i] - R[i, i + 1 :] @ t[i + 1 :]) / R[i, i])
+    polys, start = [], 0
+    for j in range(1, lp + 1):
+        coeffs = t[start : start + j * (n - 1) + 1]
+        start += len(coeffs)
+        bound = coefficient_bound(params, j)
+        outside = np.flatnonzero((coeffs < 0) | (coeffs > bound))
+        if outside.size:
+            raise NoFeasibleCoefficientError(
+                j, f"coefficient {j + outside[0]} is {coeffs[outside[0]]:.0f}, outside [0, {bound}]"
+            )
+        polys.append(SymmetricPolynomial(j, (0,) * j + tuple(int(c) for c in coeffs)))
+    return polys
 
 
 def recover_polynomial(k, zs, values, tols, params: ProblemParams) -> SymmetricPolynomial:

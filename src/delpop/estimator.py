@@ -437,9 +437,9 @@ class TraceHistogram:
 @dataclass
 class MomentEstimates:
     """Sample means of g_0..g_{k_max} at every grid point (g_0 := 1), with
-    the covariance of (g_1..g_{k_max}) over one trace for the delta-method
-    error model downstream, or None when only the means were taken.  Row i
-    of `means` and `cov` belongs to grid[i]."""
+    the covariance of (g_1..g_{k_max}) over one trace, whose diagonal gives
+    the standard errors downstream, or None when only the means were
+    taken.  Row i of `means` and `cov` belongs to grid[i]."""
 
     grid: np.ndarray  # (P,) complex points on the unit circle
     means: np.ndarray  # (P, k_max + 1) complex; column 0 is 1

@@ -1,18 +1,16 @@
-"""End-to-end recovery: moments -> Prony -> integer coefficients ->
+"""End-to-end recovery: moments -> integer coefficients of sigma ->
 support -> weight fitting -> moment-matching validation.
 
-The sparsity l' is unknown, so every l' = 1..l is tried.  Each l' makes one
-pass over the grid: every point's Hankel system is solved for sigma and its
-delta-method error, and the coefficient solve weights each point by the
-inverse of its tolerance, so a badly conditioned point carries almost no
-weight.  Only a point whose Hankel matrix is numerically singular, or
-whose solve or predicted error is not finite, is left out.  Each l' yields at most one candidate
-support through the Prony/coefficient/factoring chain; failures are
-recorded rather than fatal, and the first candidate whose fitted mixture
-reproduces every moment estimate within the validation margin is
-returned.  Wrong guesses of l' are harmless: their candidates fail the
-validation.  Nothing here reads `ProblemParams.eps`; the reference
-`exhaustive_distinguisher` takes the n, l and eps it reads as arguments.
+The sparsity l' is unknown, so every l' = 1..l is tried.  Each l' solves
+one joint Prony system over the grid for the integer coefficients of
+sigma_1..sigma_l' (`coeffs.recover_sigmas`) and factors the result, so it
+yields at most one candidate support.  Every l' ends as a candidate or as
+a failure that names its stage and reason, and the first candidate whose
+fitted mixture reproduces every moment estimate within the validation
+margin is returned.  Wrong guesses of l' are harmless: their candidates
+fail the validation.  Nothing here reads `ProblemParams.eps`; the
+reference `exhaustive_distinguisher` takes the n, l and eps it reads as
+arguments.
 """
 
 from __future__ import annotations
@@ -32,9 +30,8 @@ from .core import (
     eval_poly,
 )
 from .channel import ChannelConfig, sample_trace_batch
-from .coeffs import CoefficientRecoveryError, recover_polynomial
+from .coeffs import CoefficientRecoveryError, recover_sigmas
 from .estimator import MomentEstimates, accumulate_moments
-from .prony import HankelSystem, sigma_error_stds, solve_sigma
 from .support import assemble_char_poly, decode_support, integer_roots
 from .zgrid import recovery_grid
 
@@ -43,10 +40,6 @@ class MarginError(RuntimeError):
     """No enumerated distribution matches the estimates within margin."""
 
 
-# Each point's coefficient tolerance is the larger of COEFF_TOL and
-# COEFF_SAFETY times its predicted sigma error.
-COEFF_TOL = 0.02
-COEFF_SAFETY = 4.0
 # A candidate must reproduce each moment estimate within
 # VALIDATION_ABS + VALIDATION_SIGMA * its standard error.
 VALIDATION_ABS = 0.03
@@ -75,9 +68,9 @@ class RecoveryResult:
 
 
 def recover_support_candidates(estimates: MomentEstimates, params: ProblemParams):
-    """Run prony -> coefficient recovery -> factoring once for each
-    l' = 1..l; returns ([(l', support strings)], [(l', failure message)]),
-    every l' in exactly one of the two lists."""
+    """Run coefficient recovery -> factoring once for each l' = 1..l;
+    returns ([(l', support strings)], [(l', failure message)]), every l'
+    in exactly one of the two lists."""
     results, failures = [], []
     for ell_prime in range(1, params.ell + 1):
         outcome = _candidate(ell_prime, estimates, params)
@@ -86,34 +79,12 @@ def recover_support_candidates(estimates: MomentEstimates, params: ProblemParams
 
 
 def _candidate(ell_prime, estimates, params):
-    """Solve sigma at every grid point in one stacked call, recover each
-    sigma_k polynomial, and factor.  Returns the support tuple or a
-    failure string.
-
-    Each point enters the coefficient solve with its own tolerance: the
-    larger of a floor and a safety multiple of its predicted sigma error.
-    The solve weights each point by the inverse of its tolerance, so poorly
-    conditioned points contribute weak-but-valid rows instead of either
-    poisoning the solve or being thrown away.  A point whose Hankel matrix
-    is numerically singular, or whose solve or predicted error is not
-    finite, is left out: with exact moments its predicted error is 0, so
-    only dropping it keeps its rounding noise out of the solve."""
-    b = estimates.means[:, : 2 * ell_prime]
-    cov = estimates.cov[:, : 2 * ell_prime - 1, : 2 * ell_prime - 1]
-    sys = HankelSystem.from_power_sums(b)
-    sigmas = solve_sigma(sys)
-    stds = sigma_error_stds(sys, cov, estimates.count)
-    rows = np.isfinite(sigmas).all(axis=1) & np.isfinite(stds).all(axis=1)
-    if not rows.any():
-        return "prony failed: every grid point's Hankel solve is singular or not finite"
-    zs, sigmas = estimates.grid[rows], sigmas[rows]
-    tols = np.maximum(COEFF_TOL, COEFF_SAFETY * stds[rows])
-    polys = []
-    for k in range(1, ell_prime + 1):
-        try:
-            polys.append(recover_polynomial(k, zs, sigmas[:, k - 1], tols[:, k - 1], params))
-        except CoefficientRecoveryError as exc:
-            return f"coefficient recovery failed: {exc}"
+    """The support tuple that the joint solve for sigma_1..sigma_l' and
+    exact factoring give, or a failure string naming the stage."""
+    try:
+        polys = recover_sigmas(ell_prime, estimates, params)
+    except CoefficientRecoveryError as exc:
+        return f"coefficient recovery failed: {exc}"
     try:
         char = assemble_char_poly(polys)
         enc = integer_roots(char, params.n)

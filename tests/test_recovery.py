@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from delpop.estimator import moments_from_values
 from delpop.core import power_sum
 from delpop.oracle import exact_g_expectation, exact_moments
 from delpop import prony, recovery
-from delpop.prony import HankelSystem, solve_sigma
+from delpop.prony import HankelSystem
 from delpop.recovery import (
     MarginError,
     RecoveryConfig,
@@ -114,21 +116,26 @@ def test_support_candidates_l_prime_above_support_size():
 
 
 def test_l_prime_without_usable_points_fails_by_name():
-    # on the one-point grid z = 1 the l' = 2 Hankel system of a single
-    # string is exactly singular, so l' = 2 has no point left
+    # on the one-point grid z = 1 the joint system has 2 real equations per
+    # l' (the imaginary row is 0) against 6 and 17 unknowns: each l' fails
+    # its rank check by name
     d = SparseDistribution((BitString.from_string("110101"),), (1.0,))
     est = exact_moments(d, arc_grid(0.23, 1), 3)
     results, failures = recover_support_candidates(est, ProblemParams(6, 2, 0.9))
     assert results == []
     failures = dict(failures)
-    assert failures[1].startswith("coefficient recovery failed")
-    assert failures[2].startswith("prony failed")
+    assert failures[1] == (
+        "coefficient recovery failed: 2 real equations of rank 1 for 6 unknown coefficients"
+    )
+    assert failures[2].startswith("coefficient recovery failed: 4 real equations of rank")
+    assert failures[2].endswith("for 17 unknown coefficients")
 
 
-def test_singular_hankel_point_is_skipped(monkeypatch):
+def test_singular_hankel_point_is_skipped():
     # equal popcounts: P(1; x) is the same for both strings, so the l' = 2
-    # Hankel system at z = 1 is exactly singular; that point is left out
-    # and the others still give the truth
+    # Hankel system at z = 1 is exactly singular; the joint system keeps
+    # that point's equations, which the true sigma satisfies, and still
+    # gives the truth
     d = SparseDistribution(
         (BitString.from_string("110100"), BitString.from_string("001011")), (0.6, 0.4)
     )
@@ -136,21 +143,35 @@ def test_singular_hankel_point_is_skipped(monkeypatch):
     grid = default_grid()
     est = exact_moments(d, grid, 3)
     center = int(np.flatnonzero(grid == 1.0)[0])
-    sigma = solve_sigma(HankelSystem.from_power_sums(est.means[:, :4]))
-    assert np.flatnonzero(np.isnan(sigma).any(axis=1)).tolist() == [center]
-    used = []
-    solve = recovery.recover_polynomial
-    monkeypatch.setattr(
-        recovery,
-        "recover_polynomial",
-        lambda k, zs, *rest: used.append(list(zs)) or solve(k, zs, *rest),
-    )
+    hankel = HankelSystem.from_power_sums(est.means[:, :4]).B_tilde
+    assert np.linalg.matrix_rank(hankel[center]) == 1
     results, _ = recover_support_candidates(est, params)
     assert (2, d.support) in results
-    # l' = 1 solves sigma_1 on every point; l' = 2 solves sigma_1, sigma_2
-    # on all but z = 1
-    assert [len(zs) for zs in used] == [len(grid), len(grid) - 1, len(grid) - 1]
-    assert 1.0 not in used[1] and 1.0 not in used[2]
+    # z = 1 is not left out: a NaN there fails every l' by name
+    est.means[center, 1] = math.nan
+    results, failures = recover_support_candidates(est, params)
+    assert results == []
+    assert [lp for lp, _ in failures] == [1, 2]
+    assert all("coefficient recovery failed: " in message for _, message in failures)
+
+
+@pytest.mark.parametrize("row", [0, 5])
+def test_non_finite_moment_fails_every_l_prime_by_name(row):
+    # a NaN in one point's means (b_1 here): every l' ends as a named
+    # failure and no exception leaves recover_support_candidates
+    d = SparseDistribution(
+        (BitString.from_string("110100"), BitString.from_string("011011")), (0.6, 0.4)
+    )
+    params = ProblemParams(6, 3, 0.9)
+    est = exact_moments(d, default_grid(params), 5)
+    assert (2, d.support) in recover_support_candidates(est, params)[0]
+    est.means[row, 1] = math.nan
+    results, failures = recover_support_candidates(est, params)
+    assert results == []
+    assert failures == [
+        (lp, "coefficient recovery failed: a moment estimate or its standard error is not finite")
+        for lp in (1, 2, 3)
+    ]
 
 
 def test_support_candidates_single_string():
@@ -159,6 +180,18 @@ def test_support_candidates_single_string():
     est = exact_moments(d, default_grid(), 1)
     results, _ = recover_support_candidates(est, params)
     assert all(strings == d.support for _, strings in results)
+
+
+def test_all_zero_string_is_recovered():
+    # every b_k, k >= 1, and every standard error is 0, so a point's rows
+    # are weighted by the floor on b_0 = 1 alone and the solve stays finite
+    d = SparseDistribution((BitString.from_string("000000"),), (1.0,))
+    params = ProblemParams(6, 2, 0.9)
+    results, failures = recover_support_candidates(exact_moments(d, default_grid(), 3), params)
+    assert results == [(1, d.support)]
+    assert [lp for lp, _ in failures] == [2]
+    config = RecoveryConfig(sample_count=10_000, seed=1)
+    assert recover_from_channel(d, params, config).distribution == d
 
 
 def test_fit_weights_truth_feasible():
@@ -230,6 +263,25 @@ def test_recover_two_string_fixture():
     assert result.diagnostics["candidates"][-1]["accepted"] is True
 
 
+def _envelope_probe():
+    path = Path(__file__).resolve().parents[1] / "tools" / "envelope_probe.py"
+    spec = importlib.util.spec_from_file_location("envelope_probe", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n, ell, p", [(8, 3, 0.9), (8, 2, 0.5)])
+def test_recover_probe_instances_at_a_million_traces(n, ell, p):
+    # two instances of tools/envelope_probe.py (seed 2) that a per-point
+    # Prony solve with per-sigma rounding missed at 10^6 traces
+    probe = _envelope_probe()
+    truth = probe.random_instance(n, ell, 2)
+    params = ProblemParams(n, ell, p, eps=probe.EPS)
+    result = recover_from_channel(truth, params, RecoveryConfig(sample_count=10**6, seed=2))
+    assert tv_distance(result.distribution, truth) <= 0.1
+
+
 def test_recover_is_deterministic():
     d = SparseDistribution(
         (BitString.from_string("1100"), BitString.from_string("0011")), (0.5, 0.5)
@@ -280,26 +332,35 @@ THREE_STRINGS = SparseDistribution(
 
 
 def test_recovery_failure_carries_diagnostics():
-    # moments of a 3-string mixture cannot be explained with ell = 1
-    params = ProblemParams(6, 1, 0.9)
-    est = exact_moments(THREE_STRINGS, default_grid(), 1)
-    results, failures = recover_support_candidates(est, params)
-    assert results == []
-    assert [lp for lp, _ in failures] == [1]
-    assert "failed:" in failures[0][1]
+    # moments of a 3-string mixture cannot be explained with ell = 1: l' = 1
+    # gives a one-string candidate, whose record in the failure's
+    # diagnostics names it and why it was rejected
+    config = RecoveryConfig(sample_count=20_000)
+    with pytest.raises(RecoveryFailedError) as info:
+        recover_from_channel(THREE_STRINGS, ProblemParams(6, 1, 0.9), config)
+    diagnostics = info.value.diagnostics
+    assert diagnostics["failures"] == []
+    [record] = diagnostics["candidates"]
+    assert record["ell_prime"] == 1 and record["accepted"] is False
+    assert record["reason"] == "moment validation failed"
+    [string] = record["support"]
+    assert len(string) == 6 and set(string) <= {"0", "1"}
 
 
 @pytest.mark.parametrize("ell", [1, 2])
 def test_recover_without_candidates_fails_with_full_diagnostics(ell):
-    # no l' yields a candidate: recover() still reports the grid, the
-    # points and the (empty) candidates alongside each l''s failure
+    # every l' yields a candidate and every candidate fails validation:
+    # recover() still reports the grid, the points and each l''s record
     config = RecoveryConfig(sample_count=20_000)
-    with pytest.raises(RecoveryFailedError, match="no support candidate survived") as info:
+    with pytest.raises(RecoveryFailedError, match="all candidates failed moment validation") as info:
         recover_from_channel(THREE_STRINGS, ProblemParams(6, ell, 0.9), config)
     diagnostics = info.value.diagnostics
     assert set(diagnostics) == {"grid_points", "points", "candidates", "failures"}
-    assert diagnostics["candidates"] == []
-    assert [lp for lp, _ in diagnostics["failures"]] == list(range(1, ell + 1))
+    assert diagnostics["failures"] == []
+    candidates = diagnostics["candidates"]
+    assert [c["ell_prime"] for c in candidates] == list(range(1, ell + 1))
+    assert all(c["reason"] == "moment validation failed" for c in candidates)
+    assert not any(c["accepted"] for c in candidates)
     assert len(diagnostics["points"]) == diagnostics["grid_points"]
 
 
