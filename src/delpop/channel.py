@@ -133,17 +133,20 @@ def subsample_trace(
     return Trace(kept + (0,) * (n - x_len), x_len)
 
 
-def write_trace_file(path, traces, p: float, seed: int) -> None:
-    """Write an (N, n) 0/1 array of padded traces in the format that
-    read_trace_file parses: a `#n=.. p=.. seed=..` header, then one line of
+def write_trace_file(path, batches, p: float, seed: int) -> None:
+    """Write padded traces, an iterable of (count, n) 0/1 arrays written
+    one at a time, in the format that read_trace_file parses: a
+    `#n=.. p=.. seed=..` header, n from the first batch, then one line of
     n characters per trace."""
-    traces = np.asarray(traces, dtype=np.uint8)
-    count, n = traces.shape
-    lines = np.full((count, n + 1), ord("\n"), dtype=np.uint8)
-    lines[:, :n] = traces + ord("0")
     with open(path, "wb") as fh:
-        fh.write(f"#n={n} p={p} seed={seed}\n".encode())
-        fh.write(lines.tobytes())
+        for i, batch in enumerate(batches):
+            batch = np.asarray(batch, dtype=np.uint8)
+            count, n = batch.shape
+            if not i:
+                fh.write(f"#n={n} p={p} seed={seed}\n".encode())
+            lines = np.full((count, n + 1), ord("\n"), dtype=np.uint8)
+            lines[:, :n] = batch + ord("0")
+            fh.write(lines.tobytes())
 
 
 def read_trace_file(path):

@@ -34,13 +34,14 @@ from .core import (
     eval_poly,
     load_distribution,
 )
-from .channel import ChannelConfig, read_trace_file, sample_trace_batch, write_trace_file
+from .channel import read_trace_file, write_trace_file
 from .estimator import accumulate_moments
 from .oracle import exact_g_expectation, exact_moments
 from .recovery import (
     MarginError,
     RecoveryConfig,
     RecoveryResult,
+    channel_trace_source,
     exhaustive_distinguisher,
     recover,
     recover_from_channel,
@@ -158,13 +159,16 @@ def _load_dist(opts) -> SparseDistribution:
 
 
 def _cmd_simulate(opts) -> int:
+    """The traces that `recover --dist` samples for the same seed, written
+    batch by batch."""
     if not opts["dist"]:
         raise ParameterError("simulate requires --dist")
     d = _load_dist(opts)
-    cfg = ChannelConfig(opts["p"], opts["seed"])
-    rng = np.random.default_rng(opts["seed"])
-    bits, counts = sample_trace_batch(d, cfg, opts["samples"], rng)
-    write_trace_file(opts["out"], bits, opts["p"], opts["seed"])
+    if opts["samples"] < 1:
+        raise ParameterError("samples must be >= 1")
+    params = ProblemParams(n=d.n, ell=len(d.support), p=opts["p"])
+    config = RecoveryConfig(sample_count=opts["samples"], seed=opts["seed"])
+    write_trace_file(opts["out"], channel_trace_source(d, params, config), opts["p"], opts["seed"])
     return EXIT_OK
 
 

@@ -49,27 +49,31 @@ to 99k, and their 16 matrices stay cheap to build; wider chunks spend
 more on 2^CHUNK matrices per point than they save on short rows.
 
 The means alone are linear in the row weights, so `g_means` stops the
-sweep JUNCTION = 8 bits short of the leaves.  It sums the rows' weighted
-states at bit 8 per first byte, their prefix (one gather, one multiply,
-one reduceat), and carries each sum to bit 0 through the prefix's two
-chunk matrices, T[hi] (T[lo] sum).  With n <= 8 the trie is empty, and the
-zero-padded bits of the prefix byte leave the root state as it is.  Rows
-part most near their start, so the two chunks next to bit 0 hold the
-trie's widest levels: for 2 x 10^4 distinct 48-bit rows, 39 898 of the
-98 680 node steps per point, which the junction replaces by 237 prefix
-groups.  A 12-bit stop leaves 39 202 node steps but 2 211 prefix groups,
-and ran at 6.6 ms per point against 5.2 ms on 2 shared vCPUs; its 4 096 possible prefix
+sweep on the same trie two levels short of the leaves, at bit 8.  It sums
+the leaves' weighted states there per first byte of their rows (one
+gather, one multiply, one reduceat), and carries each sum to bit 0
+through the byte's two chunk matrices, T[hi] (T[lo] sum).  The trie
+always has the two levels of the first byte, so with n <= 8 the means
+start from the root, and rows of <= 4 bits get one more all-zero chunk,
+which leaves the root state as it is.  Rows part most near their start,
+so the two chunks next to bit 0 hold the trie's widest levels: for
+2 x 10^4 distinct 48-bit rows, 39 898 of the 98 680 node steps per
+point, which the byte sums replace by 237 groups.  Building those two
+levels, which `g_means` never sweeps, costs about 1.5 ms per histogram
+(a layout of 8.8 against 7.2 ms for about 19 990 distinct 48-bit rows, 2
+shared vCPUs); a second trie stopped at bit 8 would save it.  A 12-bit
+stop leaves 39 202 node steps but 2 211 prefix groups, and ran at 6.6 ms
+per point against 5.2 ms on 2 shared vCPUs; its 4 096 possible prefix
 products alone, as stacked 6 x 6 products of three chunk matrices, take
 9.4 ms.  The covariance is a weighted sum of outer products g g^H, not
-of states, so `g_moments` keeps the full sweep.
+of states, so `g_moments` sweeps to the leaves.
 
 Several grid points share one pass on a leading stack axis, as many as
-keep points times columns within STACK_ROWS = 2^14, the columns being
-the widest level's nodes and, for `g_means`, the junction's (prefix,
-node) pairs if more: a few distinct rows sweep the whole grid at once,
-while 10^4 or more keep one point per pass and two state buffers of about
-2 MB.  Two threads over the points ran slower than one pass at a time
-next to OpenBLAS's own two threads (104 against 97 ms for 13 points).
+keep points times the widest level's nodes within STACK_ROWS = 2^14: a
+few distinct rows sweep the whole grid at once, while 10^4 or more keep
+one point per pass and two state buffers of about 2 MB.  Two threads
+over the points ran slower than one pass at a time next to OpenBLAS's
+own two threads (104 against 97 ms for 13 points).
 
 A point where some |W(s)| < 1e-12, s <= k_max, is singular for the
 estimator (the coefficients divide by it) and raises
@@ -101,78 +105,33 @@ class SingularGridPointError(ParameterError):
         self.s = s
 
 
-def compositions(m: int):
-    """All 2^(m-1) ordered compositions of m, lexicographic by parts."""
-    if m < 1:
-        raise ParameterError("m must be >= 1")
-
-    def gen(rem):
-        if rem == 0:
-            yield ()
-            return
-        for first in range(1, rem + 1):
-            for rest in gen(rem - first):
-                yield (first,) + rest
-
-    return list(gen(m))
-
-
-def multinomial(m: int, parts) -> int:
-    """Exact multinomial coefficient m! / (b_1! ... b_k!)."""
-    if sum(parts) != m:
-        raise ParameterError("parts must sum to m")
-    out = math.factorial(m)
-    for b in parts:
-        out //= math.factorial(b)
-    return out
-
-
-def composition_weights(z: complex, parts, p: float):
-    """w_{B,r} = (z^(b_r + ... + b_k) - q) / p for r = 1..k.
-
-    Raises SingularGridPointError when any weight is (near) zero."""
-    q = 1.0 - p
-    suffix = 0
-    w = [0j] * len(parts)
-    for r in range(len(parts) - 1, -1, -1):
-        suffix += parts[r]
-        w[r] = (z ** suffix - q) / p
-        if abs(w[r]) < SINGULAR_TOL:
-            raise SingularGridPointError(z, suffix)
-    return w
-
-
 CHUNK = 4  # trace positions per trie level, one transfer matrix per pattern; divides 8
-JUNCTION = 2 * CHUNK  # the bit where the means sweep stops; one prefix byte, two chunk matrices
 STACK_ROWS = 1 << 14  # grid points times widest-level nodes swept in one pass
 
 
 class _TriePlan(NamedTuple):
-    """The suffix trie of a set of rows from a stop bit on, laid out for
-    `_g_sweep`.
+    """The suffix trie of a set of rows, laid out for `_g_sweep`.
 
     The rows are cut into CHUNK-bit chunks, a partial last chunk read as
-    zero-padded.  Level j's nodes are the distinct pairs (pattern of chunk
-    j, node of level j + 1), numbered by pattern first; the last chunk's
-    nodes hang from one root, the zero state.  `levels` holds, from the
-    last chunk down to the chunk that starts at the stop bit, each level's
-    parent indices and its non-empty pattern ranges (pattern, lo, hi).
-    `leaf[i]` is row i's node at the stop bit: the root when the rows end
-    there."""
+    zero-padded, and into at least the two chunks of the first byte.
+    Level j's nodes are the distinct pairs (pattern of chunk j, node of
+    level j + 1), numbered by pattern first; the last chunk's nodes hang
+    from one root, the zero state.  `levels` holds, from the last chunk
+    down to chunk 0, each level's parent indices and its non-empty pattern
+    ranges (pattern, lo, hi).  `leaf[i]` is row i's node at chunk 0."""
 
     levels: list
     leaf: np.ndarray
     width: int  # nodes on the widest level
 
 
-def _trie_plan(rows: np.ndarray, stop: int = 0) -> _TriePlan:
-    """The `_TriePlan` of a (U, n) 0/1 array over its bits from `stop` (a
-    multiple of CHUNK) on."""
+def _trie_plan(rows: np.ndarray) -> _TriePlan:
+    """The `_TriePlan` of a (U, n) 0/1 array."""
     U, n = rows.shape
     packed = np.packbits(rows, axis=1)  # CHUNK divides 8: no chunk spans two bytes
     node, count = np.zeros(U, dtype=np.int32), 1
     levels, width = [], 1
-    for lo in range((n - 1) // CHUNK * CHUNK, stop - 1, -CHUNK):
+    for lo in range(max(n - 1, CHUNK) // CHUNK * CHUNK, -1, -CHUNK):
         pattern = packed[:, lo // 8] >> (8 - CHUNK - lo % 8) & (1 << CHUNK) - 1
         key = pattern.astype(np.intp) * count + node  # (pattern, parent), pattern first
         seen = np.zeros(count << CHUNK, dtype=bool)  # set entries: distinct keys in order, no sort
@@ -187,20 +146,6 @@ def _trie_plan(rows: np.ndarray, stop: int = 0) -> _TriePlan:
         count = len(keys)
         width = max(width, count)
     return _TriePlan(levels, node, width)
-
-
-class _Junction(NamedTuple):
-    """The rows of a histogram grouped for `TraceHistogram.g_means`: the
-    suffix trie of their bits from JUNCTION on, and their distinct pairs
-    (first byte, node at bit JUNCTION) ordered by that byte, the prefix.
-    `columns[c]` is pair c's node and `weights[c]` the summed weight of its
-    rows; the pairs of prefix `prefixes[g]` start at `starts[g]`."""
-
-    plan: _TriePlan
-    columns: np.ndarray
-    weights: np.ndarray
-    starts: np.ndarray
-    prefixes: np.ndarray
 
 
 def _transfer_matrices(zs: np.ndarray, k_max: int, p: float) -> np.ndarray:
@@ -236,15 +181,15 @@ def _transfer_matrices(zs: np.ndarray, k_max: int, p: float) -> np.ndarray:
 
 
 def _g_sweep(plan: _TriePlan, T: np.ndarray) -> np.ndarray:
-    """The augmented states (A_1..A_k, 1) of every leaf of the plan at
-    every point of a stack, as the columns of a (points, k + 1, leaves)
-    array, by the trie form of the backward sweep in the module docstring;
-    T holds the points' `_transfer_matrices`.  With the plan stopped at bit
-    0 the states are (g_1..g_k, 1).  Nodes lie along the last axis, so each
-    matmul is a small square matrix times a wide block: with nodes along
-    the middle axis (tall blocks) the sweep ran no faster, and OpenBLAS's
-    threaded path raised the peak RSS of 2 x 10^4 distinct 48-bit rows by
-    0.6 MB."""
+    """The augmented states (A_1..A_k, 1) of the nodes of the plan's last
+    level at every point of a stack, as the columns of a (points, k + 1,
+    nodes) array, by the trie form of the backward sweep in the module
+    docstring; T holds the points' `_transfer_matrices`.  The states are
+    (g_1..g_k, 1) unless the levels stop short of chunk 0.  Nodes lie
+    along the last axis, so each matmul is a small square matrix times a
+    wide block: with nodes along the middle axis (tall blocks) the sweep
+    ran no faster, and OpenBLAS's threaded path raised the peak RSS of
+    2 x 10^4 distinct 48-bit rows by 0.6 MB."""
     points, _, K, _ = T.shape
     shape = (points, K, -1)
     size = points * plan.width * K
@@ -331,17 +276,19 @@ class TraceHistogram:
         return _trie_plan(self.rows)
 
     @cached_property
-    def _junction(self) -> _Junction:
-        """The rows' suffix trie stopped at bit JUNCTION and their prefix
-        groups, laid out for `g_means`; the rows may come in any order."""
-        plan = _trie_plan(self.rows, JUNCTION)
-        prefix = np.packbits(self.rows[:, :JUNCTION], axis=1)[:, 0]  # zero-padded when n < 8
-        count = int(plan.leaf.max()) + 1
-        keys, inverse = np.unique(prefix.astype(np.intp) * count + plan.leaf, return_inverse=True)
-        pair_prefix = keys // count
-        starts = np.flatnonzero(np.diff(pair_prefix, prepend=-1))
-        return _Junction(plan, keys % count, np.bincount(inverse, self.weights, len(keys)),
-                         starts, pair_prefix[starts])
+    def _prefix_groups(self) -> tuple:
+        """The leaves of `_plan` as `g_means` reads them: each leaf's node
+        at bit 2 CHUNK and summed weight, the first leaf of each first byte
+        of the rows, and that byte.  Leaves go by (chunk-0 pattern, chunk-1
+        node) and chunk-1 nodes by (chunk-1 pattern, node at bit 2 CHUNK),
+        so each byte's leaves are contiguous and the bytes ascend."""
+        (parent_1, ranges_1), (parent_0, ranges_0) = self._plan.levels[-2:]
+        hi = np.concatenate([np.full(b - a, c) for c, a, b in ranges_0])
+        lo = np.concatenate([np.full(b - a, c) for c, a, b in ranges_1])[parent_0]
+        prefix = hi << CHUNK | lo
+        starts = np.flatnonzero(np.diff(prefix, prepend=-1))
+        weights = np.bincount(self._plan.leaf, self.weights, len(parent_0))
+        return parent_1[parent_0], weights, starts, prefix[starts]
 
     @classmethod
     def from_batches(cls, batches, n: int, limit: int) -> "TraceHistogram":
@@ -415,20 +362,21 @@ class TraceHistogram:
         return means.reshape(zs.shape + (k_max,)), cov.reshape(zs.shape + (k_max, k_max))
 
     def g_means(self, z, k_max: int, params: ProblemParams) -> np.ndarray:
-        """The means of `g_moments` alone, with the same shape, by the
-        junction of the module docstring: the sweep stops at bit JUNCTION,
-        the weighted states are summed per prefix byte, and each sum is
-        carried to bit 0 by its two chunk matrices, T[hi] (T[lo] sum): two
-        matrix-vector products per prefix took a fifth of the time of the
+        """The means of `g_moments` alone, with the same shape, as the
+        module docstring gives them: the sweep stops two levels short of
+        the leaves, at bit 2 CHUNK, the leaves' weighted states there are
+        summed per first byte of their rows, and each sum is carried to bit
+        0 by the byte's two chunk matrices, T[hi] (T[lo] sum): two
+        matrix-vector products per byte took a fifth of the time of the
         products T[hi] @ T[lo] and their contraction."""
         zs = np.asarray(z, dtype=complex)
-        junction = self._junction
+        columns, weights, starts, prefixes = self._prefix_groups
         T = _transfer_matrices(zs.ravel(), k_max, params.p)
-        states = _g_sweep(junction.plan, T)
-        weighted = np.take(states, junction.columns, axis=2)
-        weighted *= junction.weights
-        sums = np.add.reduceat(weighted, junction.starts, axis=2)  # (points, k + 1, prefixes)
-        hi, lo = junction.prefixes >> CHUNK, junction.prefixes & (1 << CHUNK) - 1
+        states = _g_sweep(self._plan._replace(levels=self._plan.levels[:-2]), T)
+        weighted = np.take(states, columns, axis=2)
+        weighted *= weights
+        sums = np.add.reduceat(weighted, starts, axis=2)  # (points, k + 1, bytes)
+        hi, lo = prefixes >> CHUNK, prefixes & (1 << CHUNK) - 1
         carried = np.einsum("pgij,pjg->pgi", T[:, lo], sums)
         means = np.einsum("pgij,pgj->pi", T[:, hi, :k_max], carried)
         return means.reshape(zs.shape + (k_max,))
@@ -517,10 +465,9 @@ def accumulate_moments(
     as `zgrid` builds it: traces and channel parameters are real, so
     g_k(x~, conj(z)) is the conjugate of g_k(x~, z), and only the first
     half of the grid (the Im z <= 0 member of each pair on the roots of
-    unity) is evaluated, in stacks of max(1, STACK_ROWS // columns) points
-    per sweep, where columns is the widest trie level and, for the means
-    alone, the junction's (prefix, node) pairs if more.  A singular grid
-    point raises SingularGridPointError.
+    unity) is evaluated, in stacks of max(1, STACK_ROWS // width) points
+    per sweep, width being the nodes on the trie's widest level, for the
+    means alone too.  A singular grid point raises SingularGridPointError.
     """
     if sample_count < 1:
         raise ParameterError("sample_count must be >= 1")
@@ -534,13 +481,8 @@ def accumulate_moments(
     means = np.empty((P, k_max + 1), dtype=complex)
     means[:, 0] = 1.0
     half = (P + 1) // 2
-    if covariance:
-        cov = np.empty((P, k_max, k_max), dtype=complex)
-        columns = hist._plan.width
-    else:
-        cov = None
-        columns = max(hist._junction.plan.width, len(hist._junction.columns))
-    stack = max(1, STACK_ROWS // columns)
+    cov = np.empty((P, k_max, k_max), dtype=complex) if covariance else None
+    stack = max(1, STACK_ROWS // hist._plan.width)
     for i in range(0, half, stack):
         j = min(i + stack, half)
         if covariance:

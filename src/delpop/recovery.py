@@ -196,12 +196,14 @@ def recover(
 
 
 def channel_trace_source(d: SparseDistribution, params: ProblemParams, config: RecoveryConfig):
-    """Endless batches of 2^16 padded traces of d through the channel at
-    retention params.p, seeded by config.seed; feeds recover()."""
+    """config.sample_count padded traces of d through the channel at
+    retention params.p, seeded by config.seed, in batches of 2^16; feeds
+    recover() and `delpop simulate`.  The last batch is drawn whole and
+    cut, so a smaller count gives the first traces of a larger one."""
     rng = np.random.default_rng(config.seed)
     cfg = ChannelConfig(params.p, config.seed)
-    while True:
-        yield sample_trace_batch(d, cfg, 1 << 16, rng)[0]
+    for start in range(0, config.sample_count, 1 << 16):
+        yield sample_trace_batch(d, cfg, 1 << 16, rng)[0][: config.sample_count - start]
 
 
 def recover_from_channel(

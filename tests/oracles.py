@@ -6,11 +6,53 @@ tests compare two independent implementations.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from delpop.core import BitString, ParameterError, SparseDistribution
-from delpop.estimator import composition_weights, compositions, multinomial
+from delpop.estimator import SINGULAR_TOL, SingularGridPointError
+
+
+def compositions(m: int):
+    """All 2^(m-1) ordered compositions of m, lexicographic by parts."""
+    if m < 1:
+        raise ParameterError("m must be >= 1")
+
+    def gen(rem):
+        if rem == 0:
+            yield ()
+            return
+        for first in range(1, rem + 1):
+            for rest in gen(rem - first):
+                yield (first,) + rest
+
+    return list(gen(m))
+
+
+def multinomial(m: int, parts) -> int:
+    """Exact multinomial coefficient m! / (b_1! ... b_k!)."""
+    if sum(parts) != m:
+        raise ParameterError("parts must sum to m")
+    out = math.factorial(m)
+    for b in parts:
+        out //= math.factorial(b)
+    return out
+
+
+def composition_weights(z: complex, parts, p: float):
+    """w_{B,r} = (z^(b_r + ... + b_k) - q) / p for r = 1..k.
+
+    Raises SingularGridPointError when any weight is (near) zero."""
+    q = 1.0 - p
+    suffix = 0
+    w = [0j] * len(parts)
+    for r in range(len(parts) - 1, -1, -1):
+        suffix += parts[r]
+        w[r] = (z ** suffix - q) / p
+        if abs(w[r]) < SINGULAR_TOL:
+            raise SingularGridPointError(z, suffix)
+    return w
 
 
 def random_bitstring(rng, n):
@@ -109,7 +151,8 @@ def law_dict(hist):
 
 def g_moments_rows(rows, weights, z, k_max, p):
     """Weighted means of g_1..g_{k_max} over the rows and their covariance,
-    built on `f_sum_rows`."""
+    by the paper's sum over compositions (module docstring of
+    `delpop.estimator`), built on `f_sum_rows`."""
     G = np.zeros((len(rows), k_max), dtype=complex)
     for m in range(1, k_max + 1):
         for parts in compositions(m):

@@ -170,7 +170,7 @@ def test_binomial_pmf_reduction_inequality():
 def test_trace_file_roundtrip(tmp_path):
     path = tmp_path / "traces.txt"
     rows = np.array([[1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 0]], dtype=np.int8)
-    write_trace_file(path, rows, 0.5, 9)
+    write_trace_file(path, [rows[:2], rows[2:]], 0.5, 9)  # two batches, one header
     assert path.read_text() == "#n=4 p=0.5 seed=9\n1010\n1100\n0000\n"
     header, traces = read_trace_file(path)
     assert header == {"n": "4", "p": "0.5", "seed": "9"}

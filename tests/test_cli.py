@@ -188,6 +188,32 @@ def test_recover_from_trace_file(tmp_path):
     assert payload["config"]["sample_count"] == 100000
 
 
+def test_simulate_writes_the_traces_that_recover_dist_samples(tmp_path, dist_file):
+    # simulate --seed s and then recover --traces recover what recover
+    # --dist --seed s recovers, on a count that ends inside a second batch
+    _, dist_path = dist_file
+    traces = tmp_path / "traces.txt"
+    common = ["--samples", "70000", "--p", "0.8", "--seed", "3"]
+    assert run(["simulate", "--dist", str(dist_path), *common, "--out", str(traces)]) == EXIT_OK
+    assert len(read_trace_file(traces)[1]) == 70000
+    payloads = []
+    for source in (["--traces", str(traces), "--samples", "70000"], ["--dist", str(dist_path), *common]):
+        out = tmp_path / f"result{len(payloads)}.json"
+        assert run(["recover", *source, "--ell", "2", "--out", str(out)]) == EXIT_OK
+        payloads.append(json.loads(out.read_text()))
+    from_file, from_dist = payloads
+    assert from_file["distribution"] == from_dist["distribution"]
+    assert from_file["diagnostics"]["points"] == from_dist["diagnostics"]["points"]
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_simulate_refuses_fewer_than_one_sample(tmp_path, dist_file, samples):
+    _, dist_path = dist_file
+    code = run(["simulate", "--dist", str(dist_path), "--samples", samples,
+                "--out", str(tmp_path / "traces.txt")])
+    assert code == EXIT_PARAMETER
+
+
 @pytest.mark.parametrize("mode", ["estimate", "recover"])
 def test_trace_modes_record_the_traces_that_ran(tmp_path, mode):
     # --samples beyond the file's 200 traces runs on all 200, and the

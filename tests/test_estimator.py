@@ -13,15 +13,20 @@ from delpop.estimator import (
     SingularGridPointError,
     TraceHistogram,
     accumulate_moments,
-    composition_weights,
-    compositions,
     g_batch,
     moments_from_values,
-    multinomial,
 )
 from delpop.oracle import exact_g_expectation
 from delpop.zgrid import arc_grid
-from oracles import f_sum_naive, f_sum_rows, g_moments_rows, random_bitstring
+from oracles import (
+    composition_weights,
+    compositions,
+    f_sum_naive,
+    f_sum_rows,
+    g_moments_rows,
+    multinomial,
+    random_bitstring,
+)
 
 
 def test_compositions_small_cases():
@@ -186,7 +191,7 @@ def test_g_moments_stack_of_points_matches_one_point_at_a_time():
         assert np.max(np.abs(cov[0, i] - one_cov)) <= 1e-12 * np.max(np.abs(one_cov))
 
 
-@pytest.mark.parametrize("n", [1, 3, 7, 8, 9, 12, 16, 21, 48])
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 7, 8, 9, 12, 16, 21, 48])
 def test_g_means_match_g_moments(n):
     # a directly built histogram: unsorted rows, unequal weights, rows that
     # share their bits from 8 on but not their first byte and rows that
@@ -210,6 +215,28 @@ def test_g_means_match_g_moments(n):
         one = hist.g_means(zs[1, 0], k_max, params)
         assert one.shape == (k_max,)
         assert np.all(np.abs(one - want[1, 0]) <= 1e-12 * np.abs(want[1, 0]))
+
+
+def test_g_moments_and_g_means_share_one_trie(monkeypatch):
+    # the means stop two levels short of the leaves on the trie that the
+    # covariance sweep uses: one histogram builds one trie
+    calls = []
+
+    def counted(rows, *rest):
+        calls.append(len(rows))
+        return plan(rows, *rest)
+
+    plan = estimator._trie_plan
+    monkeypatch.setattr(estimator, "_trie_plan", counted)
+    rng = np.random.default_rng(17)
+    rows = np.unique(rng.integers(0, 2, size=(30, 20)).astype(np.int8), axis=0)
+    hist = TraceHistogram(rows, rng.dirichlet(np.ones(len(rows))))
+    params = ProblemParams(20, 2, 0.7)
+    zs = np.exp(-1j * np.arange(1, 4))
+    want, _ = hist.g_moments(zs, 3, params)
+    got = hist.g_means(zs, 3, params)
+    assert calls == [len(rows)]
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 def test_g_batch_returns_values_in_input_row_order():

@@ -72,6 +72,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", help="default: every workload")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2: each side's quartiles need two runs")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
