@@ -17,7 +17,7 @@ from .core import (
     tv_distance,
     power_sum,
 )
-from .channel import Trace, ChannelConfig, SubsampleConfig
+from .channel import ChannelConfig
 from .recovery import RecoveryConfig, RecoveryResult, recover
 
 __all__ = [
@@ -28,9 +28,7 @@ __all__ = [
     "eval_poly",
     "tv_distance",
     "power_sum",
-    "Trace",
     "ChannelConfig",
-    "SubsampleConfig",
     "RecoveryConfig",
     "RecoveryResult",
     "recover",

@@ -166,9 +166,8 @@ def _cmd_simulate(opts) -> int:
     d = _load_dist(opts)
     if opts["samples"] < 1:
         raise ParameterError("samples must be >= 1")
-    params = ProblemParams(n=d.n, ell=len(d.support), p=opts["p"])
     config = RecoveryConfig(sample_count=opts["samples"], seed=opts["seed"])
-    write_trace_file(opts["out"], channel_trace_source(d, params, config), opts["p"], opts["seed"])
+    write_trace_file(opts["out"], channel_trace_source(d, opts["p"], config), opts["p"], opts["seed"])
     return EXIT_OK
 
 

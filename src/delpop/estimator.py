@@ -276,19 +276,23 @@ class TraceHistogram:
         return _trie_plan(self.rows)
 
     @cached_property
+    def _leaf_weights(self) -> np.ndarray:
+        """The summed weight of each leaf of `_plan`."""
+        return np.bincount(self._plan.leaf, self.weights, len(self._plan.levels[-1][0]))
+
+    @cached_property
     def _prefix_groups(self) -> tuple:
         """The leaves of `_plan` as `g_means` reads them: each leaf's node
-        at bit 2 CHUNK and summed weight, the first leaf of each first byte
-        of the rows, and that byte.  Leaves go by (chunk-0 pattern, chunk-1
-        node) and chunk-1 nodes by (chunk-1 pattern, node at bit 2 CHUNK),
-        so each byte's leaves are contiguous and the bytes ascend."""
+        at bit 2 CHUNK, the first leaf of each first byte of the rows, and
+        that byte.  Leaves go by (chunk-0 pattern, chunk-1 node) and
+        chunk-1 nodes by (chunk-1 pattern, node at bit 2 CHUNK), so each
+        byte's leaves are contiguous and the bytes ascend."""
         (parent_1, ranges_1), (parent_0, ranges_0) = self._plan.levels[-2:]
         hi = np.concatenate([np.full(b - a, c) for c, a, b in ranges_0])
         lo = np.concatenate([np.full(b - a, c) for c, a, b in ranges_1])[parent_0]
         prefix = hi << CHUNK | lo
         starts = np.flatnonzero(np.diff(prefix, prepend=-1))
-        weights = np.bincount(self._plan.leaf, self.weights, len(parent_0))
-        return parent_1[parent_0], weights, starts, prefix[starts]
+        return parent_1[parent_0], starts, prefix[starts]
 
     @classmethod
     def from_batches(cls, batches, n: int, limit: int) -> "TraceHistogram":
@@ -353,7 +357,7 @@ class TraceHistogram:
         the results gain its shape in front; one sweep serves them all."""
         zs = np.asarray(z, dtype=complex)
         states = _g_sweep(self._plan, _transfer_matrices(zs.ravel(), k_max, params.p))
-        weights = np.bincount(self._plan.leaf, self.weights, states.shape[2])  # per leaf
+        weights = self._leaf_weights
         means = states[:, :k_max] @ weights
         D = states[:, :k_max] - means[:, :, None]
         del states  # free the sweep's buffer before the weighted copy of D
@@ -370,11 +374,11 @@ class TraceHistogram:
         matrix-vector products per byte took a fifth of the time of the
         products T[hi] @ T[lo] and their contraction."""
         zs = np.asarray(z, dtype=complex)
-        columns, weights, starts, prefixes = self._prefix_groups
+        columns, starts, prefixes = self._prefix_groups
         T = _transfer_matrices(zs.ravel(), k_max, params.p)
         states = _g_sweep(self._plan._replace(levels=self._plan.levels[:-2]), T)
         weighted = np.take(states, columns, axis=2)
-        weighted *= weights
+        weighted *= self._leaf_weights
         sums = np.add.reduceat(weighted, starts, axis=2)  # (points, k + 1, bytes)
         hi, lo = prefixes >> CHUNK, prefixes & (1 << CHUNK) - 1
         carried = np.einsum("pgij,pjg->pgi", T[:, lo], sums)

@@ -6,6 +6,15 @@ padded rows in ascending order, each weighted by the compensated sum
 (math.fsum) of its probability terms.  Estimator expectations are the
 weighted mean of that histogram, the path sampled moments take, and stay
 far below test tolerances.
+
+The paper's small-p reduction lemma lives here too.  Discarding traces
+shorter than a threshold t >= `threshold_floor(n)` and keeping a random
+subsequence whose length is Bin(n, n^(-1/2)) conditioned on being at most
+t turns retention p into n^(-1/2) conditioned on length <= t
+(`exact_subsample_law` against `exact_trace_law(max_len=t)`), at the cost
+that `BINOMIAL_REDUCTION_C` bounds.  No sampler ships: g_k is unbiased
+only for the unconditioned channel, so recovery runs the estimator at the
+true p.
 """
 
 from __future__ import annotations
@@ -93,10 +102,25 @@ def exact_moments(d: SparseDistribution, grid, k_max: int) -> MomentEstimates:
     return moments_from_values(grid, k_max, lambda z, k: power_sum(d, z, k))
 
 
+# For any 2*sqrt(n) <= t <= n and 0 < p < n^(-1/2), the point masses obey
+#     P(Bin(n, p) = t) >= P(Bin(n, n^(-1/2)) = t) ** (C * ln(1/p)),
+# which bounds how much harder it is to see a length-t trace at retention p
+# than at the reduction target n^(-1/2).  C = 3 dominates the exact ratio
+# (max ~2.71, approached as p -> 0 at large n with t near the 2*sqrt(n)
+# floor); verified numerically over a wide (n, t, p) table in the tests.
+BINOMIAL_REDUCTION_C = 3.0
+
+
+def threshold_floor(n: int) -> int:
+    """The smallest threshold t the reduction allows: ceil(2 sqrt(n))."""
+    return math.ceil(2.0 * math.sqrt(n))
+
+
 def exact_subsample_law(x: BitString, p: float, t: int) -> TraceHistogram:
-    """Exact output law of the small-p subsampling of x's traces:
-    enumerate retention subsets with |S| >= t, the conditioned
-    Bin(n, n^(-1/2)) length draw, and every subsequence choice."""
+    """Exact output law of the reduction applied to x's traces at
+    retention p with threshold t: enumerate retention subsets with
+    |S| >= t, the conditioned Bin(n, n^(-1/2)) length draw, and every
+    subsequence choice."""
     n = x.n
     if n > 8:
         raise ParameterError("exact_subsample_law limited to n <= 8")

@@ -195,15 +195,16 @@ def recover(
     raise RecoveryFailedError("all candidates failed moment validation", diagnostics)
 
 
-def channel_trace_source(d: SparseDistribution, params: ProblemParams, config: RecoveryConfig):
+def channel_trace_source(d: SparseDistribution, p: float, config: RecoveryConfig):
     """config.sample_count padded traces of d through the channel at
-    retention params.p, seeded by config.seed, in batches of 2^16; feeds
-    recover() and `delpop simulate`.  The last batch is drawn whole and
-    cut, so a smaller count gives the first traces of a larger one."""
+    retention p, seeded by config.seed, in batches of 2^16; feeds
+    recover() and `delpop simulate`.  p is checked here, before any trace
+    is drawn.  The last batch is drawn whole and cut, so a smaller count
+    gives the first traces of a larger one."""
+    cfg = ChannelConfig(p)
     rng = np.random.default_rng(config.seed)
-    cfg = ChannelConfig(params.p, config.seed)
-    for start in range(0, config.sample_count, 1 << 16):
-        yield sample_trace_batch(d, cfg, 1 << 16, rng)[0][: config.sample_count - start]
+    return (sample_trace_batch(d, cfg, 1 << 16, rng)[0][: config.sample_count - start]
+            for start in range(0, config.sample_count, 1 << 16))
 
 
 def recover_from_channel(
@@ -212,7 +213,7 @@ def recover_from_channel(
     config: RecoveryConfig | None = None,
 ) -> RecoveryResult:
     config = config or RecoveryConfig()
-    return recover(channel_trace_source(d, params, config), params, config)
+    return recover(channel_trace_source(d, params.p, config), params, config)
 
 
 def exhaustive_distinguisher(

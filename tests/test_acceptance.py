@@ -10,10 +10,6 @@ import time
 
 import numpy as np
 
-from delpop.channel import (
-    BINOMIAL_REDUCTION_C,
-    threshold_floor,
-)
 from delpop.coeffs import SymmetricPolynomial, recover_polynomial
 from delpop.core import (
     BitString,
@@ -24,12 +20,14 @@ from delpop.core import (
     tv_distance,
 )
 from delpop.oracle import (
+    BINOMIAL_REDUCTION_C,
     exact_g_expectation,
     exact_moments,
     exact_sigma,
     exact_subsample_law,
     exact_trace_law,
     law_tv,
+    threshold_floor,
 )
 from delpop.prony import (
     HankelSystem,

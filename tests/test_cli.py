@@ -206,6 +206,14 @@ def test_simulate_writes_the_traces_that_recover_dist_samples(tmp_path, dist_fil
     assert from_file["diagnostics"]["points"] == from_dist["diagnostics"]["points"]
 
 
+@pytest.mark.parametrize("p", ["0", "1", "1.5"])
+def test_simulate_refuses_p_outside_zero_one_before_writing(tmp_path, dist_file, p):
+    _, dist_path = dist_file
+    out = tmp_path / "traces.txt"
+    assert run(["simulate", "--dist", str(dist_path), "--p", p, "--out", str(out)]) == EXIT_PARAMETER
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_simulate_refuses_fewer_than_one_sample(tmp_path, dist_file, samples):
     _, dist_path = dist_file

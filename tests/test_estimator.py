@@ -156,7 +156,7 @@ def test_sweep_matches_composition_sum_on_edge_rows():
     # its leaf would pair each row's g with another row's weight
     n, p = 16, 0.3
     d = SparseDistribution((BitString.from_string("1101011101101011"),), (1.0,))
-    bits, _ = sample_trace_batch(d, ChannelConfig(p, 0), 40, np.random.default_rng(59))
+    bits, _ = sample_trace_batch(d, ChannelConfig(p), 40, np.random.default_rng(59))
     edge = np.zeros((4, n), dtype=np.int8)
     edge[1, 0] = edge[2, n - 1] = 1
     edge[3] = 1
@@ -451,7 +451,7 @@ def test_accumulate_moments_k0_is_one_and_counts_equal():
     params = ProblemParams(5, 2, 0.8)
     rng = np.random.default_rng(31)
     d = SparseDistribution((BitString.from_string("10110"),), (1.0,))
-    bits, _ = sample_trace_batch(d, ChannelConfig(0.8, 0), 2000, rng)
+    bits, _ = sample_trace_batch(d, ChannelConfig(0.8), 2000, rng)
     est = accumulate_moments([bits], grid, 3, params, 2000)
     assert est.count == 2000
     assert np.all(est.means[:, 0] == 1.0)
@@ -462,7 +462,7 @@ def test_accumulate_moments_unbiased_within_5_sigma():
     params = ProblemParams(3, 1, 0.9)
     d = SparseDistribution((BitString.from_string("101"),), (1.0,))
     rng = np.random.default_rng(37)
-    bits, _ = sample_trace_batch(d, ChannelConfig(0.9, 0), 100_000, rng)
+    bits, _ = sample_trace_batch(d, ChannelConfig(0.9), 100_000, rng)
     est = accumulate_moments([bits], grid, 1, params, 100_000)
     assert abs(est.means[0, 1] - 2.0) <= 5 * est.stderrs[0, 1]
 
@@ -568,7 +568,7 @@ def test_accumulate_moments_conjugate_symmetry():
     params = ProblemParams(4, 2, 0.8)
     d = SparseDistribution((BitString.from_string("1011"),), (1.0,))
     rng = np.random.default_rng(41)
-    bits, _ = sample_trace_batch(d, ChannelConfig(0.8, 0), 3000, rng)
+    bits, _ = sample_trace_batch(d, ChannelConfig(0.8), 3000, rng)
     est = accumulate_moments([bits], grid, 3, params, 3000)
     by_theta = {round(cmath.phase(z), 12): i for i, z in enumerate(grid.tolist())}
     for theta, i in by_theta.items():

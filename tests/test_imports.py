@@ -33,3 +33,10 @@ def test_importing_delpop_pulls_in_neither_mpmath_nor_scipy():
     count, *heavy = out.stdout.split()
     assert int(count) >= 10
     assert heavy == []
+
+
+def test_star_import_names_only_what_exists():
+    # a stale __all__ entry makes `from delpop import *` raise
+    namespace = {}
+    exec("from delpop import *", namespace)
+    assert set(delpop.__all__) <= set(namespace)

@@ -7,6 +7,7 @@ import pytest
 
 from delpop.core import BitString, ParameterError, SparseDistribution, eval_poly, power_sum
 from delpop.oracle import (
+    BINOMIAL_REDUCTION_C,
     exact_g_expectation,
     exact_mixture_trace_law,
     exact_moments,
@@ -14,6 +15,7 @@ from delpop.oracle import (
     exact_subsample_law,
     exact_trace_law,
     law_tv,
+    threshold_floor,
 )
 from delpop.zgrid import arc_grid
 from oracles import elementary_symmetric, law_dict, random_bitstring, random_distribution
@@ -118,13 +120,37 @@ def test_exact_moments_are_power_sums():
 def test_subsample_law_matches_conditioned_channel():
     # the subsampled output law equals the n^(-1/2) channel conditioned on
     # length <= t, exactly (enumerated)
+    assert threshold_floor(16) == 8
     cases = [((1, 0, 1, 1), 0.3, 4), ((1, 1, 0, 1, 0, 1), 0.2, 5), ((0, 1, 1, 0, 1), 0.25, 5)]
     for bits, p, t in cases:
         x = BitString(bits)
+        assert threshold_floor(x.n) <= t <= x.n  # the lemma's range of thresholds
         sub = exact_subsample_law(x, p, t)
         target = exact_trace_law(x, x.n ** -0.5, max_len=t)
         assert law_tv(sub, target) <= 1e-12
         assert sub.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_binomial_pmf_reduction_inequality():
+    # P(Bin(n,p) = t) >= P(Bin(n, n^-1/2) = t) ** (C ln(1/p)) with C = 3
+    def logpmf(n, p, t):
+        return (
+            math.lgamma(n + 1)
+            - math.lgamma(t + 1)
+            - math.lgamma(n - t + 1)
+            + t * math.log(p)
+            + (n - t) * math.log1p(-p)
+        )
+
+    for n in (16, 25, 36, 64, 100, 256):
+        target = n ** -0.5
+        for t in range(threshold_floor(n), n + 1):
+            b = logpmf(n, target, t)
+            for p in (target / 2, target / 10, target / 100, 1e-6):
+                if not (0 < p < target):
+                    continue
+                a = logpmf(n, p, t)
+                assert a >= BINOMIAL_REDUCTION_C * math.log(1.0 / p) * b
 
 
 def test_law_tv_basic():

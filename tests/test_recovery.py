@@ -304,8 +304,7 @@ def test_channel_trace_source_gives_the_first_traces_of_a_longer_run():
     # exactly sample_count rows, cut inside the second batch, and the same
     # rows as the first of a larger count for that seed
     d = SparseDistribution((BitString.from_string("110010"),), (1.0,))
-    params = ProblemParams(6, 1, 0.7)
-    rows = [np.concatenate(list(channel_trace_source(d, params, RecoveryConfig(count, 9))))
+    rows = [np.concatenate(list(channel_trace_source(d, 0.7, RecoveryConfig(count, 9))))
             for count in (70_000, 140_000)]
     assert len(rows[0]) == 70_000 and len(rows[1]) == 140_000
     assert np.array_equal(rows[0], rows[1][:70_000])
@@ -322,9 +321,9 @@ def test_recover_validation_soundness():
     from delpop.estimator import accumulate_moments
 
     est = accumulate_moments(
-        channel_trace_source(d, params, config), grid, 3, params, config.sample_count
+        channel_trace_source(d, params.p, config), grid, 3, params, config.sample_count
     )
-    result = recover(channel_trace_source(d, params, config), params, config)
+    result = recover(channel_trace_source(d, params.p, config), params, config)
     out = result.distribution
     for i, z in enumerate(grid.tolist()):
         for k in range(1, 4):

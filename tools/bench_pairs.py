@@ -17,7 +17,9 @@ Each end-to-end metric of each workload also gets a verdict:
 count for neither) and its median is better than the base's by more than
 the base's q3 - q1; `within_bound` when its median is worse than the base's
 by no more than the metric's BENCHMARK.json bound, a fraction of the
-base's median.
+base's median; `unresolved` when the base's q3 - q1 exceeds that bound
+and not every change run is better than every base run, so the base
+spreads too widely for the runs to show whether the metric moved.
 """
 
 from __future__ import annotations
@@ -49,16 +51,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
 
 def summary(values) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
+    return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
 
 
 def verdict(base: dict, change: dict, wins: int, pairs: int, direction: str, bound: float) -> dict:
-    """The claim and bound verdicts of one metric from each side's summary."""
+    """The claim, bound and spread verdicts of one metric from each side's
+    summary."""
     sign = 1 if direction == "higher" else -1
     gain = sign * (change["median"] - base["median"])
+    worst, best = ("min", "max") if direction == "higher" else ("max", "min")
     return {
         "claim_met": 10 * wins >= 9 * pairs and gain > base["q3"] - base["q1"],
         "within_bound": gain >= -bound * abs(base["median"]),
+        "unresolved": base["q3"] - base["q1"] > bound * abs(base["median"])
+        and sign * (change[worst] - base[best]) <= 0,
     }
 
 
