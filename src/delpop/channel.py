@@ -26,7 +26,7 @@ class ChannelConfig:
 def sample_trace_batch(
     d: SparseDistribution, cfg: ChannelConfig, count: int, rng: np.random.Generator
 ):
-    """Vectorized sampling: returns (bits array of shape (count, n), retained counts).
+    """Vectorized sampling: `count` padded traces as a (count, n) int8 array.
 
     Survivors are moved to the front of each row with a stable sort on the
     deletion mask, which preserves their order; deleted slots become zero.
@@ -41,7 +41,7 @@ def sample_trace_batch(
     keep = rng.random((count, n)) < cfg.p
     order = np.argsort(~keep, axis=1, kind="stable")
     packed = np.take_along_axis(X, order, axis=1) * np.take_along_axis(keep, order, axis=1)
-    return packed.astype(np.int8), keep.sum(axis=1).astype(np.int64)
+    return packed.astype(np.int8)
 
 
 def write_trace_file(path, batches, p: float, seed: int) -> None:

@@ -35,7 +35,7 @@ from .core import (
     load_distribution,
 )
 from .channel import read_trace_file, write_trace_file
-from .estimator import accumulate_moments
+from .estimator import TraceHistogram
 from .oracle import exact_g_expectation, exact_moments
 from .recovery import (
     MarginError,
@@ -188,9 +188,8 @@ def _cmd_estimate(opts) -> int:
     if not opts["traces"]:
         raise ParameterError("estimate requires --traces")
     p, traces, count = _read_traces(opts)
-    params = ProblemParams(n=traces.shape[1], ell=opts["ell"], p=p)
-    grid = unit_roots(opts["grid_points"])
-    est = accumulate_moments([traces], grid, opts["m"], params, count, covariance=False)
+    hist = TraceHistogram.from_batches([traces], traces.shape[1], count)
+    est = hist.estimates(unit_roots(opts["grid_points"]), opts["m"], p, covariance=False)
     with open(opts["out"], "w") as fh:
         fh.write(est.to_json() + "\n")
     return EXIT_OK

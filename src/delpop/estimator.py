@@ -1,5 +1,10 @@
 """Unbiased moment estimators for deletion-channel traces.
 
+Sampled traces, a trace file and an exact trace law all enter as a
+`TraceHistogram`, distinct padded rows with weights, and its `estimates`
+gives the `MomentEstimates` of a grid: the means of g_1..g_k at every
+point, with their covariance or without it.
+
 For a trace x~ (zero-padded) and complex z, g_m(x~, z) averages to
 P(z; x)^m over the channel.  It is a sum over ordered compositions
 B = (b_1..b_k) of m:
@@ -91,7 +96,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ParameterError, ProblemParams
+from .core import ParameterError
 
 SINGULAR_TOL = 1e-12
 
@@ -155,6 +160,8 @@ def _transfer_matrices(zs: np.ndarray, k_max: int, p: float) -> np.ndarray:
     0-bit and D [[M, start], [0, 1]] per 1-bit."""
     if k_max < 1:
         raise ParameterError("m must be >= 1")
+    if not 0.0 < p < 1.0:
+        raise ParameterError(f"p must lie in (0,1), got {p!r}")
     q = 1.0 - p
     zpow = zs[:, None] ** np.arange(1, k_max + 1)
     W = (zpow - q) / p
@@ -206,10 +213,10 @@ def _g_sweep(plan: _TriePlan, T: np.ndarray) -> np.ndarray:
     return state
 
 
-def g_batch(X: np.ndarray, z: complex, m: int, params: ProblemParams) -> np.ndarray:
+def g_batch(X: np.ndarray, z: complex, m: int, p: float) -> np.ndarray:
     """g_m(x~, z) for each trace row of X."""
     plan = _trie_plan(np.asarray(X))
-    T = _transfer_matrices(np.array([z], dtype=complex), m, params.p)
+    T = _transfer_matrices(np.array([z], dtype=complex), m, p)
     return _g_sweep(plan, T)[0, m - 1, plan.leaf]
 
 
@@ -317,6 +324,8 @@ class TraceHistogram:
         or 8 bytes that holds them and read big-endian, so the integer
         keys sort as the bytes do (rows wider than 64 bits keep a raw
         byte-string key), and memory is O(distinct rows + one batch)."""
+        if limit < 1:
+            raise ParameterError(f"the trace count must be >= 1, got {limit}")
         if n <= 16:
             bins = np.zeros(1 << n, dtype=np.int64)
             for batch in _bit_batches(batches, n, limit):
@@ -350,13 +359,13 @@ class TraceHistogram:
         total = int(counts.sum())
         return cls(rows.astype(np.int8), counts / total, total)
 
-    def g_moments(self, z, k_max: int, params: ProblemParams):
+    def g_moments(self, z, k_max: int, p: float):
         """Weighted means of g_1..g_{k_max} at z, and their Hermitian
         covariance over one trace, C[i, j] = E[(g_{i+1} - b_{i+1})
         conj(g_{j+1} - b_{j+1})].  z is one point or an array of them, and
         the results gain its shape in front; one sweep serves them all."""
         zs = np.asarray(z, dtype=complex)
-        states = _g_sweep(self._plan, _transfer_matrices(zs.ravel(), k_max, params.p))
+        states = _g_sweep(self._plan, _transfer_matrices(zs.ravel(), k_max, p))
         weights = self._leaf_weights
         means = states[:, :k_max] @ weights
         D = states[:, :k_max] - means[:, :, None]
@@ -365,7 +374,7 @@ class TraceHistogram:
         cov = Dw @ np.conjugate(D, out=D).transpose(0, 2, 1)
         return means.reshape(zs.shape + (k_max,)), cov.reshape(zs.shape + (k_max, k_max))
 
-    def g_means(self, z, k_max: int, params: ProblemParams) -> np.ndarray:
+    def g_means(self, z, k_max: int, p: float) -> np.ndarray:
         """The means of `g_moments` alone, with the same shape, as the
         module docstring gives them: the sweep stops two levels short of
         the leaves, at bit 2 CHUNK, the leaves' weighted states there are
@@ -375,7 +384,7 @@ class TraceHistogram:
         products T[hi] @ T[lo] and their contraction."""
         zs = np.asarray(z, dtype=complex)
         columns, starts, prefixes = self._prefix_groups
-        T = _transfer_matrices(zs.ravel(), k_max, params.p)
+        T = _transfer_matrices(zs.ravel(), k_max, p)
         states = _g_sweep(self._plan._replace(levels=self._plan.levels[:-2]), T)
         weighted = np.take(states, columns, axis=2)
         weighted *= self._leaf_weights
@@ -384,6 +393,41 @@ class TraceHistogram:
         carried = np.einsum("pgij,pjg->pgi", T[:, lo], sums)
         means = np.einsum("pgij,pgj->pi", T[:, hi, :k_max], carried)
         return means.reshape(zs.shape + (k_max,))
+
+    def estimates(self, grid, k_max: int, p: float, covariance: bool = True) -> MomentEstimates:
+        """Means of g_0..g_{k_max} (g_0 := 1) at every grid point, with the
+        covariance of (g_1..g_{k_max}) by `g_moments`, or with cov None and
+        the means alone by `g_means` when `covariance` is False.
+
+        The grid must be conjugate-symmetric in reverse order, as `zgrid`
+        builds it: traces and channel parameters are real, so g_k(x~,
+        conj(z)) is the conjugate of g_k(x~, z), and only the first half of
+        the grid (the Im z <= 0 member of each pair on the roots of unity)
+        is evaluated, in stacks of max(1, STACK_ROWS // width) points per
+        sweep, width being the nodes on the trie's widest level, for the
+        means alone too.  A singular grid point raises
+        SingularGridPointError."""
+        if k_max < 1:
+            raise ParameterError("k_max must be >= 1")
+        grid = np.asarray(grid, dtype=complex)
+        if grid.ndim != 1 or not np.array_equal(grid, grid[::-1].conj()):
+            raise ParameterError("grid must be a conjugate-symmetric array of points")
+        P = len(grid)
+        means = np.empty((P, k_max + 1), dtype=complex)
+        means[:, 0] = 1.0
+        half = (P + 1) // 2
+        cov = np.empty((P, k_max, k_max), dtype=complex) if covariance else None
+        stack = max(1, STACK_ROWS // self._plan.width)
+        for i in range(0, half, stack):
+            j = min(i + stack, half)
+            if covariance:
+                means[i:j, 1:], cov[i:j] = self.g_moments(grid[i:j], k_max, p)
+            else:
+                means[i:j, 1:] = self.g_means(grid[i:j], k_max, p)
+        means[half:, 1:] = means[: P - half, 1:][::-1].conj()
+        if covariance:
+            cov[half:] = cov[: P - half][::-1].conj()
+        return MomentEstimates(grid, means, cov, self.count)
 
 
 @dataclass
@@ -396,7 +440,7 @@ class MomentEstimates:
     grid: np.ndarray  # (P,) complex points on the unit circle
     means: np.ndarray  # (P, k_max + 1) complex; column 0 is 1
     cov: np.ndarray | None  # (P, k_max, k_max) complex Hermitian
-    count: int  # traces behind every mean
+    count: int | None  # traces behind every mean; None for an exact law
 
     @property
     def k_max(self) -> int:
@@ -407,6 +451,8 @@ class MomentEstimates:
         """(P, k_max + 1) standard errors of the means; column 0 is 0."""
         if self.cov is None:
             raise ParameterError("these estimates hold means only: no covariance, no standard errors")
+        if self.count is None:
+            raise ParameterError("an exact trace law has no trace count: no standard errors")
         var = np.diagonal(self.cov, axis1=1, axis2=2).real / self.count
         return np.concatenate([np.zeros((len(var), 1)), np.sqrt(var)], axis=1)
 
@@ -449,51 +495,3 @@ def moments_from_values(grid, k_max: int, value_fn) -> MomentEstimates:
     ).reshape(len(grid), k_max + 1)
     return MomentEstimates(grid, means, np.zeros((len(grid), k_max, k_max), complex), 1)
 
-
-def accumulate_moments(
-    trace_source,
-    grid,
-    k_max: int,
-    params: ProblemParams,
-    sample_count: int,
-    covariance: bool = True,
-) -> MomentEstimates:
-    """Mean of g_k over the same sample_count traces, per grid point and
-    0 <= k <= k_max (g_0 := 1), with the covariance of (g_1..g_{k_max}),
-    or with cov None and the means alone by `TraceHistogram.g_means` when
-    `covariance` is False.
-
-    trace_source is an iterable of 0/1 arrays of shape (batch, n); the
-    traces are reduced to a TraceHistogram and the same histogram feeds
-    every (z, k).  The grid must be conjugate-symmetric in reverse order,
-    as `zgrid` builds it: traces and channel parameters are real, so
-    g_k(x~, conj(z)) is the conjugate of g_k(x~, z), and only the first
-    half of the grid (the Im z <= 0 member of each pair on the roots of
-    unity) is evaluated, in stacks of max(1, STACK_ROWS // width) points
-    per sweep, width being the nodes on the trie's widest level, for the
-    means alone too.  A singular grid point raises SingularGridPointError.
-    """
-    if sample_count < 1:
-        raise ParameterError("sample_count must be >= 1")
-    if k_max < 1:
-        raise ParameterError("k_max must be >= 1")
-    grid = np.asarray(grid, dtype=complex)
-    if grid.ndim != 1 or not np.array_equal(grid, grid[::-1].conj()):
-        raise ParameterError("grid must be a conjugate-symmetric array of points")
-    hist = TraceHistogram.from_batches(trace_source, params.n, sample_count)
-    P = len(grid)
-    means = np.empty((P, k_max + 1), dtype=complex)
-    means[:, 0] = 1.0
-    half = (P + 1) // 2
-    cov = np.empty((P, k_max, k_max), dtype=complex) if covariance else None
-    stack = max(1, STACK_ROWS // hist._plan.width)
-    for i in range(0, half, stack):
-        j = min(i + stack, half)
-        if covariance:
-            means[i:j, 1:], cov[i:j] = hist.g_moments(grid[i:j], k_max, params)
-        else:
-            means[i:j, 1:] = hist.g_means(grid[i:j], k_max, params)
-    means[half:, 1:] = means[: P - half, 1:][::-1].conj()
-    if covariance:
-        cov[half:] = cov[: P - half][::-1].conj()
-    return MomentEstimates(grid, means, cov, hist.count)

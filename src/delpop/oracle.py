@@ -24,14 +24,7 @@ import math
 
 import numpy as np
 
-from .core import (
-    BitString,
-    ParameterError,
-    ProblemParams,
-    SparseDistribution,
-    eval_poly,
-    power_sum,
-)
+from .core import BitString, ParameterError, SparseDistribution, eval_poly, power_sum
 from .estimator import MomentEstimates, TraceHistogram, moments_from_values
 
 
@@ -80,10 +73,9 @@ def exact_mixture_trace_law(d: SparseDistribution, p: float) -> TraceHistogram:
 def exact_g_expectation(x: BitString, z: complex, m: int, p: float) -> complex:
     """E over the channel of g_m(trace, z): the unbiasedness oracle.  Should
     equal eval_poly(x, z)^m."""
-    n = x.n
-    if n > 12:
+    if x.n > 12:
         raise ParameterError("exact_g_expectation limited to n <= 12")
-    means = exact_trace_law(x, p).g_means(z, m, ProblemParams(n=n, ell=1, p=p))
+    means = exact_trace_law(x, p).g_means(z, m, p)
     return complex(means[m - 1])
 
 

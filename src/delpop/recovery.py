@@ -1,6 +1,10 @@
 """End-to-end recovery: moments -> integer coefficients of sigma ->
 support -> weight fitting -> moment-matching validation.
 
+`recover_histogram` runs the pipeline on a `TraceHistogram`: sampled
+traces, a trace file, or an exact trace law given a trace count.
+`recover` reduces a trace stream to its histogram first.
+
 The sparsity l' is unknown, so every l' = 1..l is tried.  Each l' solves
 one joint Prony system over the grid for the integer coefficients of
 sigma_1..sigma_l' (`coeffs.recover_sigmas`) and factors the result, so it
@@ -16,7 +20,7 @@ arguments.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .core import (
 )
 from .channel import ChannelConfig, sample_trace_batch
 from .coeffs import CoefficientRecoveryError, recover_sigmas
-from .estimator import MomentEstimates, accumulate_moments
+from .estimator import MomentEstimates, TraceHistogram
 from .support import assemble_char_poly, decode_support, integer_roots
 from .zgrid import recovery_grid
 
@@ -151,18 +155,14 @@ def validate_candidate(d: SparseDistribution, estimates: MomentEstimates) -> flo
     return float(np.max(resid / margin, initial=0.0))
 
 
-def recover(
-    trace_source,
-    params: ProblemParams,
-    config: RecoveryConfig | None = None,
-) -> RecoveryResult:
-    """Full pipeline on an i.i.d. trace stream (batches of padded 0/1 rows)."""
-    config = config or RecoveryConfig()
-    if config.sample_count < 1:
-        raise ParameterError("sample_count must be >= 1")
+def recover_histogram(hist: TraceHistogram, params: ProblemParams) -> RecoveryResult:
+    """Full pipeline on a trace histogram: sampled traces, a trace file, or
+    an exact trace law given a trace count, which sets the standard errors
+    and so the validation margin."""
+    if hist.rows.shape[1] != params.n:
+        raise ParameterError(f"histogram rows have {hist.rows.shape[1]} bits, not n={params.n}")
     grid = recovery_grid(params.n, params.ell)
-    k_max = 2 * params.ell - 1
-    estimates = accumulate_moments(trace_source, grid, k_max, params, config.sample_count)
+    estimates = hist.estimates(grid, 2 * params.ell - 1, params.p)
     diagnostics = {
         "grid_points": len(grid),
         "points": estimates.point_table(),
@@ -184,15 +184,22 @@ def recover(
             continue
         record["accepted"] = True
         record["validation_worst"] = score
-        return RecoveryResult(
-            distribution=d,
-            diagnostics=diagnostics,
-            seed=config.seed,
-            config=asdict(config),
-        )
+        return RecoveryResult(distribution=d, diagnostics=diagnostics)
     if not candidates:
         raise RecoveryFailedError("no support candidate survived the pipeline", diagnostics)
     raise RecoveryFailedError("all candidates failed moment validation", diagnostics)
+
+
+def recover(
+    trace_source,
+    params: ProblemParams,
+    config: RecoveryConfig | None = None,
+) -> RecoveryResult:
+    """Full pipeline on the first config.sample_count traces of an i.i.d.
+    trace stream (batches of padded 0/1 rows)."""
+    config = config or RecoveryConfig()
+    hist = TraceHistogram.from_batches(trace_source, params.n, config.sample_count)
+    return replace(recover_histogram(hist, params), seed=config.seed, config=asdict(config))
 
 
 def channel_trace_source(d: SparseDistribution, p: float, config: RecoveryConfig):
@@ -203,7 +210,7 @@ def channel_trace_source(d: SparseDistribution, p: float, config: RecoveryConfig
     gives the first traces of a larger one."""
     cfg = ChannelConfig(p)
     rng = np.random.default_rng(config.seed)
-    return (sample_trace_batch(d, cfg, 1 << 16, rng)[0][: config.sample_count - start]
+    return (sample_trace_batch(d, cfg, 1 << 16, rng)[: config.sample_count - start]
             for start in range(0, config.sample_count, 1 << 16))
 
 

@@ -28,9 +28,8 @@ def test_sample_trace_no_deletions_limit():
     d = SparseDistribution((BitString.from_string("1011"),), (1.0,))
     rng = np.random.default_rng(0)
     cfg = ChannelConfig(1.0 - 1e-15)
-    bits, counts = sample_trace_batch(d, cfg, 50, rng)
+    bits = sample_trace_batch(d, cfg, 50, rng)
     assert np.all(bits == (1, 0, 1, 1))
-    assert np.all(counts == 4)
 
 
 def test_single_retention_probability():
@@ -38,20 +37,10 @@ def test_single_retention_probability():
     d = SparseDistribution((BitString.from_string("11"),), (1.0,))
     rng = np.random.default_rng(1)
     trials = 40_000
-    bits, counts = sample_trace_batch(d, ChannelConfig(0.5), trials, rng)
-    hits = int(np.sum(np.all(bits == (1, 0), axis=1) & (counts == 1)))
+    bits = sample_trace_batch(d, ChannelConfig(0.5), trials, rng)
+    hits = int(np.sum(np.all(bits == (1, 0), axis=1)))
     se = math.sqrt(0.5 * 0.5 / trials)
     assert abs(hits / trials - 0.5) <= 5 * se
-
-
-def test_retained_count_mean():
-    d = SparseDistribution((BitString.from_string("100110"),), (1.0,))
-    rng = np.random.default_rng(2)
-    p = 0.7
-    _, counts = sample_trace_batch(d, ChannelConfig(p), 100_000, rng)
-    mean = counts.mean()
-    sigma = math.sqrt(6 * p * (1 - p) / len(counts))
-    assert abs(mean - 6 * p) <= 5 * sigma
 
 
 def _assert_chi_square_fits(law, observed, total):
@@ -75,7 +64,7 @@ def test_batch_agrees_with_exact_law_chi_square():
     d = random_distribution(rng, 5, 2)
     p = 0.6
     law = law_dict(exact_mixture_trace_law(d, p))
-    bits, _ = sample_trace_batch(d, ChannelConfig(p), 1_000_000, rng)
+    bits = sample_trace_batch(d, ChannelConfig(p), 1_000_000, rng)
     hist = TraceHistogram.from_batches([bits], d.n, len(bits))
     observed = {row: w * hist.count for row, w in law_dict(hist).items()}
     _assert_chi_square_fits(law, observed, hist.count)
@@ -85,8 +74,8 @@ def test_sampling_is_reproducible():
     d = SparseDistribution(
         (BitString.from_string("1100"), BitString.from_string("0011")), (0.5, 0.5)
     )
-    a, _ = sample_trace_batch(d, ChannelConfig(0.5), 500, np.random.default_rng(7))
-    b, _ = sample_trace_batch(d, ChannelConfig(0.5), 500, np.random.default_rng(7))
+    a = sample_trace_batch(d, ChannelConfig(0.5), 500, np.random.default_rng(7))
+    b = sample_trace_batch(d, ChannelConfig(0.5), 500, np.random.default_rng(7))
     assert np.array_equal(a, b)
 
 

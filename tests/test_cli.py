@@ -78,6 +78,29 @@ def test_estimate_rejects_malformed_trace_file(tmp_path, text):
     assert code == EXIT_PARAMETER
 
 
+@pytest.mark.parametrize("mode", ["estimate", "recover"])
+@pytest.mark.parametrize(
+    "text, samples",
+    [("#n=4 p=0.9 seed=0\n1010\n1100\n", "0"), ("#n=4 p=0.9 seed=0\n", "100")],
+    ids=["samples-0", "header-only"],
+)
+def test_trace_modes_refuse_zero_traces(tmp_path, mode, text, samples):
+    traces = tmp_path / "traces.txt"
+    traces.write_text(text)
+    argv = [mode, "--traces", str(traces), "--ell", "1", "--samples", samples,
+            "--out", str(tmp_path / "o.json")]
+    assert run(argv) == EXIT_PARAMETER
+
+
+@pytest.mark.parametrize("mode", ["estimate", "recover"])
+@pytest.mark.parametrize("p", ["0", "1", "1.5"])
+def test_trace_modes_refuse_header_p_outside_zero_one(tmp_path, mode, p):
+    traces = tmp_path / "traces.txt"
+    traces.write_text(f"#n=4 p={p} seed=0\n1010\n1100\n")
+    argv = [mode, "--traces", str(traces), "--ell", "1", "--out", str(tmp_path / "o.json")]
+    assert run(argv) == EXIT_PARAMETER
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -119,8 +142,7 @@ def test_estimate_takes_the_means_alone(tmp_path, monkeypatch):
     # TraceHistogram.g_moments, and its means are that path's
     import numpy as np
 
-    from delpop.core import ProblemParams
-    from delpop.estimator import TraceHistogram, accumulate_moments
+    from delpop.estimator import TraceHistogram
     from delpop.zgrid import unit_roots
 
     dist_path = tmp_path / "dist.json"
@@ -131,7 +153,7 @@ def test_estimate_takes_the_means_alone(tmp_path, monkeypatch):
     traces = tmp_path / "traces.txt"
     run(["simulate", "--dist", str(dist_path), "--samples", "3000", "--p", "0.7", "--out", str(traces)])
     _, bits = read_trace_file(traces)
-    want = accumulate_moments([bits], unit_roots(9), 3, ProblemParams(20, 2, 0.7), len(bits))
+    want = TraceHistogram.from_batches([bits], 20, len(bits)).estimates(unit_roots(9), 3, 0.7)
 
     def refused(*args):
         raise AssertionError("estimate formed the covariance")

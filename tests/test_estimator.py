@@ -12,11 +12,10 @@ from delpop.estimator import (
     STACK_ROWS,
     SingularGridPointError,
     TraceHistogram,
-    accumulate_moments,
     g_batch,
     moments_from_values,
 )
-from delpop.oracle import exact_g_expectation
+from delpop.oracle import exact_g_expectation, exact_mixture_trace_law
 from delpop.zgrid import arc_grid
 from oracles import (
     composition_weights,
@@ -99,10 +98,10 @@ def test_g_moments_match_row_major_reference_at_benchmark_scale():
     rng = np.random.default_rng(53)
     rows = rng.integers(0, 2, size=(2000, 48)).astype(np.int8)
     hist = TraceHistogram(rows, rng.dirichlet(np.ones(len(rows))))
-    params = ProblemParams(48, 3, 0.7)
+    p = 0.7
     for z in arc_grid(0.23, 13).tolist()[:6:2]:
-        means, cov = hist.g_moments(z, 5, params)
-        want_means, want_cov = g_moments_rows(rows, hist.weights, z, 5, params.p)
+        means, cov = hist.g_moments(z, 5, p)
+        want_means, want_cov = g_moments_rows(rows, hist.weights, z, 5, p)
         assert np.all(np.abs(means - want_means) <= 1e-12 * np.abs(want_means))
         assert np.max(np.abs(cov - want_cov)) <= 1e-12 * np.max(np.abs(want_cov))
 
@@ -111,7 +110,7 @@ def test_g_moments_k_max_above_n():
     rows = _rows((1, 0, 1), (0, 1, 1), (1, 1, 0))
     hist = TraceHistogram(rows, np.array([0.5, 0.3, 0.2]))
     z = cmath.exp(-0.4j)
-    means, cov = hist.g_moments(z, 5, ProblemParams(3, 3, 0.6))
+    means, cov = hist.g_moments(z, 5, 0.6)
     want_means, want_cov = g_moments_rows(rows, hist.weights, z, 5, 0.6)
     assert means == pytest.approx(want_means, rel=1e-12)
     assert cov == pytest.approx(want_cov, rel=1e-12)
@@ -130,19 +129,18 @@ def test_g_moments_sweep_matches_composition_sum(n, p):
     rows[1:17, :CHUNK] = ((np.arange(16)[:, None] >> np.arange(CHUNK - 1, -1, -1)) & 1)[:, :n]
     rows = np.unique(rows, axis=0)
     hist = TraceHistogram(rows, rng.dirichlet(np.ones(len(rows))))
-    params = ProblemParams(n, 3, p)
     zs = (cmath.exp(-0.4j), cmath.exp(1.3j), 0.7 * cmath.exp(0.3j), 1.15 * cmath.exp(-1.1j), 0.5 + 0.2j)
     for z in zs:
         want_means, want_cov = g_moments_rows(rows, hist.weights, z, 6, p)
         for k_max in range(1, 7):
-            means, cov = hist.g_moments(z, k_max, params)
+            means, cov = hist.g_moments(z, k_max, p)
             want_c = want_cov[:k_max, :k_max]
             assert np.all(np.abs(means - want_means[:k_max]) <= 1e-12 * np.abs(want_means[:k_max]))
             assert np.max(np.abs(cov - want_c)) <= 1e-12 * np.max(np.abs(want_c))
 
 
 def _assert_matches_oracle(hist, z, k_max, p):
-    means, cov = hist.g_moments(z, k_max, ProblemParams(hist.rows.shape[1], 3, p))
+    means, cov = hist.g_moments(z, k_max, p)
     want_means, want_cov = g_moments_rows(hist.rows, hist.weights, z, k_max, p)
     assert np.all(np.abs(means - want_means) <= 1e-12 * np.abs(want_means))
     assert np.max(np.abs(cov - want_cov)) <= 1e-12 * np.max(np.abs(want_cov))
@@ -156,7 +154,7 @@ def test_sweep_matches_composition_sum_on_edge_rows():
     # its leaf would pair each row's g with another row's weight
     n, p = 16, 0.3
     d = SparseDistribution((BitString.from_string("1101011101101011"),), (1.0,))
-    bits, _ = sample_trace_batch(d, ChannelConfig(p), 40, np.random.default_rng(59))
+    bits = sample_trace_batch(d, ChannelConfig(p), 40, np.random.default_rng(59))
     edge = np.zeros((4, n), dtype=np.int8)
     edge[1, 0] = edge[2, n - 1] = 1
     edge[3] = 1
@@ -181,12 +179,12 @@ def test_g_moments_stack_of_points_matches_one_point_at_a_time():
     rng = np.random.default_rng(211)
     rows = np.unique(rng.integers(0, 2, size=(40, 11)).astype(np.int8), axis=0)
     hist = TraceHistogram(rows, rng.dirichlet(np.ones(len(rows))))
-    params = ProblemParams(11, 3, 0.7)
+    p = 0.7
     zs = np.array([[cmath.exp(-1.2j), 0.9 + 0.1j, cmath.exp(0.3j)]])
-    means, cov = hist.g_moments(zs, 4, params)
+    means, cov = hist.g_moments(zs, 4, p)
     assert means.shape == (1, 3, 4) and cov.shape == (1, 3, 4, 4)
     for i, z in enumerate(zs[0].tolist()):
-        one_means, one_cov = hist.g_moments(z, 4, params)
+        one_means, one_cov = hist.g_moments(z, 4, p)
         assert np.all(np.abs(means[0, i] - one_means) <= 1e-12 * np.abs(one_means))
         assert np.max(np.abs(cov[0, i] - one_cov)) <= 1e-12 * np.max(np.abs(one_cov))
 
@@ -204,15 +202,15 @@ def test_g_means_match_g_moments(n):
     rows = np.unique(rows, axis=0)
     rows = rows[rng.permutation(len(rows))]
     hist = TraceHistogram(rows, rng.dirichlet(np.ones(len(rows))))
-    params = ProblemParams(n, 3, 0.7)
+    p = 0.7
     zs = np.array([[cmath.exp(-0.4j), cmath.exp(2.6j), 0.8 * cmath.exp(0.3j)],
                    [1.15 * cmath.exp(-1.1j), 0.5 + 0.2j, 1.0 + 0j]])
     for k_max in range(1, 7):
-        want, _ = hist.g_moments(zs, k_max, params)
-        got = hist.g_means(zs, k_max, params)
+        want, _ = hist.g_moments(zs, k_max, p)
+        got = hist.g_means(zs, k_max, p)
         assert got.shape == zs.shape + (k_max,)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-        one = hist.g_means(zs[1, 0], k_max, params)
+        one = hist.g_means(zs[1, 0], k_max, p)
         assert one.shape == (k_max,)
         assert np.all(np.abs(one - want[1, 0]) <= 1e-12 * np.abs(want[1, 0]))
 
@@ -231,10 +229,10 @@ def test_g_moments_and_g_means_share_one_trie(monkeypatch):
     rng = np.random.default_rng(17)
     rows = np.unique(rng.integers(0, 2, size=(30, 20)).astype(np.int8), axis=0)
     hist = TraceHistogram(rows, rng.dirichlet(np.ones(len(rows))))
-    params = ProblemParams(20, 2, 0.7)
+    p = 0.7
     zs = np.exp(-1j * np.arange(1, 4))
-    want, _ = hist.g_moments(zs, 3, params)
-    got = hist.g_means(zs, 3, params)
+    want, _ = hist.g_moments(zs, 3, p)
+    got = hist.g_means(zs, 3, p)
     assert calls == [len(rows)]
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -245,31 +243,30 @@ def test_g_batch_returns_values_in_input_row_order():
     X = rng.integers(0, 2, size=(25, 9)).astype(np.int8)
     X[3] = 0
     X = np.concatenate([X, X[[3, 7, 3, 20]]])
-    params = ProblemParams(9, 2, 0.6)
+    p = 0.6
     for z in (cmath.exp(-0.7j), 1.1 * cmath.exp(0.4j)):
         for m in (1, 3, 6):
-            got = g_batch(X, z, m, params)
+            got = g_batch(X, z, m, p)
             assert got.shape == (len(X),)
             for i, row in enumerate(X):
-                want, _ = g_moments_rows(row[None], np.ones(1), z, m, params.p)
+                want, _ = g_moments_rows(row[None], np.ones(1), z, m, p)
                 assert abs(got[i] - want[m - 1]) <= 1e-12 * max(1.0, abs(want[m - 1]))
 
 
 def test_singular_point_rule_per_order():
     # at z = sqrt(q) only W(2) = (z^2 - q)/p vanishes: g_1 is defined, g_2 is not
     p, z = 0.75, 0.5 + 0j
-    params = ProblemParams(5, 2, p)
     X = _rows((1, 0, 1, 1, 0), (0, 1, 1, 0, 1), (0, 0, 0, 0, 0))
     w = (z - (1 - p)) / p
     want = z / (p * w) * (X * w ** np.arange(1, 6)).sum(axis=1)
-    assert g_batch(X, z, 1, params) == pytest.approx(want, rel=1e-14)
+    assert g_batch(X, z, 1, p) == pytest.approx(want, rel=1e-14)
     hist = TraceHistogram(X, np.full(3, 1 / 3))
-    for order_2 in (lambda: g_batch(X, z, 2, params), lambda: hist.g_moments(z, 2, params)):
+    for order_2 in (lambda: g_batch(X, z, 2, p), lambda: hist.g_moments(z, 2, p)):
         with pytest.raises(SingularGridPointError) as err:
             order_2()
         assert err.value.s == 2
     with pytest.raises(ParameterError):
-        g_batch(X, z, 0, params)
+        g_batch(X, z, 0, p)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 10, 12, 15, 16, 17, 48, 63, 64, 65, 100])
@@ -341,6 +338,25 @@ def test_histogram_source_exhausted_before_limit(n):
         TraceHistogram.from_batches(iter(batches), n, len(rows) + 1)
 
 
+def test_histogram_source_of_one_trace_exhausted():
+    batch = np.array([(1, 1, 0)], dtype=np.int8)
+    with pytest.raises(ParameterError, match="exhausted after 1 of 10"):
+        TraceHistogram.from_batches([batch], 3, 10)
+
+
+@pytest.mark.parametrize("n", [8, 17])
+@pytest.mark.parametrize("limit", [0, -5])
+def test_histogram_needs_at_least_one_trace(n, limit):
+    # refused before the source is read, whether it holds traces or none
+    def source():
+        raise AssertionError("the source was read")
+        yield
+
+    for batches in (source(), [np.zeros((3, n), dtype=np.int8)], []):
+        with pytest.raises(ParameterError, match="trace count must be >= 1"):
+            TraceHistogram.from_batches(batches, n, limit)
+
+
 @pytest.mark.parametrize("n", [4, 20])
 @pytest.mark.parametrize(
     "dtype, bad", [(np.int64, 257), (np.int64, -255), (float, 0.5), (np.int8, 2), (np.int8, -1)]
@@ -378,11 +394,11 @@ def test_f_sum_matches_naive_enumeration():
 
 def test_g_at_z_one_counts_retained_ones():
     # m=1, z=1: w = 1 and g_1 = (number of retained ones) / p
-    params = ProblemParams(3, 1, 0.5)
-    assert g_batch(_rows((1, 1, 0)), 1.0, 1, params) == pytest.approx([4.0])
+    p = 0.5
+    assert g_batch(_rows((1, 1, 0)), 1.0, 1, p) == pytest.approx([4.0])
     rng = np.random.default_rng(23)
     rows = np.sort(rng.integers(0, 2, (20, 6)), axis=1)[:, ::-1]
-    got = g_batch(rows, 1.0, 1, ProblemParams(6, 1, 0.3))
+    got = g_batch(rows, 1.0, 1, 0.3)
     assert got == pytest.approx(rows.sum(axis=1) / 0.3)
     # a real z (a Python float) for every order at once
     hist = TraceHistogram(rows.astype(np.int8), np.full(len(rows), 1 / len(rows)))
@@ -435,67 +451,67 @@ def test_arc_grid_weights_at_least_one():
                         assert min(abs(v) for v in w) >= 1.0 - 1e-12
 
 
-def test_accumulate_moments_single_trace():
+def test_estimates_single_trace():
     grid = arc_grid(0.3, 3)
-    params = ProblemParams(4, 2, 0.7)
+    p = 0.7
     batch = np.array([(1, 0, 1, 0)], dtype=np.int8)
-    est = accumulate_moments([batch], grid, 3, params, 1)
+    est = TraceHistogram.from_batches([batch], batch.shape[1], 1).estimates(grid, 3, p)
     for i, z in enumerate(grid.tolist()):
         assert est.means[i, 0] == 1.0
         for k in range(1, 4):
-            assert est.means[i, k] == pytest.approx(g_batch(batch, z, k, params)[0])
+            assert est.means[i, k] == pytest.approx(g_batch(batch, z, k, p)[0])
 
 
-def test_accumulate_moments_k0_is_one_and_counts_equal():
+def test_estimates_k0_is_one_and_counts_equal():
     grid = arc_grid(0.25, 5)
-    params = ProblemParams(5, 2, 0.8)
+    p = 0.8
     rng = np.random.default_rng(31)
     d = SparseDistribution((BitString.from_string("10110"),), (1.0,))
-    bits, _ = sample_trace_batch(d, ChannelConfig(0.8), 2000, rng)
-    est = accumulate_moments([bits], grid, 3, params, 2000)
+    bits = sample_trace_batch(d, ChannelConfig(0.8), 2000, rng)
+    est = TraceHistogram.from_batches([bits], bits.shape[1], 2000).estimates(grid, 3, p)
     assert est.count == 2000
     assert np.all(est.means[:, 0] == 1.0)
 
 
-def test_accumulate_moments_unbiased_within_5_sigma():
+def test_estimates_unbiased_within_5_sigma():
     grid = [1.0 + 0j]
-    params = ProblemParams(3, 1, 0.9)
+    p = 0.9
     d = SparseDistribution((BitString.from_string("101"),), (1.0,))
     rng = np.random.default_rng(37)
-    bits, _ = sample_trace_batch(d, ChannelConfig(0.9), 100_000, rng)
-    est = accumulate_moments([bits], grid, 1, params, 100_000)
+    bits = sample_trace_batch(d, ChannelConfig(0.9), 100_000, rng)
+    est = TraceHistogram.from_batches([bits], bits.shape[1], 100_000).estimates(grid, 1, p)
     assert abs(est.means[0, 1] - 2.0) <= 5 * est.stderrs[0, 1]
 
 
-def test_accumulate_moments_raises_on_singular_point():
+def test_estimates_raises_on_singular_point():
     # z = q on the real axis makes w vanish for the k=1 composition
-    params = ProblemParams(3, 1, 0.5)
-    batch = np.array([(1, 1, 0)], dtype=np.int8)
+    p = 0.5
+    hist = TraceHistogram.from_batches([np.array([(1, 1, 0)], dtype=np.int8)], 3, 1)
     with pytest.raises(SingularGridPointError):
-        accumulate_moments([batch], [0.5 + 0j], 1, params, 1)
-    est = accumulate_moments([batch], [1.0 + 0j], 1, params, 1)
+        hist.estimates([0.5 + 0j], 1, p)
+    est = hist.estimates([1.0 + 0j], 1, p)
     assert est.means[0, 1] == pytest.approx(2 / 0.5)  # z = 1: (retained ones) / p
     with pytest.raises(SingularGridPointError):
-        accumulate_moments([batch], [0.5 + 0j], 1, params, 1, covariance=False)
-    est = accumulate_moments([batch], [1.0 + 0j], 1, params, 1, covariance=False)
+        hist.estimates([0.5 + 0j], 1, p, covariance=False)
+    est = hist.estimates([1.0 + 0j], 1, p, covariance=False)
     assert est.means[0, 1] == pytest.approx(2 / 0.5)
 
 
-def test_accumulate_moments_rejects_asymmetric_grid():
-    params = ProblemParams(3, 1, 0.5)
-    batch = np.array([(1, 1, 0)], dtype=np.int8)
+def test_estimates_rejects_asymmetric_grid():
+    p = 0.5
+    hist = TraceHistogram.from_batches([np.array([(1, 1, 0)], dtype=np.int8)], 3, 1)
     with pytest.raises(ParameterError):
-        accumulate_moments([batch], [1j, 1.0 + 0j], 1, params, 1)
+        hist.estimates([1j, 1.0 + 0j], 1, p)
     with pytest.raises(ParameterError):
-        accumulate_moments([batch], [1j, 1.0 + 0j], 1, params, 1, covariance=False)
+        hist.estimates([1j, 1.0 + 0j], 1, p, covariance=False)
 
 
 @pytest.mark.parametrize("count", [1, 3, 25])
-def test_accumulate_moments_evaluates_one_point_per_conjugate_pair(monkeypatch, count):
+def test_estimates_evaluates_one_point_per_conjugate_pair(monkeypatch, count):
     # every point in one stack (the default), one point per stack, and two
     # per stack (the 2 rows' widest trie level has 2 nodes)
     grid = arc_grid(0.23, count)
-    params = ProblemParams(4, 2, 0.8)
+    p = 0.8
     batch = np.array([(1, 0, 1, 0), (1, 1, 0, 0)], dtype=np.int8)
     g_moments = TraceHistogram.g_moments
     for stack_rows in (STACK_ROWS, 1, 4):
@@ -507,7 +523,7 @@ def test_accumulate_moments_evaluates_one_point_per_conjugate_pair(monkeypatch, 
 
         monkeypatch.setattr(TraceHistogram, "g_moments", counted)
         monkeypatch.setattr(estimator, "STACK_ROWS", stack_rows)
-        est = accumulate_moments([batch], grid, 3, params, 2)
+        est = TraceHistogram.from_batches([batch], batch.shape[1], 2).estimates(grid, 3, p)
         # the Im z <= 0 member of each pair, each once, over all the calls
         evaluated = np.concatenate(seen)
         assert np.array_equal(evaluated, grid[: (count + 1) // 2])
@@ -516,22 +532,22 @@ def test_accumulate_moments_evaluates_one_point_per_conjugate_pair(monkeypatch, 
         assert np.array_equal(est.means[::-1], est.means.conj())
 
 
-def test_accumulate_moments_one_point_per_stack_matches_default(monkeypatch):
+def test_estimates_one_point_per_stack_matches_default(monkeypatch):
     rng = np.random.default_rng(47)
     distinct = rng.integers(0, 2, size=(50, 10)).astype(np.int8)
     rows = distinct[rng.integers(0, len(distinct), size=2000)]
     grid = arc_grid(0.23, 25)
-    params = ProblemParams(10, 3, 0.7)
-    want = accumulate_moments([rows], grid, 5, params, len(rows))
+    p = 0.7
+    want = TraceHistogram.from_batches([rows], rows.shape[1], len(rows)).estimates(grid, 5, p)
     monkeypatch.setattr(estimator, "STACK_ROWS", 1)
-    got = accumulate_moments([rows], grid, 5, params, len(rows))
+    got = TraceHistogram.from_batches([rows], rows.shape[1], len(rows)).estimates(grid, 5, p)
     assert np.all(np.abs(got.means - want.means) <= 1e-12 * np.abs(want.means))
     for c, w in zip(got.cov, want.cov):
         assert np.max(np.abs(c - w)) <= 1e-12 * np.max(np.abs(w))
 
 
 @pytest.mark.parametrize("n", [6, 20])
-def test_accumulate_moments_means_only(monkeypatch, n):
+def test_estimates_means_only(monkeypatch, n):
     # the means of the covariance path, no covariance, no standard errors;
     # a stack of points holds STACK_ROWS // (the junction's (prefix, node)
     # pairs) when they outnumber the widest trie level's nodes
@@ -539,11 +555,12 @@ def test_accumulate_moments_means_only(monkeypatch, n):
     distinct = rng.integers(0, 2, size=(30, n)).astype(np.int8)
     rows = distinct[rng.integers(0, len(distinct), size=900)]
     grid = arc_grid(0.23, 25)
-    params = ProblemParams(n, 3, 0.7)
-    want = accumulate_moments([rows], grid, 5, params, len(rows))
+    p = 0.7
+    want = TraceHistogram.from_batches([rows], n, len(rows)).estimates(grid, 5, p)
     for stack_rows in (STACK_ROWS, 1):
         monkeypatch.setattr(estimator, "STACK_ROWS", stack_rows)
-        got = accumulate_moments([rows], grid, 5, params, len(rows), covariance=False)
+        hist = TraceHistogram.from_batches([rows], n, len(rows))
+        got = hist.estimates(grid, 5, p, covariance=False)
         assert got.cov is None and got.count == want.count
         assert np.all(np.abs(got.means - want.means) <= 1e-12 * np.abs(want.means))
         with pytest.raises(ParameterError):
@@ -558,18 +575,26 @@ def test_accumulate_moments_means_only(monkeypatch, n):
 
     monkeypatch.setattr(TraceHistogram, "g_means", counted)
     monkeypatch.setattr(estimator, "STACK_ROWS", 4)
-    accumulate_moments([batch], grid, 3, ProblemParams(6, 2, 0.8), 2, covariance=False)
+    TraceHistogram.from_batches([batch], 6, 2).estimates(grid, 3, 0.8, covariance=False)
     # 6-bit rows leave an empty trie, of width 1, and two (prefix, node) pairs
     assert seen == [2] * 6 + [1]
 
 
-def test_accumulate_moments_conjugate_symmetry():
+def test_estimates_of_a_law_without_a_trace_count_have_no_stderrs():
+    d = SparseDistribution((BitString.from_string("10110"),), (1.0,))
+    est = exact_mixture_trace_law(d, 0.8).estimates(arc_grid(0.3, 3), 3, 0.8)
+    assert est.count is None
+    with pytest.raises(ParameterError, match="no trace count"):
+        est.stderrs
+
+
+def test_estimates_conjugate_symmetry():
     grid = arc_grid(0.35, 5)
-    params = ProblemParams(4, 2, 0.8)
+    p = 0.8
     d = SparseDistribution((BitString.from_string("1011"),), (1.0,))
     rng = np.random.default_rng(41)
-    bits, _ = sample_trace_batch(d, ChannelConfig(0.8), 3000, rng)
-    est = accumulate_moments([bits], grid, 3, params, 3000)
+    bits = sample_trace_batch(d, ChannelConfig(0.8), 3000, rng)
+    est = TraceHistogram.from_batches([bits], bits.shape[1], 3000).estimates(grid, 3, p)
     by_theta = {round(cmath.phase(z), 12): i for i, z in enumerate(grid.tolist())}
     for theta, i in by_theta.items():
         mirror = by_theta[-theta]
@@ -577,34 +602,26 @@ def test_accumulate_moments_conjugate_symmetry():
         assert est.cov[i] == pytest.approx(est.cov[mirror].conj())
 
 
-def test_accumulate_moments_histogram_matches_raw_rows():
+def test_estimates_histogram_matches_raw_rows():
     grid = arc_grid(0.3, 5)
-    params = ProblemParams(6, 2, 0.7)
+    p = 0.7
     rng = np.random.default_rng(43)
     distinct = rng.integers(0, 2, size=(40, 6)).astype(np.int8)
     rows = distinct[rng.integers(0, 40, size=3000)]
-    est = accumulate_moments([rows], grid, 3, params, len(rows))
+    est = TraceHistogram.from_batches([rows], rows.shape[1], len(rows)).estimates(grid, 3, p)
     assert est.count == len(rows)
     for i, z in enumerate(grid.tolist()):
         for k in range(1, 4):
-            vals = g_batch(rows, z, k, params)
+            vals = g_batch(rows, z, k, p)
             mean = vals.mean()
             stderr = math.sqrt(float(np.mean(np.abs(vals - mean) ** 2)) / len(rows))
             assert abs(est.means[i, k] - mean) <= 1e-12 * max(1.0, abs(mean))
             assert abs(est.stderrs[i, k] - stderr) <= 1e-12 * max(1.0, stderr)
     shuffled = rows[rng.permutation(len(rows))]
     batches = [shuffled[:7], shuffled[7:1000], shuffled[1000:]]
-    again = accumulate_moments(batches, grid, 3, params, len(rows))
+    again = TraceHistogram.from_batches(batches, 6, len(rows)).estimates(grid, 3, p)
     assert np.array_equal(again.means, est.means)
     assert np.array_equal(again.cov, est.cov)
-
-
-def test_accumulate_moments_exhausted_source():
-    grid = arc_grid(0.3, 3)
-    params = ProblemParams(3, 1, 0.5)
-    batch = np.array([(1, 1, 0)], dtype=np.int8)
-    with pytest.raises(ParameterError):
-        accumulate_moments([batch], grid, 1, params, 10)
 
 
 def test_moment_json_has_contracted_fields():
@@ -623,9 +640,9 @@ def test_moment_json_k0_mean_is_positive_one_at_every_point():
     # column is the constant 1 and must not become 1 - 0j there
     import json
 
-    params = ProblemParams(4, 1, 0.7)
+    p = 0.7
     batch = np.array([(1, 0, 1, 0)], dtype=np.int8)
-    est = accumulate_moments([batch], arc_grid(0.3, 3), 1, params, 1)
+    est = TraceHistogram.from_batches([batch], batch.shape[1], 1).estimates(arc_grid(0.3, 3), 1, p)
     k0 = [rec["mean"] for rec in json.loads(est.to_json()) if rec["k"] == 0]
     assert len(k0) == 3
     for re, im in k0:

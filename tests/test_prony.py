@@ -6,8 +6,7 @@ import pytest
 
 from delpop.channel import ChannelConfig, sample_trace_batch
 from delpop.core import ParameterError, SparseDistribution, BitString
-from delpop.core import ProblemParams
-from delpop.estimator import accumulate_moments, moments_from_values
+from delpop.estimator import TraceHistogram, moments_from_values
 from delpop.core import power_sum
 from delpop.zgrid import arc_grid
 from delpop.prony import (
@@ -197,9 +196,8 @@ def test_stacked_solve_matches_per_point_reference(ell_prime):
     d = SparseDistribution(
         (BitString.from_string("10101010"), BitString.from_string("01010101")), (0.6, 0.4)
     )
-    params = ProblemParams(8, 2, 0.9)
-    bits, _ = sample_trace_batch(d, ChannelConfig(0.9), 100_000, np.random.default_rng(3))
-    est = accumulate_moments([bits], arc_grid(0.23, 25), 5, params, len(bits))
+    bits = sample_trace_batch(d, ChannelConfig(0.9), 100_000, np.random.default_rng(3))
+    est = TraceHistogram.from_batches([bits], 8, len(bits)).estimates(arc_grid(0.23, 25), 5, 0.9)
     b = est.means[:, : 2 * ell_prime]
     sigma = solve_sigma(HankelSystem.from_power_sums(b))
     assert sigma.shape == (len(b), ell_prime)

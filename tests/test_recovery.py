@@ -17,7 +17,7 @@ from delpop.core import (
 )
 from delpop.estimator import moments_from_values
 from delpop.core import power_sum
-from delpop.oracle import exact_g_expectation, exact_moments
+from delpop.oracle import exact_g_expectation, exact_mixture_trace_law, exact_moments
 from delpop import prony, recovery
 from delpop.prony import HankelSystem
 from delpop.recovery import (
@@ -28,6 +28,7 @@ from delpop.recovery import (
     fit_weights,
     recover,
     recover_from_channel,
+    recover_histogram,
     recover_support_candidates,
     validate_candidate,
 )
@@ -300,6 +301,34 @@ def test_recover_rejects_zero_samples():
         recover(iter(()), params, RecoveryConfig(sample_count=0))
 
 
+ACCEPTANCE_POINT = SparseDistribution(
+    (BitString.from_string("10101010"), BitString.from_string("01010101")), (0.6, 0.4)
+)
+
+
+@pytest.mark.parametrize("case", ["acceptance-point", "random-n16-l3"])
+def test_recover_histogram_from_an_exact_law(case):
+    # an exact trace law given the count of 10^9 traces: noise-free moments
+    # whose standard errors set the validation margin
+    if case == "acceptance-point":
+        d, ell = ACCEPTANCE_POINT, 2
+    else:
+        d, ell = random_distribution(np.random.default_rng(16), 16, 3), 3
+    law = dataclasses.replace(exact_mixture_trace_law(d, 0.9), count=10**9)
+    result = recover_histogram(law, ProblemParams(d.n, ell, 0.9))
+    assert sorted(result.distribution.support) == sorted(d.support)
+    assert tv_distance(result.distribution, d) <= 1e-12
+    assert (result.seed, result.config) == (0, {})
+
+
+def test_recover_histogram_refuses_a_law_without_a_count_or_of_another_n():
+    law = exact_mixture_trace_law(ACCEPTANCE_POINT, 0.9)
+    with pytest.raises(ParameterError, match="no trace count"):
+        recover_histogram(law, ProblemParams(8, 2, 0.9))
+    with pytest.raises(ParameterError, match="8 bits, not n=9"):
+        recover_histogram(dataclasses.replace(law, count=10**6), ProblemParams(9, 2, 0.9))
+
+
 def test_channel_trace_source_gives_the_first_traces_of_a_longer_run():
     # exactly sample_count rows, cut inside the second batch, and the same
     # rows as the first of a larger count for that seed
@@ -318,11 +347,10 @@ def test_recover_validation_soundness():
     params = ProblemParams(6, 2, 0.9)
     config = RecoveryConfig(sample_count=100_000, seed=5)
     grid = default_grid(params)
-    from delpop.estimator import accumulate_moments
+    from delpop.estimator import TraceHistogram
 
-    est = accumulate_moments(
-        channel_trace_source(d, params.p, config), grid, 3, params, config.sample_count
-    )
+    hist = TraceHistogram.from_batches(channel_trace_source(d, params.p, config), 6, config.sample_count)
+    est = hist.estimates(grid, 3, params.p)
     result = recover(channel_trace_source(d, params.p, config), params, config)
     out = result.distribution
     for i, z in enumerate(grid.tolist()):
