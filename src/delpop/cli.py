@@ -38,7 +38,6 @@ from .channel import read_trace_file, write_trace_file
 from .estimator import TraceHistogram
 from .oracle import exact_g_expectation, exact_moments
 from .recovery import (
-    MarginError,
     RecoveryConfig,
     RecoveryResult,
     channel_trace_source,
@@ -111,6 +110,8 @@ def _parse_options(argv) -> dict:
         args = parser.parse_args([argv[0], *_read_config_file(args.config), *argv[1:]])
     opts = vars(args)
     if "ell" in opts:  # the modes that read ell use moment orders 1..2*ell - 1
+        if opts["ell"] < 1:
+            raise ParameterError(f"ell must be a positive integer, got {opts['ell']}")
         opts["m"] = 2 * opts["ell"] - 1
     return opts
 
@@ -267,7 +268,7 @@ def run(argv) -> int:
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
-    except (RecoveryFailedError, MarginError) as exc:
+    except RecoveryFailedError as exc:
         print(f"recovery failed: {exc}", file=sys.stderr)
         return EXIT_RECOVERY
     except OSError as exc:

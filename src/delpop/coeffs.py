@@ -35,21 +35,15 @@ from .core import ParameterError, ProblemParams
 
 
 class CoefficientRecoveryError(RuntimeError):
-    """sigma_k could not be recovered; the message gives the reason."""
+    """sigma_k could not be recovered, or with k None the joint system of
+    sigma_1..sigma_l' could not.  The message gives the reason: a moment
+    that is not finite, a rank too low to determine the coefficients, a
+    coefficient outside its bound, or a point missed by more than its
+    tolerance."""
 
     def __init__(self, k, message):
         super().__init__(message if k is None else f"sigma_{k}: {message}")
         self.k = k
-
-
-class NoFeasibleCoefficientError(CoefficientRecoveryError):
-    """The integer solution breaks the coefficient bound, or misses a point
-    by more than its tolerance (estimates too noisy)."""
-
-
-class AmbiguousCoefficientError(CoefficientRecoveryError):
-    """The grid points do not determine the coefficients (too few points or
-    a numerically rank-deficient system); k is None for the joint system."""
 
 
 @dataclass(frozen=True)
@@ -80,11 +74,18 @@ def recover_sigmas(ell_prime: int, estimates, params: ProblemParams) -> list:
     point's rows are divided by the standard error of b_{2l'-1}, floored
     at float64 eps times the point's largest |b_k|, so exact moments (zero
     covariance) are weighted by their rounding level.  Raises
-    CoefficientRecoveryError when a moment or weight is not finite,
-    AmbiguousCoefficientError when some |R_ii| of the column-scaled QR is
-    at most max|R_ii| * max(shape) * eps, and NoFeasibleCoefficientError
-    when a coefficient lies outside [0, coefficient_bound]."""
+    ParameterError when ell_prime < 1 or the estimates stop short of
+    b_{2l'-1}, and CoefficientRecoveryError when a moment or weight is not
+    finite, when some |R_ii| of the column-scaled QR is at most
+    max|R_ii| * max(shape) * eps, or when a coefficient lies outside
+    [0, coefficient_bound]."""
     n, lp = params.n, ell_prime
+    if lp < 1:
+        raise ParameterError(f"ell_prime must be >= 1, got {lp}")
+    if estimates.k_max < 2 * lp - 1:
+        raise ParameterError(
+            f"l'={lp} needs b_1..b_{2 * lp - 1}, the estimates end at b_{estimates.k_max}"
+        )
     half = (len(estimates.grid) + 1) // 2
     b = estimates.means[:half, : 2 * lp]
     eps = np.finfo(float).eps
@@ -110,7 +111,7 @@ def recover_sigmas(ell_prime: int, estimates, params: ProblemParams) -> list:
     diag = np.abs(np.diagonal(R))
     rank = int(np.count_nonzero(diag > diag.max(initial=0.0) * max(A.shape) * eps))
     if rank < unknowns:
-        raise AmbiguousCoefficientError(
+        raise CoefficientRecoveryError(
             None, f"{len(rhs)} real equations of rank {rank} for {unknowns} unknown coefficients"
         )
     # Babai's nearest plane in integer coordinates: R diag(norms) t ~ Q^T rhs
@@ -125,7 +126,7 @@ def recover_sigmas(ell_prime: int, estimates, params: ProblemParams) -> list:
         bound = coefficient_bound(params, j)
         outside = np.flatnonzero((coeffs < 0) | (coeffs > bound))
         if outside.size:
-            raise NoFeasibleCoefficientError(
+            raise CoefficientRecoveryError(
                 j, f"coefficient {j + outside[0]} is {coeffs[outside[0]]:.0f}, outside [0, {bound}]"
             )
         polys.append(SymmetricPolynomial(j, (0,) * j + tuple(int(c) for c in coeffs)))
@@ -158,7 +159,7 @@ def recover_polynomial(k, zs, values, tols, params: ProblemParams) -> SymmetricP
     rhs = np.concatenate([values.real, values.imag]) * row_weights
     solution, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
     if rank < unknowns:
-        raise AmbiguousCoefficientError(
+        raise CoefficientRecoveryError(
             k, f"{len(rhs)} real equations of rank {rank} for {unknowns} unknown coefficients"
         )
     rounded = np.rint(solution)
@@ -166,14 +167,14 @@ def recover_polynomial(k, zs, values, tols, params: ProblemParams) -> SymmetricP
     outside = np.flatnonzero((rounded < 0) | (rounded > bound))
     if outside.size:
         i = k + int(outside[0])
-        raise NoFeasibleCoefficientError(
+        raise CoefficientRecoveryError(
             k, f"coefficient {i} rounds to {rounded[outside[0]]:.0f}, outside [0, {bound}]"
         )
     resid = values - powers @ rounded
     miss = np.maximum(np.abs(resid.real), np.abs(resid.imag)) / tols
     worst = int(np.argmax(miss))
     if miss[worst] > 1.0:
-        raise NoFeasibleCoefficientError(
+        raise CoefficientRecoveryError(
             k, f"integer polynomial misses z={zs[worst]:.4g} by {miss[worst]:.3g} tolerances"
         )
     return SymmetricPolynomial(k, (0,) * k + tuple(int(c) for c in rounded))

@@ -26,7 +26,9 @@ class RecoveryFailedError(RuntimeError):
 
 
 class CorruptInputError(RuntimeError):
-    """Structured input violates a guaranteed property (upstream bug)."""
+    """The recovered characteristic polynomial does not split into distinct
+    integer roots that decode to n-bit strings.  Noisy coefficients give
+    this routinely, and the pipeline reports it as "factoring failed"."""
 
 
 WEIGHT_SUM_TOL = 1e-12

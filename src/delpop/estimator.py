@@ -213,13 +213,6 @@ def _g_sweep(plan: _TriePlan, T: np.ndarray) -> np.ndarray:
     return state
 
 
-def g_batch(X: np.ndarray, z: complex, m: int, p: float) -> np.ndarray:
-    """g_m(x~, z) for each trace row of X."""
-    plan = _trie_plan(np.asarray(X))
-    T = _transfer_matrices(np.array([z], dtype=complex), m, p)
-    return _g_sweep(plan, T)[0, m - 1, plan.leaf]
-
-
 def _bit_batches(batches, n: int, limit: int):
     """The first `limit` rows of an iterable of (batch, n) arrays, one int8
     batch at a time, each checked to hold only 0 and 1.  The source is not

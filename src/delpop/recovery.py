@@ -40,16 +40,15 @@ from .support import assemble_char_poly, decode_support, integer_roots
 from .zgrid import recovery_grid
 
 
-class MarginError(RuntimeError):
-    """No enumerated distribution matches the estimates within margin."""
-
-
 # A candidate must reproduce each moment estimate within
 # VALIDATION_ABS + VALIDATION_SIGMA * its standard error.
 VALIDATION_ABS = 0.03
 VALIDATION_SIGMA = 8.0
 # Fitted weights at or below this are dropped.
 WEIGHT_FLOOR = 1e-6
+# `exhaustive_distinguisher` accepts a mixture whose moments all lie
+# within this of the estimates.
+DISTINGUISH_MARGIN = 1e-7
 
 
 @dataclass
@@ -91,8 +90,7 @@ def _candidate(ell_prime, estimates, params):
         return f"coefficient recovery failed: {exc}"
     try:
         char = assemble_char_poly(polys)
-        enc = integer_roots(char, params.n)
-        strings = decode_support(enc, params.n)
+        strings = decode_support(integer_roots(char, params.n), params.n)
     except CorruptInputError as exc:
         return f"factoring failed: {exc}"
     return strings
@@ -228,12 +226,11 @@ def exhaustive_distinguisher(
     n: int,
     ell: int,
     eps: float,
-    margin: float = 1e-7,
 ) -> SparseDistribution:
     """Reference brute-force learner for tiny instances (n <= 8, l <= 2):
     enumerate all n-bit supports of size <= l and find mixture weights
-    matching every moment estimate within margin.  The weight pitch is
-    eps / (4 l).
+    matching every moment estimate within DISTINGUISH_MARGIN.  The weight
+    pitch is eps / (4 l).
 
     For a fixed pair of strings the moments are linear in the weight a, so
     the admissible a form an interval per constraint; the intersection over
@@ -244,8 +241,6 @@ def exhaustive_distinguisher(
         raise ParameterError("exhaustive search limited to 1 <= n <= 8, 1 <= ell <= 2")
     if not 0.0 < eps < 1.0:
         raise ParameterError(f"eps must lie in (0,1), got {eps!r}")
-    if margin < 0:
-        raise ParameterError("margin must be nonnegative")
     pitch = eps / (4.0 * ell)
     strings = [BitString(bits) for bits in itertools.product((0, 1), repeat=n)]
     strings.sort()
@@ -253,7 +248,7 @@ def exhaustive_distinguisher(
     M = _moment_powers(strings, estimates).reshape(-1, len(strings)).T
     b = estimates.means[:, 1:].ravel()
 
-    single = np.flatnonzero(np.all(np.abs(M - b) <= margin, axis=1))
+    single = np.flatnonzero(np.all(np.abs(M - b) <= DISTINGUISH_MARGIN, axis=1))
     if single.size:
         return SparseDistribution((strings[single[0]],), (1.0,))
 
@@ -271,7 +266,7 @@ def exhaustive_distinguisher(
             # B^2 - A C equals A margin^2 - Im(conj(c) d)^2, which avoids
             # the catastrophic cancellation of the direct form when margin
             # is tiny against the moment magnitudes.
-            disc = A * margin ** 2 - cd.imag ** 2
+            disc = A * DISTINGUISH_MARGIN ** 2 - cd.imag ** 2
             root = np.sqrt(np.maximum(disc, 0.0))
             with np.errstate(divide="ignore", invalid="ignore"):
                 lo = np.where(flat, 0.0, (-cd.real - root) / A).max(axis=1)
@@ -279,7 +274,7 @@ def exhaustive_distinguisher(
             lo = np.maximum(lo, 1e-9)
             hi = np.minimum(hi, 1.0 - 1e-9)
             ok = (
-                ~np.any(flat & (np.abs(dd) > margin), axis=1)
+                ~np.any(flat & (np.abs(dd) > DISTINGUISH_MARGIN), axis=1)
                 & ~np.any(~flat & (disc < 0), axis=1)
                 & (lo <= hi)
             )
@@ -293,4 +288,4 @@ def exhaustive_distinguisher(
                 a = (lo + hi) / 2.0
             return SparseDistribution((strings[si], strings[si + 1 + j]), (a, 1.0 - a))
 
-    raise MarginError("no enumerated distribution matches the estimates within margin")
+    raise RecoveryFailedError("no enumerated distribution matches the estimates within margin")

@@ -27,21 +27,6 @@ from .coeffs import SymmetricPolynomial
 
 
 @dataclass(frozen=True)
-class EncodedSupport:
-    """Distinct integers y_i = P(2; x^(i)); bit 0 of each is always 0."""
-
-    encodings: tuple
-
-    def __post_init__(self):
-        ys = tuple(int(y) for y in self.encodings)
-        if len(set(ys)) != len(ys):
-            raise CorruptInputError("encodings must be pairwise distinct")
-        if any(y < 0 for y in ys):
-            raise CorruptInputError("encodings must be nonnegative")
-        object.__setattr__(self, "encodings", ys)
-
-
-@dataclass(frozen=True)
 class MonicIntegerPolynomial:
     """coeffs[i] is the z^i coefficient; leading coefficient must be 1."""
 
@@ -138,9 +123,10 @@ def _largest_root(coeffs, x: int, steps: int):
     return None
 
 
-def integer_roots(poly: MonicIntegerPolynomial, n: int) -> EncodedSupport:
+def integer_roots(poly: MonicIntegerPolynomial, n: int) -> tuple:
     """All roots of a monic polynomial promised to split into distinct
-    linear factors over the nonnegative integers (each root < 2^(n+1)).
+    linear factors over the nonnegative integers (each root < 2^(n+1)),
+    as a sorted tuple of distinct ints.
 
     Roots come largest first.  Each search starts at the smaller of the
     Cauchy bound 1 + max|c_i| and the last root found (2^(n+1) - 1 for the
@@ -164,9 +150,10 @@ def integer_roots(poly: MonicIntegerPolynomial, n: int) -> EncodedSupport:
         roots.append(found)
         coeffs = _deflate(coeffs, found)
         hi = found
-    return EncodedSupport(tuple(sorted(roots)))
+    return tuple(sorted(roots))
 
 
-def decode_support(enc: EncodedSupport, n: int):
-    """Decode all encodings; output sorted lexicographically by string."""
-    return tuple(sorted(decode_string(y, n) for y in enc.encodings))
+def decode_support(encodings, n: int):
+    """Decode the integers y_i = P(2; x^(i)) that `integer_roots` returns;
+    output sorted lexicographically by string."""
+    return tuple(sorted(decode_string(y, n) for y in encodings))

@@ -1,9 +1,10 @@
 """Evaluation grids: roots of unity.
 
-A grid is a complex array of points e^{i*j*spacing}, |j| <= (count-1)/2,
-in increasing angle.  On |z| = 1 every composition weight of the
-estimator satisfies |w| = |z^s - q| / p >= (1 - q) / p = 1, so no grid
-point is singular.  Row i and row count-1-i are an exact conjugate pair.
+`unit_roots(count)` is the count-th roots of unity for an odd count, the
+points e^{i*j*2*pi/count}, |j| <= (count-1)/2, as a complex array in
+increasing angle.  Row i and row count-1-i are an exact conjugate pair.
+On |z| = 1 every composition weight of the estimator satisfies
+|w| = |z^s - q| / p >= (1 - q) / p = 1, so no grid point is singular.
 
 Recovery evaluates on the P-th roots of unity, P = 2*l*n + 1
 (`recovery_grid`): every b_k, k <= 2l - 1, and every sigma_k, k <= l, has
@@ -23,33 +24,16 @@ import numpy as np
 from .core import ParameterError
 
 
-def _check_count(count) -> None:
+def unit_roots(count: int) -> np.ndarray:
+    """The count-th roots of unity for an odd count, e^{i*j*2*pi/count}
+    for j = -(count-1)/2 .. (count-1)/2, as a complex array in increasing
+    angle: 1 at the centre, conjugate pairs at rows i and count-1-i."""
     if not (isinstance(count, int) and count >= 1 and count % 2 == 1):
         raise ParameterError(f"grid point count must be a positive odd integer, got {count!r}")
-
-
-def arc_grid(spacing: float, count: int) -> np.ndarray:
-    """The count points e^{i*j*spacing}, j = -(count-1)/2 .. (count-1)/2,
-    as a complex array in increasing angle.  count must be odd and the
-    arc's half-width spacing*(count-1)/2 at most 2*pi."""
-    _check_count(count)
-    if not spacing > 0:
-        raise ParameterError(f"grid spacing must be positive, got {spacing!r}")
-    half = (count - 1) // 2
-    if spacing * half > 2.0 * math.pi:
-        raise ParameterError(
-            f"arc half-width {spacing * half:.4g} exceeds 2*pi; use fewer points or a finer spacing"
-        )
-    upper = [complex(math.cos(j * spacing), math.sin(j * spacing)) for j in range(1, half + 1)]
+    spacing = 2.0 * math.pi / count
+    upper = [complex(math.cos(j * spacing), math.sin(j * spacing))
+             for j in range(1, (count - 1) // 2 + 1)]
     return np.array([z.conjugate() for z in reversed(upper)] + [1.0 + 0.0j] + upper)
-
-
-def unit_roots(count: int) -> np.ndarray:
-    """The count-th roots of unity for an odd count, as
-    `arc_grid(2*pi/count, count)` orders them: 1 at the centre, conjugate
-    pairs at rows i and count-1-i."""
-    _check_count(count)
-    return arc_grid(2.0 * math.pi / count, count)
 
 
 def recovery_grid(n: int, ell: int) -> np.ndarray:

@@ -149,10 +149,10 @@ def law_dict(hist):
     return dict(zip(map(tuple, hist.rows.tolist()), hist.weights.tolist()))
 
 
-def g_moments_rows(rows, weights, z, k_max, p):
-    """Weighted means of g_1..g_{k_max} over the rows and their covariance,
-    by the paper's sum over compositions (module docstring of
-    `delpop.estimator`), built on `f_sum_rows`."""
+def g_rows(rows, z, k_max, p):
+    """g_1..g_{k_max} at z of each row, as a (rows, k_max) array, by the
+    paper's sum over compositions (module docstring of `delpop.estimator`),
+    built on `f_sum_rows`."""
     G = np.zeros((len(rows), k_max), dtype=complex)
     for m in range(1, k_max + 1):
         for parts in compositions(m):
@@ -160,6 +160,12 @@ def g_moments_rows(rows, weights, z, k_max, p):
             expo = sum((r + 1) * b for r, b in enumerate(parts))
             coef = multinomial(m, parts) * p ** (-len(parts)) * z ** expo / np.prod(w)
             G[:, m - 1] += coef * f_sum_rows(rows, w)
+    return G
+
+
+def g_moments_rows(rows, weights, z, k_max, p):
+    """Weighted means of `g_rows` over the rows and their covariance."""
+    G = g_rows(rows, z, k_max, p)
     means = weights @ G
     D = G - means
     return means, (D.T * weights) @ D.conj()

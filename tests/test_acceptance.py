@@ -43,7 +43,7 @@ from delpop.support import (
     eval_int,
     integer_roots,
 )
-from delpop.zgrid import arc_grid
+from delpop.zgrid import unit_roots
 from oracles import (
     elementary_symmetric,
     exact_sigma_coeffs,
@@ -170,7 +170,7 @@ def test_acceptance_6_coefficient_recovery():
     """Exact integer coefficients from noisy sigma values, 100/100, < 5 min."""
     start = time.monotonic()
     rng = np.random.default_rng(106)
-    grid = arc_grid(0.19, 33).tolist()
+    grid = unit_roots(33).tolist()
     assert len(grid) == 33
     tol = 0.02
     for _ in range(100):
@@ -217,7 +217,7 @@ def test_acceptance_8_mean_based_insufficiency_witness():
         (BitString.from_string("00001111"), BitString.from_string("11110000")),
         (0.5, 0.5),
     )
-    grid = arc_grid(0.19, 33).tolist()
+    grid = unit_roots(33).tolist()
     gap1 = max(
         abs(power_sum(d0, z, 1) - power_sum(d1, z, 1)) for z in grid
     )
@@ -253,7 +253,7 @@ def test_acceptance_9_end_to_end_statistical():
 def test_acceptance_10_exhaustive_distinguisher():
     """TV <= 0.25 on 20 random tiny instances with oracle-exact moments."""
     rng = np.random.default_rng(110)
-    grid = arc_grid(0.4, 9)
+    grid = unit_roots(9)
     for _ in range(20):
         n = int(rng.integers(3, 7))
         support = random_support(rng, n, 2)

@@ -377,6 +377,17 @@ def test_moment_modes_accept_m_equal_to_2_ell_minus_1(tmp_path, mode):
     assert manifest["options"]["m"] == 1
 
 
+@pytest.mark.parametrize("mode", ["estimate", "recover", "distinguish"])
+@pytest.mark.parametrize("ell", ["0", "-1"])
+def test_moment_modes_refuse_ell_below_1_by_name(tmp_path, capsys, mode, ell):
+    argv = [mode, *_one_string_inputs(tmp_path)[mode], "--ell", ell,
+            "--out", str(tmp_path / "o.json")]
+    capsys.readouterr()
+    assert run(argv) == EXIT_PARAMETER
+    assert capsys.readouterr().err == f"parameter error: ell must be a positive integer, got {ell}\n"
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_estimate_at_ell_3_runs_at_m_5_without_m(tmp_path):
     given = _one_string_inputs(tmp_path)["estimate"]
     out = tmp_path / "m.json"

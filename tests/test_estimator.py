@@ -12,17 +12,17 @@ from delpop.estimator import (
     STACK_ROWS,
     SingularGridPointError,
     TraceHistogram,
-    g_batch,
     moments_from_values,
 )
 from delpop.oracle import exact_g_expectation, exact_mixture_trace_law
-from delpop.zgrid import arc_grid
+from delpop.zgrid import unit_roots
 from oracles import (
     composition_weights,
     compositions,
     f_sum_naive,
     f_sum_rows,
     g_moments_rows,
+    g_rows,
     multinomial,
     random_bitstring,
 )
@@ -66,6 +66,11 @@ def _rows(*traces):
     return np.array(traces, dtype=np.int8)
 
 
+def _g_each_row(rows, z, k_max, p):
+    """g_1..g_{k_max} at z of each row alone, from one-row histograms."""
+    return np.array([TraceHistogram(row[None], np.ones(1)).g_moments(z, k_max, p)[0] for row in rows])
+
+
 def test_f_sum_examples():
     # trace 110, k=2, w=(2,3): only chain (1,2) contributes 2^1 * 3^1
     got = f_sum_rows(_rows((0, 0, 0), (1, 1, 0)), (2.0, 3.0))
@@ -99,7 +104,7 @@ def test_g_moments_match_row_major_reference_at_benchmark_scale():
     rows = rng.integers(0, 2, size=(2000, 48)).astype(np.int8)
     hist = TraceHistogram(rows, rng.dirichlet(np.ones(len(rows))))
     p = 0.7
-    for z in arc_grid(0.23, 13).tolist()[:6:2]:
+    for z in unit_roots(13).tolist()[:6:2]:
         means, cov = hist.g_moments(z, 5, p)
         want_means, want_cov = g_moments_rows(rows, hist.weights, z, 5, p)
         assert np.all(np.abs(means - want_means) <= 1e-12 * np.abs(want_means))
@@ -237,20 +242,21 @@ def test_g_moments_and_g_means_share_one_trie(monkeypatch):
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
-def test_g_batch_returns_values_in_input_row_order():
-    # duplicate rows share one trie leaf, which gives each of them its value
+def test_g_moments_sum_the_weights_of_duplicate_rows():
+    # duplicate rows share one trie leaf, which carries their summed weight
     rng = np.random.default_rng(67)
     X = rng.integers(0, 2, size=(25, 9)).astype(np.int8)
     X[3] = 0
     X = np.concatenate([X, X[[3, 7, 3, 20]]])
+    weights = rng.dirichlet(np.ones(len(X)))
+    hist = TraceHistogram(X, weights)
     p = 0.6
     for z in (cmath.exp(-0.7j), 1.1 * cmath.exp(0.4j)):
-        for m in (1, 3, 6):
-            got = g_batch(X, z, m, p)
-            assert got.shape == (len(X),)
-            for i, row in enumerate(X):
-                want, _ = g_moments_rows(row[None], np.ones(1), z, m, p)
-                assert abs(got[i] - want[m - 1]) <= 1e-12 * max(1.0, abs(want[m - 1]))
+        for k_max in (1, 3, 6):
+            means, cov = hist.g_moments(z, k_max, p)
+            want_means, want_cov = g_moments_rows(X, weights, z, k_max, p)
+            assert np.all(np.abs(means - want_means) <= 1e-12 * np.maximum(1.0, np.abs(want_means)))
+            assert np.max(np.abs(cov - want_cov)) <= 1e-12 * max(1.0, np.max(np.abs(want_cov)))
 
 
 def test_singular_point_rule_per_order():
@@ -259,14 +265,13 @@ def test_singular_point_rule_per_order():
     X = _rows((1, 0, 1, 1, 0), (0, 1, 1, 0, 1), (0, 0, 0, 0, 0))
     w = (z - (1 - p)) / p
     want = z / (p * w) * (X * w ** np.arange(1, 6)).sum(axis=1)
-    assert g_batch(X, z, 1, p) == pytest.approx(want, rel=1e-14)
+    assert _g_each_row(X, z, 1, p)[:, 0] == pytest.approx(want, rel=1e-14)
     hist = TraceHistogram(X, np.full(3, 1 / 3))
-    for order_2 in (lambda: g_batch(X, z, 2, p), lambda: hist.g_moments(z, 2, p)):
-        with pytest.raises(SingularGridPointError) as err:
-            order_2()
-        assert err.value.s == 2
+    with pytest.raises(SingularGridPointError) as err:
+        hist.g_moments(z, 2, p)
+    assert err.value.s == 2
     with pytest.raises(ParameterError):
-        g_batch(X, z, 0, p)
+        hist.g_moments(z, 0, p)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 10, 12, 15, 16, 17, 48, 63, 64, 65, 100])
@@ -395,13 +400,13 @@ def test_f_sum_matches_naive_enumeration():
 def test_g_at_z_one_counts_retained_ones():
     # m=1, z=1: w = 1 and g_1 = (number of retained ones) / p
     p = 0.5
-    assert g_batch(_rows((1, 1, 0)), 1.0, 1, p) == pytest.approx([4.0])
+    assert _g_each_row(_rows((1, 1, 0)), 1.0, 1, p)[:, 0] == pytest.approx([4.0])
     rng = np.random.default_rng(23)
-    rows = np.sort(rng.integers(0, 2, (20, 6)), axis=1)[:, ::-1]
-    got = g_batch(rows, 1.0, 1, 0.3)
+    rows = np.sort(rng.integers(0, 2, (20, 6)), axis=1)[:, ::-1].astype(np.int8)
+    got = _g_each_row(rows, 1.0, 1, 0.3)[:, 0]
     assert got == pytest.approx(rows.sum(axis=1) / 0.3)
     # a real z (a Python float) for every order at once
-    hist = TraceHistogram(rows.astype(np.int8), np.full(len(rows), 1 / len(rows)))
+    hist = TraceHistogram(rows, np.full(len(rows), 1 / len(rows)))
     _assert_matches_oracle(hist, 1.0, 3, 0.3)
 
 
@@ -441,10 +446,10 @@ def test_disc_grid_weight_bound():
 
 
 def test_arc_grid_weights_at_least_one():
-    # on |z| = 1, |w| = |z^s - q| / p >= (1 - q) / p = 1: no arc point is singular
+    # on |z| = 1, |w| = |z^s - q| / p >= (1 - q) / p = 1: no root of unity is singular
     for p in (0.05, 0.5, 0.95):
-        for spacing, count in ((0.23, 25), (0.1, 125), (0.4, 31)):
-            for z in arc_grid(spacing, count).tolist():
+        for count in (25, 125, 31):
+            for z in unit_roots(count).tolist():
                 for m in range(1, 6):
                     for parts in compositions(m):
                         w = composition_weights(z, parts, p)
@@ -452,18 +457,17 @@ def test_arc_grid_weights_at_least_one():
 
 
 def test_estimates_single_trace():
-    grid = arc_grid(0.3, 3)
+    grid = unit_roots(3)
     p = 0.7
     batch = np.array([(1, 0, 1, 0)], dtype=np.int8)
     est = TraceHistogram.from_batches([batch], batch.shape[1], 1).estimates(grid, 3, p)
     for i, z in enumerate(grid.tolist()):
         assert est.means[i, 0] == 1.0
-        for k in range(1, 4):
-            assert est.means[i, k] == pytest.approx(g_batch(batch, z, k, p)[0])
+        assert est.means[i, 1:] == pytest.approx(g_rows(batch, z, 3, p)[0])
 
 
 def test_estimates_k0_is_one_and_counts_equal():
-    grid = arc_grid(0.25, 5)
+    grid = unit_roots(5)
     p = 0.8
     rng = np.random.default_rng(31)
     d = SparseDistribution((BitString.from_string("10110"),), (1.0,))
@@ -510,7 +514,7 @@ def test_estimates_rejects_asymmetric_grid():
 def test_estimates_evaluates_one_point_per_conjugate_pair(monkeypatch, count):
     # every point in one stack (the default), one point per stack, and two
     # per stack (the 2 rows' widest trie level has 2 nodes)
-    grid = arc_grid(0.23, count)
+    grid = unit_roots(count)
     p = 0.8
     batch = np.array([(1, 0, 1, 0), (1, 1, 0, 0)], dtype=np.int8)
     g_moments = TraceHistogram.g_moments
@@ -536,7 +540,7 @@ def test_estimates_one_point_per_stack_matches_default(monkeypatch):
     rng = np.random.default_rng(47)
     distinct = rng.integers(0, 2, size=(50, 10)).astype(np.int8)
     rows = distinct[rng.integers(0, len(distinct), size=2000)]
-    grid = arc_grid(0.23, 25)
+    grid = unit_roots(25)
     p = 0.7
     want = TraceHistogram.from_batches([rows], rows.shape[1], len(rows)).estimates(grid, 5, p)
     monkeypatch.setattr(estimator, "STACK_ROWS", 1)
@@ -554,7 +558,7 @@ def test_estimates_means_only(monkeypatch, n):
     rng = np.random.default_rng(59 + n)
     distinct = rng.integers(0, 2, size=(30, n)).astype(np.int8)
     rows = distinct[rng.integers(0, len(distinct), size=900)]
-    grid = arc_grid(0.23, 25)
+    grid = unit_roots(25)
     p = 0.7
     want = TraceHistogram.from_batches([rows], n, len(rows)).estimates(grid, 5, p)
     for stack_rows in (STACK_ROWS, 1):
@@ -582,14 +586,14 @@ def test_estimates_means_only(monkeypatch, n):
 
 def test_estimates_of_a_law_without_a_trace_count_have_no_stderrs():
     d = SparseDistribution((BitString.from_string("10110"),), (1.0,))
-    est = exact_mixture_trace_law(d, 0.8).estimates(arc_grid(0.3, 3), 3, 0.8)
+    est = exact_mixture_trace_law(d, 0.8).estimates(unit_roots(3), 3, 0.8)
     assert est.count is None
     with pytest.raises(ParameterError, match="no trace count"):
         est.stderrs
 
 
 def test_estimates_conjugate_symmetry():
-    grid = arc_grid(0.35, 5)
+    grid = unit_roots(5)
     p = 0.8
     d = SparseDistribution((BitString.from_string("1011"),), (1.0,))
     rng = np.random.default_rng(41)
@@ -603,16 +607,18 @@ def test_estimates_conjugate_symmetry():
 
 
 def test_estimates_histogram_matches_raw_rows():
-    grid = arc_grid(0.3, 5)
+    grid = unit_roots(5)
     p = 0.7
     rng = np.random.default_rng(43)
     distinct = rng.integers(0, 2, size=(40, 6)).astype(np.int8)
-    rows = distinct[rng.integers(0, 40, size=3000)]
+    which = rng.integers(0, 40, size=3000)
+    rows = distinct[which]
     est = TraceHistogram.from_batches([rows], rows.shape[1], len(rows)).estimates(grid, 3, p)
     assert est.count == len(rows)
     for i, z in enumerate(grid.tolist()):
+        per_row = g_rows(distinct, z, 3, p)[which]
         for k in range(1, 4):
-            vals = g_batch(rows, z, k, p)
+            vals = per_row[:, k - 1]
             mean = vals.mean()
             stderr = math.sqrt(float(np.mean(np.abs(vals - mean) ** 2)) / len(rows))
             assert abs(est.means[i, k] - mean) <= 1e-12 * max(1.0, abs(mean))
@@ -627,7 +633,7 @@ def test_estimates_histogram_matches_raw_rows():
 def test_moment_json_has_contracted_fields():
     import json
 
-    grid = arc_grid(0.3, 3)
+    grid = unit_roots(3)
     est = moments_from_values(grid, 2, lambda z, k: z ** k)
     recs = json.loads(est.to_json())
     assert len(recs) == 3 * 3
@@ -642,7 +648,7 @@ def test_moment_json_k0_mean_is_positive_one_at_every_point():
 
     p = 0.7
     batch = np.array([(1, 0, 1, 0)], dtype=np.int8)
-    est = TraceHistogram.from_batches([batch], batch.shape[1], 1).estimates(arc_grid(0.3, 3), 1, p)
+    est = TraceHistogram.from_batches([batch], batch.shape[1], 1).estimates(unit_roots(3), 1, p)
     k0 = [rec["mean"] for rec in json.loads(est.to_json()) if rec["k"] == 0]
     assert len(k0) == 3
     for re, im in k0:

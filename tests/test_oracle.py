@@ -17,7 +17,7 @@ from delpop.oracle import (
     law_tv,
     threshold_floor,
 )
-from delpop.zgrid import arc_grid
+from delpop.zgrid import unit_roots
 from oracles import elementary_symmetric, law_dict, random_bitstring, random_distribution
 
 
@@ -110,7 +110,7 @@ def test_exact_sigma_newton_identity_crosscheck():
 def test_exact_moments_are_power_sums():
     rng = np.random.default_rng(9)
     d = random_distribution(rng, 4, 2)
-    grid = arc_grid(0.25, 5)
+    grid = unit_roots(5)
     est = exact_moments(d, grid, 3)
     for i, z in enumerate(grid.tolist()):
         for k in range(4):

@@ -8,7 +8,7 @@ from delpop.channel import ChannelConfig, sample_trace_batch
 from delpop.core import ParameterError, SparseDistribution, BitString
 from delpop.estimator import TraceHistogram, moments_from_values
 from delpop.core import power_sum
-from delpop.zgrid import arc_grid
+from delpop.zgrid import unit_roots
 from delpop.prony import (
     HankelSystem,
     PronyThresholds,
@@ -197,7 +197,7 @@ def test_stacked_solve_matches_per_point_reference(ell_prime):
         (BitString.from_string("10101010"), BitString.from_string("01010101")), (0.6, 0.4)
     )
     bits = sample_trace_batch(d, ChannelConfig(0.9), 100_000, np.random.default_rng(3))
-    est = TraceHistogram.from_batches([bits], 8, len(bits)).estimates(arc_grid(0.23, 25), 5, 0.9)
+    est = TraceHistogram.from_batches([bits], 8, len(bits)).estimates(unit_roots(25), 5, 0.9)
     b = est.means[:, : 2 * ell_prime]
     sigma = solve_sigma(HankelSystem.from_power_sums(b))
     assert sigma.shape == (len(b), ell_prime)

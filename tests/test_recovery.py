@@ -21,7 +21,6 @@ from delpop.oracle import exact_g_expectation, exact_mixture_trace_law, exact_mo
 from delpop import prony, recovery
 from delpop.prony import HankelSystem
 from delpop.recovery import (
-    MarginError,
     RecoveryConfig,
     channel_trace_source,
     exhaustive_distinguisher,
@@ -32,7 +31,7 @@ from delpop.recovery import (
     recover_support_candidates,
     validate_candidate,
 )
-from delpop.zgrid import arc_grid, recovery_grid
+from delpop.zgrid import recovery_grid, unit_roots
 from oracles import random_distribution
 
 
@@ -121,7 +120,7 @@ def test_l_prime_without_usable_points_fails_by_name():
     # l' (the imaginary row is 0) against 6 and 17 unknowns: each l' fails
     # its rank check by name
     d = SparseDistribution((BitString.from_string("110101"),), (1.0,))
-    est = exact_moments(d, arc_grid(0.23, 1), 3)
+    est = exact_moments(d, unit_roots(1), 3)
     results, failures = recover_support_candidates(est, ProblemParams(6, 2, 0.9))
     assert results == []
     failures = dict(failures)
@@ -404,7 +403,7 @@ def test_recover_without_candidates_fails_with_full_diagnostics(ell):
 
 def test_small_p_moment_estimates_are_unbiased():
     # recovery runs the estimator at the true p, however small; at p = 0.12,
-    # below half of 8^(-1/2), E[g_m] still equals P^m on the default arc
+    # below half of 8^(-1/2), E[g_m] still equals P^m on the recovery grid
     rng = np.random.default_rng(7)
     for _ in range(3):
         x = BitString(tuple(int(b) for b in rng.integers(0, 2, 8)))
@@ -416,7 +415,7 @@ def test_small_p_moment_estimates_are_unbiased():
 
 def test_exhaustive_distinguisher_exact_single():
     d = SparseDistribution((BitString.from_string("0110"),), (1.0,))
-    grid = arc_grid(0.4, 9)
+    grid = unit_roots(9)
     est = exact_moments(d, grid, 3)
     out = exhaustive_distinguisher(est, 4, 2, 0.25)
     assert out == d
@@ -426,7 +425,7 @@ def test_exhaustive_distinguisher_exact_pair():
     d = SparseDistribution(
         (BitString.from_string("1000"), BitString.from_string("1110")), (0.77, 0.23)
     )
-    grid = arc_grid(0.4, 9)
+    grid = unit_roots(9)
     est = exact_moments(d, grid, 3)
     out = exhaustive_distinguisher(est, 4, 2, 0.25)
     assert tv_distance(out, d) <= 0.25
@@ -437,16 +436,16 @@ def test_exhaustive_distinguisher_margin_zero_with_noise():
     d = SparseDistribution(
         (BitString.from_string("100"), BitString.from_string("011")), (0.5, 0.5)
     )
-    grid = arc_grid(0.4, 9)
+    grid = unit_roots(9)
     est = moments_from_values(
         grid, 3, lambda z, k: power_sum(d, z, k) + 1e-3 * (rng.normal() + 1j * rng.normal())
     )
-    with pytest.raises(MarginError):
-        exhaustive_distinguisher(est, 3, 2, 0.25, margin=0.0)
+    with pytest.raises(RecoveryFailedError, match="within margin"):
+        exhaustive_distinguisher(est, 3, 2, 0.25)
 
 
 def test_exhaustive_distinguisher_guards():
-    grid = arc_grid(0.4, 9)
+    grid = unit_roots(9)
     d = SparseDistribution((BitString((0,) * 9),), (1.0,))
     est = exact_moments(d, grid, 3)
     with pytest.raises(ParameterError):

@@ -5,7 +5,6 @@ from delpop import support
 from delpop.coeffs import SymmetricPolynomial
 from delpop.core import BitString, CorruptInputError, ParameterError
 from delpop.support import (
-    EncodedSupport,
     MonicIntegerPolynomial,
     assemble_char_poly,
     decode_string,
@@ -54,13 +53,6 @@ def test_monic_polynomial_validation():
         MonicIntegerPolynomial(())
 
 
-def test_encoded_support_distinctness():
-    with pytest.raises(CorruptInputError):
-        EncodedSupport((4, 4))
-    with pytest.raises(CorruptInputError):
-        EncodedSupport((-2,))
-
-
 def test_assemble_char_poly_single():
     s1 = SymmetricPolynomial(1, (0, 1, 0, 1))  # sigma_1(2) = 2 + 8 = 10
     poly = assemble_char_poly([s1])
@@ -85,11 +77,9 @@ def test_assemble_rejects_out_of_order_sigmas():
 
 
 def test_integer_roots_examples():
-    assert integer_roots(MonicIntegerPolynomial((-5, 1)), 4).encodings == (5,)
-    got = integer_roots(MonicIntegerPolynomial((8, -6, 1)), 4)
-    assert got.encodings == (2, 4)
-    got = integer_roots(MonicIntegerPolynomial((6, -5, 1)), 2)
-    assert got.encodings == (2, 3)
+    assert integer_roots(MonicIntegerPolynomial((-5, 1)), 4) == (5,)
+    assert integer_roots(MonicIntegerPolynomial((8, -6, 1)), 4) == (2, 4)
+    assert integer_roots(MonicIntegerPolynomial((6, -5, 1)), 2) == (2, 3)
 
 
 def test_integer_roots_rejects_non_splitting_input():
@@ -166,8 +156,7 @@ def test_integer_roots_returns_the_encodings_it_was_built_from(newton_steps):
         lp = int(rng.integers(1, min(6, 2 ** n) + 1))
         encodings = sorted(encode_string(x) for x in random_support(rng, n, lp))
         newton_steps[0] = 0
-        got = integer_roots(_poly_with_roots(encodings), n)
-        assert got.encodings == tuple(encodings)
+        assert integer_roots(_poly_with_roots(encodings), n) == tuple(encodings)
         assert newton_steps[0] <= _step_cap(lp, n)
 
 
