@@ -33,6 +33,7 @@ from .core import (
     SparseDistribution,
     eval_poly,
     load_distribution,
+    save_distribution,
 )
 from .channel import read_trace_file, write_trace_file
 from .estimator import TraceHistogram
@@ -135,13 +136,12 @@ def _write_json(path, obj):
 
 
 def emit_report(result: RecoveryResult, path) -> None:
-    """Write the result JSON plus a per-grid-point diagnostics CSV: one row
-    per point with z and the standard error of each moment order."""
+    """Write the distribution and diagnostics as JSON (the manifest holds
+    the seed and the traces used), plus a per-grid-point CSV: one row per
+    point with z and the standard error of each moment order."""
     payload = {
         "distribution": result.distribution.to_json_dict(),
         "diagnostics": result.diagnostics,
-        "seed": result.seed,
-        "config": result.config,
     }
     _write_json(path, payload)
     points = result.diagnostics.get("points", [])
@@ -223,7 +223,7 @@ def _cmd_distinguish(opts) -> int:
     d = _load_dist(opts)
     est = exact_moments(d, recovery_grid(d.n, opts["ell"]), opts["m"])
     out = exhaustive_distinguisher(est, d.n, opts["ell"], opts["eps"])
-    _write_json(opts["out"], out.to_json_dict())
+    save_distribution(out, opts["out"])
     return EXIT_OK
 
 

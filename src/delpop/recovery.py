@@ -5,22 +5,23 @@ support -> weight fitting -> moment-matching validation.
 traces, a trace file, or an exact trace law given a trace count.
 `recover` reduces a trace stream to its histogram first.
 
-The sparsity l' is unknown, so every l' = 1..l is tried.  Each l' solves
-one joint Prony system over the grid for the integer coefficients of
-sigma_1..sigma_l' (`coeffs.recover_sigmas`) and factors the result, so it
-yields at most one candidate support.  Every l' ends as a candidate or as
-a failure that names its stage and reason, and the first candidate whose
-fitted mixture reproduces every moment estimate within the validation
-margin is returned.  Wrong guesses of l' are harmless: their candidates
-fail the validation.  Nothing here reads `ProblemParams.eps`; the
-reference `exhaustive_distinguisher` takes the n, l and eps it reads as
-arguments.
+The sparsity l' is unknown, so l' = 1..l are tried in order.  Each l'
+solves one joint Prony system over the grid for the integer coefficients
+of sigma_1..sigma_l' and factors the result (`support_candidate`), then
+fits weights to the support and validates the mixture against every
+moment estimate.  The first mixture that validates is returned.  Each l'
+tried leaves one record in `diagnostics["ell_primes"]`: its support when
+solve and factoring gave one, and the reason it failed, or the
+validation score of the accepted mixture.  Wrong guesses of l' are
+harmless: their candidates fail the validation.  Nothing here reads
+`ProblemParams.eps`; the reference `exhaustive_distinguisher` takes the
+n, l and eps it reads as arguments.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .core import (
 from .channel import ChannelConfig, sample_trace_batch
 from .coeffs import CoefficientRecoveryError, recover_sigmas
 from .estimator import MomentEstimates, TraceHistogram
-from .support import assemble_char_poly, decode_support, integer_roots
+from .support import factor_support
 from .zgrid import recovery_grid
 
 
@@ -53,8 +54,9 @@ DISTINGUISH_MARGIN = 1e-7
 
 @dataclass
 class RecoveryConfig:
-    """What a run varies: sample_count traces feed the moment estimates,
-    and seed drives the channel sampler.  The grid is not a setting:
+    """What a run varies.  `recover` reads only sample_count, the number of
+    traces that feed the moment estimates; seed seeds the channel sampler
+    of `channel_trace_source`.  The grid is not a setting:
     `zgrid.recovery_grid` derives it from n and l.
     """
 
@@ -66,34 +68,13 @@ class RecoveryConfig:
 class RecoveryResult:
     distribution: SparseDistribution
     diagnostics: dict = field(default_factory=dict)
-    seed: int = 0
-    config: dict = field(default_factory=dict)
 
 
-def recover_support_candidates(estimates: MomentEstimates, params: ProblemParams):
-    """Run coefficient recovery -> factoring once for each l' = 1..l;
-    returns ([(l', support strings)], [(l', failure message)]), every l'
-    in exactly one of the two lists."""
-    results, failures = [], []
-    for ell_prime in range(1, params.ell + 1):
-        outcome = _candidate(ell_prime, estimates, params)
-        (failures if isinstance(outcome, str) else results).append((ell_prime, outcome))
-    return results, failures
-
-
-def _candidate(ell_prime, estimates, params):
+def support_candidate(ell_prime: int, estimates: MomentEstimates, params: ProblemParams):
     """The support tuple that the joint solve for sigma_1..sigma_l' and
-    exact factoring give, or a failure string naming the stage."""
-    try:
-        polys = recover_sigmas(ell_prime, estimates, params)
-    except CoefficientRecoveryError as exc:
-        return f"coefficient recovery failed: {exc}"
-    try:
-        char = assemble_char_poly(polys)
-        strings = decode_support(integer_roots(char, params.n), params.n)
-    except CorruptInputError as exc:
-        return f"factoring failed: {exc}"
-    return strings
+    exact factoring give; raises CoefficientRecoveryError when the solve
+    fails and CorruptInputError when factoring does."""
+    return factor_support(recover_sigmas(ell_prime, estimates, params), params.n)
 
 
 def _moment_powers(strings, estimates: MomentEstimates) -> np.ndarray:
@@ -161,31 +142,32 @@ def recover_histogram(hist: TraceHistogram, params: ProblemParams) -> RecoveryRe
         raise ParameterError(f"histogram rows have {hist.rows.shape[1]} bits, not n={params.n}")
     grid = recovery_grid(params.n, params.ell)
     estimates = hist.estimates(grid, 2 * params.ell - 1, params.p)
+    records = []
     diagnostics = {
         "grid_points": len(grid),
         "points": estimates.point_table(),
-        "candidates": [],
+        "ell_primes": records,
     }
-    candidates, failures = recover_support_candidates(estimates, params)
-    diagnostics["failures"] = failures
-    for ell_prime, strings in candidates:
-        record = {
-            "ell_prime": ell_prime,
-            "support": [str(x) for x in strings],
-            "accepted": False,
-        }
-        diagnostics["candidates"].append(record)
+    for ell_prime in range(1, params.ell + 1):
+        record = {"ell_prime": ell_prime}
+        records.append(record)
+        try:
+            strings = support_candidate(ell_prime, estimates, params)
+        except CoefficientRecoveryError as exc:
+            record["reason"] = f"coefficient recovery failed: {exc}"
+            continue
+        except CorruptInputError as exc:
+            record["reason"] = f"factoring failed: {exc}"
+            continue
+        record["support"] = [str(x) for x in strings]
         d = _build_distribution(strings, fit_weights(strings, estimates))
         score = validate_candidate(d, estimates)
-        if score is None:
-            record["reason"] = "moment validation failed"
-            continue
-        record["accepted"] = True
-        record["validation_worst"] = score
-        return RecoveryResult(distribution=d, diagnostics=diagnostics)
-    if not candidates:
-        raise RecoveryFailedError("no support candidate survived the pipeline", diagnostics)
-    raise RecoveryFailedError("all candidates failed moment validation", diagnostics)
+        if score is not None:
+            record["validation_worst"] = score
+            return RecoveryResult(distribution=d, diagnostics=diagnostics)
+        record["reason"] = "moment validation failed"
+    candidate = f"candidate {record['support']}: " if "support" in record else ""
+    raise RecoveryFailedError(f"l'={ell_prime}: {candidate}{record['reason']}", diagnostics)
 
 
 def recover(
@@ -197,7 +179,7 @@ def recover(
     trace stream (batches of padded 0/1 rows)."""
     config = config or RecoveryConfig()
     hist = TraceHistogram.from_batches(trace_source, params.n, config.sample_count)
-    return replace(recover_histogram(hist, params), seed=config.seed, config=asdict(config))
+    return recover_histogram(hist, params)
 
 
 def channel_trace_source(d: SparseDistribution, p: float, config: RecoveryConfig):

@@ -157,3 +157,10 @@ def decode_support(encodings, n: int):
     """Decode the integers y_i = P(2; x^(i)) that `integer_roots` returns;
     output sorted lexicographically by string."""
     return tuple(sorted(decode_string(y, n) for y in encodings))
+
+
+def factor_support(sigmas, n: int):
+    """The support strings of sigma_1..sigma_l', read from the integer
+    roots of their characteristic polynomial; raises CorruptInputError
+    when it does not split into distinct encodings of n-bit strings."""
+    return decode_support(integer_roots(assemble_char_poly(sigmas), n), n)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from delpop.cli import EXIT_IO, EXIT_OK, EXIT_PARAMETER, emit_report, run
+from delpop.cli import EXIT_IO, EXIT_OK, EXIT_PARAMETER, EXIT_RECOVERY, emit_report, run
 from delpop.core import BitString, SparseDistribution, save_distribution
 from delpop.channel import read_trace_file
 from delpop.recovery import RecoveryConfig, RecoveryResult
@@ -207,7 +207,8 @@ def test_recover_from_trace_file(tmp_path):
 
     assert got.support == d.support
     assert tv_distance(got, d) <= 0.1
-    assert payload["config"]["sample_count"] == 100000
+    manifest = json.loads((tmp_path / "result.json.manifest.json").read_text())
+    assert manifest["options"]["samples"] == 100000
 
 
 def test_simulate_writes_the_traces_that_recover_dist_samples(tmp_path, dist_file):
@@ -263,7 +264,7 @@ def test_trace_modes_record_the_traces_that_ran(tmp_path, mode):
     if mode == "estimate":
         assert all(rec["count"] == 200 for rec in payload)
     else:
-        assert payload["config"]["sample_count"] == 200
+        assert set(payload) == {"distribution", "diagnostics"}
 
 
 def test_recover_takes_exactly_one_source(tmp_path, dist_file):
@@ -546,13 +547,31 @@ def test_distinguish_mode(tmp_path):
 
 def test_emit_report_roundtrip(tmp_path):
     d = SparseDistribution((BitString.from_string("11"),), (1.0,))
-    result = RecoveryResult(distribution=d, diagnostics={"grid_points": 9}, seed=5)
+    result = RecoveryResult(distribution=d, diagnostics={"grid_points": 9})
     path = tmp_path / "r.json"
     emit_report(result, path)
     payload = json.loads(path.read_text())
+    assert set(payload) == {"distribution", "diagnostics"}
     assert SparseDistribution.from_json_dict(payload["distribution"]) == d
-    assert payload["seed"] == 5
     assert payload["diagnostics"] == {"grid_points": 9}
+
+
+def test_recover_failure_exits_3_and_names_the_stage(tmp_path, capsys):
+    # a 3-string mixture cannot be explained with ell = 1: l' = 1's
+    # candidate fails validation, and stderr says so
+    d = SparseDistribution(
+        (BitString.from_string("111000"), BitString.from_string("000111"),
+         BitString.from_string("101010")),
+        (0.4, 0.35, 0.25),
+    )
+    dist_path = tmp_path / "dist.json"
+    save_distribution(d, dist_path)
+    code = run(["recover", "--dist", str(dist_path), "--ell", "1", "--samples", "20000",
+                "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_RECOVERY
+    err = capsys.readouterr().err
+    assert err.startswith("recovery failed: l'=1: candidate [")
+    assert err.endswith(": moment validation failed\n")
 
 
 def test_unknown_mode_is_parameter_error():

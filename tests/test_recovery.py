@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from delpop.coeffs import CoefficientRecoveryError
 from delpop.core import (
     BitString,
+    CorruptInputError,
     ParameterError,
     ProblemParams,
     RecoveryFailedError,
@@ -28,7 +30,7 @@ from delpop.recovery import (
     recover,
     recover_from_channel,
     recover_histogram,
-    recover_support_candidates,
+    support_candidate,
     validate_candidate,
 )
 from delpop.zgrid import recovery_grid, unit_roots
@@ -40,8 +42,8 @@ def default_grid(params=ProblemParams(6, 2, 0.9)):
 
 
 def test_candidate_enumeration_ranges(monkeypatch):
-    # one pass per l' = 1..ell with no conditioning gate: each l' is
-    # reported exactly once, as a candidate or a failure
+    # each l' = 1..ell runs with no conditioning gate and ends in a support
+    # or a named stage failure; l' = 3 gives the truth
     d = SparseDistribution(
         (
             BitString.from_string("110100"),
@@ -58,10 +60,12 @@ def test_candidate_enumeration_ranges(monkeypatch):
 
     monkeypatch.setattr(prony, "gate_stage", no_gate)
     assert not hasattr(recovery, "gate_stage")
-    results, failures = recover_support_candidates(est, params)
-    reported = sorted([lp for lp, _ in results] + [lp for lp, _ in failures])
-    assert reported == [1, 2, 3]
-    assert (3, d.support) in results
+    for ell_prime in (1, 2):
+        try:
+            support_candidate(ell_prime, est, params)
+        except (CoefficientRecoveryError, CorruptInputError):
+            pass
+    assert support_candidate(3, est, params) == d.support
 
 
 def test_grid_spec_geometry():
@@ -79,9 +83,7 @@ def test_support_candidates_from_exact_moments():
     d = random_distribution(rng, 6, 2)
     params = ProblemParams(6, 2, 0.9)
     est = exact_moments(d, default_grid(), 3)
-    results, _ = recover_support_candidates(est, params)
-    supports = {strings for _, strings in results}
-    assert d.support in supports
+    assert support_candidate(2, est, params) == d.support
 
 
 @pytest.mark.parametrize("n, ell", [(16, 2), (12, 3), (24, 2)])
@@ -91,8 +93,7 @@ def test_support_candidates_from_exact_moments_at_k_n_above_25(n, ell):
     params = ProblemParams(n, ell, 0.9)
     d = random_distribution(np.random.default_rng(n), n, ell)
     est = exact_moments(d, default_grid(params), 2 * ell - 1)
-    results, failures = recover_support_candidates(est, params)
-    assert (ell, d.support) in results, failures
+    assert support_candidate(ell, est, params) == d.support
 
 
 def test_recovery_config_holds_only_run_settings():
@@ -103,14 +104,13 @@ def test_recovery_config_holds_only_run_settings():
 def test_support_candidates_l_prime_above_support_size():
     # one string, ell = 2: the l' = 2 Hankel matrix of exact moments is
     # singular, exactly at some points and up to rounding at the others, so
-    # l' = 2 fails by name and l' = 1 gives the string
+    # l' = 2 fails at a named stage and l' = 1 gives the string
     d = SparseDistribution((BitString.from_string("110101"),), (1.0,))
     params = ProblemParams(6, 2, 0.9)
     est = exact_moments(d, default_grid(), 3)
-    results, failures = recover_support_candidates(est, params)
-    assert results == [(1, d.support)]
-    assert len(failures) == 1 and failures[0][0] == 2
-    assert "failed:" in failures[0][1]
+    assert support_candidate(1, est, params) == d.support
+    with pytest.raises((CoefficientRecoveryError, CorruptInputError)):
+        support_candidate(2, est, params)
     config = RecoveryConfig(sample_count=100_000, seed=0)
     assert recover_from_channel(d, params, config).distribution == d
 
@@ -121,14 +121,14 @@ def test_l_prime_without_usable_points_fails_by_name():
     # its rank check by name
     d = SparseDistribution((BitString.from_string("110101"),), (1.0,))
     est = exact_moments(d, unit_roots(1), 3)
-    results, failures = recover_support_candidates(est, ProblemParams(6, 2, 0.9))
-    assert results == []
-    failures = dict(failures)
-    assert failures[1] == (
-        "coefficient recovery failed: 2 real equations of rank 1 for 6 unknown coefficients"
-    )
-    assert failures[2].startswith("coefficient recovery failed: 4 real equations of rank")
-    assert failures[2].endswith("for 17 unknown coefficients")
+    params = ProblemParams(6, 2, 0.9)
+    with pytest.raises(CoefficientRecoveryError) as info:
+        support_candidate(1, est, params)
+    assert str(info.value) == "2 real equations of rank 1 for 6 unknown coefficients"
+    with pytest.raises(CoefficientRecoveryError) as info:
+        support_candidate(2, est, params)
+    assert str(info.value).startswith("4 real equations of rank")
+    assert str(info.value).endswith("for 17 unknown coefficients")
 
 
 def test_singular_hankel_point_is_skipped():
@@ -145,41 +145,36 @@ def test_singular_hankel_point_is_skipped():
     center = int(np.flatnonzero(grid == 1.0)[0])
     hankel = HankelSystem.from_power_sums(est.means[:, :4]).B_tilde
     assert np.linalg.matrix_rank(hankel[center]) == 1
-    results, _ = recover_support_candidates(est, params)
-    assert (2, d.support) in results
-    # z = 1 is not left out: a NaN there fails every l' by name
+    assert support_candidate(2, est, params) == d.support
+    # z = 1 is not left out: a NaN there fails every l' in the solve
     est.means[center, 1] = math.nan
-    results, failures = recover_support_candidates(est, params)
-    assert results == []
-    assert [lp for lp, _ in failures] == [1, 2]
-    assert all("coefficient recovery failed: " in message for _, message in failures)
+    for ell_prime in (1, 2):
+        with pytest.raises(CoefficientRecoveryError):
+            support_candidate(ell_prime, est, params)
 
 
 @pytest.mark.parametrize("row", [0, 5])
 def test_non_finite_moment_fails_every_l_prime_by_name(row):
-    # a NaN in one point's means (b_1 here): every l' ends as a named
-    # failure and no exception leaves recover_support_candidates
+    # a NaN in one point's means (b_1 here): every l' fails in the solve,
+    # by name
     d = SparseDistribution(
         (BitString.from_string("110100"), BitString.from_string("011011")), (0.6, 0.4)
     )
     params = ProblemParams(6, 3, 0.9)
     est = exact_moments(d, default_grid(params), 5)
-    assert (2, d.support) in recover_support_candidates(est, params)[0]
+    assert support_candidate(2, est, params) == d.support
     est.means[row, 1] = math.nan
-    results, failures = recover_support_candidates(est, params)
-    assert results == []
-    assert failures == [
-        (lp, "coefficient recovery failed: a moment estimate or its standard error is not finite")
-        for lp in (1, 2, 3)
-    ]
+    for ell_prime in (1, 2, 3):
+        with pytest.raises(CoefficientRecoveryError,
+                           match="^a moment estimate or its standard error is not finite$"):
+            support_candidate(ell_prime, est, params)
 
 
 def test_support_candidates_single_string():
     d = SparseDistribution((BitString.from_string("110101"),), (1.0,))
     params = ProblemParams(6, 1, 0.9)
     est = exact_moments(d, default_grid(), 1)
-    results, _ = recover_support_candidates(est, params)
-    assert all(strings == d.support for _, strings in results)
+    assert support_candidate(1, est, params) == d.support
 
 
 def test_all_zero_string_is_recovered():
@@ -187,9 +182,10 @@ def test_all_zero_string_is_recovered():
     # are weighted by the floor on b_0 = 1 alone and the solve stays finite
     d = SparseDistribution((BitString.from_string("000000"),), (1.0,))
     params = ProblemParams(6, 2, 0.9)
-    results, failures = recover_support_candidates(exact_moments(d, default_grid(), 3), params)
-    assert results == [(1, d.support)]
-    assert [lp for lp, _ in failures] == [2]
+    est = exact_moments(d, default_grid(), 3)
+    assert support_candidate(1, est, params) == d.support
+    with pytest.raises((CoefficientRecoveryError, CorruptInputError)):
+        support_candidate(2, est, params)
     config = RecoveryConfig(sample_count=10_000, seed=1)
     assert recover_from_channel(d, params, config).distribution == d
 
@@ -260,7 +256,9 @@ def test_recover_two_string_fixture():
     config = RecoveryConfig(sample_count=200_000, seed=0)
     result = recover_from_channel(d, params, config)
     assert tv_distance(result.distribution, d) <= 0.1
-    assert result.diagnostics["candidates"][-1]["accepted"] is True
+    accepted = result.diagnostics["ell_primes"][-1]
+    assert accepted["ell_prime"] == 2 and "reason" not in accepted
+    assert accepted["validation_worst"] <= 1.0
 
 
 def _envelope_probe():
@@ -317,7 +315,7 @@ def test_recover_histogram_from_an_exact_law(case):
     result = recover_histogram(law, ProblemParams(d.n, ell, 0.9))
     assert sorted(result.distribution.support) == sorted(d.support)
     assert tv_distance(result.distribution, d) <= 1e-12
-    assert (result.seed, result.config) == (0, {})
+    assert [f.name for f in dataclasses.fields(result)] == ["distribution", "diagnostics"]
 
 
 def test_recover_histogram_refuses_a_law_without_a_count_or_of_another_n():
@@ -371,17 +369,16 @@ THREE_STRINGS = SparseDistribution(
 def test_recovery_failure_carries_diagnostics():
     # moments of a 3-string mixture cannot be explained with ell = 1: l' = 1
     # gives a one-string candidate, whose record in the failure's
-    # diagnostics names it and why it was rejected
+    # diagnostics names it and why it was rejected, as the message does
     config = RecoveryConfig(sample_count=20_000)
     with pytest.raises(RecoveryFailedError) as info:
         recover_from_channel(THREE_STRINGS, ProblemParams(6, 1, 0.9), config)
-    diagnostics = info.value.diagnostics
-    assert diagnostics["failures"] == []
-    [record] = diagnostics["candidates"]
-    assert record["ell_prime"] == 1 and record["accepted"] is False
+    [record] = info.value.diagnostics["ell_primes"]
+    assert record["ell_prime"] == 1 and "validation_worst" not in record
     assert record["reason"] == "moment validation failed"
     [string] = record["support"]
     assert len(string) == 6 and set(string) <= {"0", "1"}
+    assert str(info.value) == f"l'=1: candidate {record['support']}: moment validation failed"
 
 
 @pytest.mark.parametrize("ell", [1, 2])
@@ -389,16 +386,74 @@ def test_recover_without_candidates_fails_with_full_diagnostics(ell):
     # every l' yields a candidate and every candidate fails validation:
     # recover() still reports the grid, the points and each l''s record
     config = RecoveryConfig(sample_count=20_000)
-    with pytest.raises(RecoveryFailedError, match="all candidates failed moment validation") as info:
+    with pytest.raises(RecoveryFailedError,
+                       match=f"^l'={ell}: candidate .*: moment validation failed$") as info:
         recover_from_channel(THREE_STRINGS, ProblemParams(6, ell, 0.9), config)
     diagnostics = info.value.diagnostics
-    assert set(diagnostics) == {"grid_points", "points", "candidates", "failures"}
-    assert diagnostics["failures"] == []
-    candidates = diagnostics["candidates"]
-    assert [c["ell_prime"] for c in candidates] == list(range(1, ell + 1))
-    assert all(c["reason"] == "moment validation failed" for c in candidates)
-    assert not any(c["accepted"] for c in candidates)
+    assert set(diagnostics) == {"grid_points", "points", "ell_primes"}
+    records = diagnostics["ell_primes"]
+    assert [r["ell_prime"] for r in records] == list(range(1, ell + 1))
+    assert all(r["reason"] == "moment validation failed" for r in records)
+    assert not any("validation_worst" in r for r in records)
     assert len(diagnostics["points"]) == diagnostics["grid_points"]
+
+
+def test_records_stop_at_the_accepted_l_prime(monkeypatch):
+    # the probe's (8, 3, 0.9) cell with two strings, as an exact law given
+    # 10^9 traces: l' = 1 fails validation, l' = 2 is accepted, and l' = 3
+    # is never solved
+    probe = _envelope_probe()
+    truth = probe.random_instance(8, 2, 0)
+    law = dataclasses.replace(exact_mixture_trace_law(truth, 0.9), count=10**9)
+    solved = []
+
+    def counted(ell_prime, *args):
+        solved.append(ell_prime)
+        return recover_sigmas(ell_prime, *args)
+
+    recover_sigmas = recovery.recover_sigmas
+    monkeypatch.setattr(recovery, "recover_sigmas", counted)
+    result = recover_histogram(law, ProblemParams(8, 3, 0.9))
+    assert result.distribution.support == truth.support
+    assert solved == [1, 2]
+    rejected, accepted = result.diagnostics["ell_primes"]
+    assert rejected["ell_prime"] == 1 and rejected["reason"] == "moment validation failed"
+    assert accepted["ell_prime"] == 2 and "reason" not in accepted
+    assert accepted["support"] == [str(x) for x in truth.support]
+    assert 0.0 <= accepted["validation_worst"] <= 1.0
+
+
+def test_a_factoring_failure_is_recorded_by_stage(monkeypatch):
+    # every l' fails at factoring: its record has no support, and the
+    # message names the largest l' and the stage
+    def corrupt(sigmas, n):
+        raise CorruptInputError("no exact integer root located")
+
+    monkeypatch.setattr(recovery, "factor_support", corrupt)
+    law = dataclasses.replace(exact_mixture_trace_law(ACCEPTANCE_POINT, 0.9), count=10**9)
+    with pytest.raises(RecoveryFailedError,
+                       match="^l'=2: factoring failed: no exact integer root located$") as info:
+        recover_histogram(law, ProblemParams(8, 2, 0.9))
+    assert info.value.diagnostics["ell_primes"] == [
+        {"ell_prime": lp, "reason": "factoring failed: no exact integer root located"}
+        for lp in (1, 2)
+    ]
+
+
+def test_failure_records_every_l_prime_in_order():
+    # the probe's (8, 3, 0.9) instance, seed 0, at 10^4 traces: l' = 1 and
+    # 2 fail validation and l' = 3 the coefficient solve; one record per
+    # l', each with its reason, and the message names l' = 3's
+    probe = _envelope_probe()
+    truth = probe.random_instance(8, 3, 0)
+    with pytest.raises(RecoveryFailedError) as info:
+        recover_from_channel(truth, ProblemParams(8, 3, 0.9), RecoveryConfig(10**4, 0))
+    records = info.value.diagnostics["ell_primes"]
+    assert [r["ell_prime"] for r in records] == [1, 2, 3]
+    assert [r["reason"].split(":")[0] for r in records] == [
+        "moment validation failed", "moment validation failed", "coefficient recovery failed"]
+    assert "support" not in records[2]
+    assert str(info.value) == f"l'=3: {records[2]['reason']}"
 
 
 def test_small_p_moment_estimates_are_unbiased():

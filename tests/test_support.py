@@ -11,6 +11,7 @@ from delpop.support import (
     decode_support,
     encode_string,
     eval_int,
+    factor_support,
     integer_roots,
 )
 from oracles import exact_sigma_coeffs, random_bitstring, random_support
@@ -117,6 +118,7 @@ def test_full_roundtrip_random_sets():
         char = assemble_char_poly(sigmas)
         enc = integer_roots(char, n)
         assert decode_support(enc, n) == support
+        assert factor_support(sigmas, n) == support
 
 
 def _poly_with_roots(roots):

@@ -24,7 +24,9 @@ import time
 
 import numpy as np
 
-from delpop.core import BitString, ProblemParams, SparseDistribution, tv_distance
+from delpop.core import (
+    BitString, ProblemParams, RecoveryFailedError, SparseDistribution, tv_distance,
+)
 from delpop.recovery import RecoveryConfig, recover_from_channel
 
 CELLS = [
@@ -67,18 +69,10 @@ def random_instance(n: int, ell: int, seed: int) -> SparseDistribution:
 
 
 def failure_reason(exc: Exception) -> str:
-    """What a RecoveryFailedError reports for the largest l': its pipeline
-    failure, or why its candidate was rejected; else the exception
-    itself."""
-    diagnostics = getattr(exc, "diagnostics", {})
-    outcomes = list(diagnostics.get("failures", []))
-    outcomes += [
-        (c["ell_prime"], f"candidate {c['support']}: {c['reason']}")
-        for c in diagnostics.get("candidates", [])
-    ]
-    if outcomes:
-        ell_prime, message = max(outcomes, key=lambda outcome: outcome[0])
-        return f"l'={ell_prime}: {message}"
+    """A RecoveryFailedError's message, which names the largest l', its
+    stage and its reason; else the exception's type and message."""
+    if isinstance(exc, RecoveryFailedError):
+        return str(exc)
     return f"{type(exc).__name__}: {exc}"
 
 
