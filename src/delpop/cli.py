@@ -40,7 +40,6 @@ from .estimator import TraceHistogram
 from .oracle import exact_g_expectation, exact_moments
 from .recovery import (
     RecoveryConfig,
-    RecoveryResult,
     channel_trace_source,
     exhaustive_distinguisher,
     recover,
@@ -73,17 +72,21 @@ _OPTIONS = {
 def _read_config_file(path) -> list:
     """The `key = value` lines of a config file as `--key=value` flags."""
     flags = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"bad config line: {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key == "config":
-                raise ParameterError("a config file cannot name another config file")
-            flags.append(f"--{key.replace('_', '-')}={value}")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"config file is not UTF-8: {exc}")
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"bad config line: {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key == "config":
+            raise ParameterError("a config file cannot name another config file")
+        flags.append(f"--{key.replace('_', '-')}={value}")
     return flags
 
 
@@ -135,16 +138,17 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def emit_report(result: RecoveryResult, path) -> None:
-    """Write the distribution and diagnostics as JSON (the manifest holds
-    the seed and the traces used), plus a per-grid-point CSV: one row per
-    point with z and the standard error of each moment order."""
+def emit_report(distribution: SparseDistribution | None, diagnostics: dict, path) -> None:
+    """Write the distribution, null for a failed recovery, and the
+    diagnostics as JSON (the manifest holds the seed and the traces used),
+    plus a per-grid-point CSV: one row per point with z and the standard
+    error of each moment order."""
     payload = {
-        "distribution": result.distribution.to_json_dict(),
-        "diagnostics": result.diagnostics,
+        "distribution": None if distribution is None else distribution.to_json_dict(),
+        "diagnostics": diagnostics,
     }
     _write_json(path, payload)
-    points = result.diagnostics.get("points", [])
+    points = diagnostics.get("points", [])
     with open(str(path) + ".csv", "w", newline="") as fh:
         if points:
             writer = csv.DictWriter(fh, fieldnames=list(points[0]))
@@ -198,22 +202,28 @@ def _cmd_estimate(opts) -> int:
 
 def _cmd_recover(opts) -> int:
     """Recover from a trace file (--traces; p and n from the file) or from
-    traces sampled out of a known distribution (--dist)."""
+    traces sampled out of a known distribution (--dist).  A failed recovery
+    still writes its report, with the diagnostics the error carries."""
     if bool(opts["traces"]) == bool(opts["dist"]):
         raise ParameterError("recover requires exactly one of --traces and --dist")
     config = RecoveryConfig(sample_count=opts["samples"], seed=opts["seed"])
-    if opts["traces"]:
-        if opts["p"] is not None:
-            raise ParameterError("recover --traces takes p from the trace file's header")
-        p, traces, count = _read_traces(opts)
-        params = ProblemParams(n=traces.shape[1], ell=opts["ell"], p=p)
-        result = recover([traces], params, dataclasses.replace(config, sample_count=count))
-    else:
-        d = _load_dist(opts)
-        opts["p"] = _OPTIONS["p"][1] if opts["p"] is None else opts["p"]
-        params = ProblemParams(n=d.n, ell=opts["ell"], p=opts["p"])
-        result = recover_from_channel(d, params, config)
-    emit_report(result, opts["out"])
+    try:
+        if opts["traces"]:
+            if opts["p"] is not None:
+                raise ParameterError("recover --traces takes p from the trace file's header")
+            p, traces, count = _read_traces(opts)
+            params = ProblemParams(n=traces.shape[1], ell=opts["ell"], p=p)
+            result = recover([traces], params, dataclasses.replace(config, sample_count=count))
+        else:
+            d = _load_dist(opts)
+            opts["p"] = _OPTIONS["p"][1] if opts["p"] is None else opts["p"]
+            params = ProblemParams(n=d.n, ell=opts["ell"], p=opts["p"])
+            result = recover_from_channel(d, params, config)
+    except RecoveryFailedError as exc:
+        print(f"recovery failed: {exc}", file=sys.stderr)
+        emit_report(None, exc.diagnostics, opts["out"])
+        return EXIT_RECOVERY
+    emit_report(result.distribution, result.diagnostics, opts["out"])
     return EXIT_OK
 
 

@@ -43,7 +43,6 @@ class CoefficientRecoveryError(RuntimeError):
 
     def __init__(self, k, message):
         super().__init__(message if k is None else f"sigma_{k}: {message}")
-        self.k = k
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,10 @@ WEIGHT_SUM_TOL = 1e-12
 @dataclass(frozen=True)
 class ProblemParams:
     """Instance parameters: string length n, sparsity bound ell, retention
-    probability p (deletion probability q = 1 - p), target TV error eps.
-    No function of the package reads eps; the field stays, validated,
-    because callers such as the benchmark harness, the envelope probe and
-    the tests construct ProblemParams with it."""
+    probability p, target TV error eps.  No function of the package reads
+    eps; the field stays, validated, because callers such as the benchmark
+    harness, the envelope probe and the tests construct ProblemParams with
+    it."""
 
     n: int
     ell: int
@@ -56,10 +56,6 @@ class ProblemParams:
             raise ParameterError(f"p must lie in (0,1), got {self.p!r}")
         if not (0.0 < self.eps < 1.0):
             raise ParameterError(f"eps must lie in (0,1), got {self.eps!r}")
-
-    @property
-    def q(self) -> float:
-        return 1.0 - self.p
 
 
 @dataclass(frozen=True, order=True)

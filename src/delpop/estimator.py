@@ -473,18 +473,3 @@ class MomentEstimates:
                     }
                 )
         return json.dumps(recs)
-
-
-def moments_from_values(grid, k_max: int, value_fn) -> MomentEstimates:
-    """Build MomentEstimates from a callable (z, k) -> complex (e.g. exact
-    power sums, or a noisy wrapper in tests); the count is 1 and the
-    covariances are zero."""
-    if k_max < 1:
-        raise ParameterError("k_max must be >= 1")
-    grid = np.asarray(grid, dtype=complex)
-    means = np.array(
-        [[1.0] + [complex(value_fn(z, k)) for k in range(1, k_max + 1)] for z in grid.tolist()],
-        dtype=complex,
-    ).reshape(len(grid), k_max + 1)
-    return MomentEstimates(grid, means, np.zeros((len(grid), k_max, k_max), complex), 1)
-

@@ -1,6 +1,8 @@
-"""Brute-force ground truth for tests: exact channel laws by enumerating
-all 2^n retention subsets, exact estimator expectations, and exact
-elementary symmetric values.  Cost guards keep everything under a second.
+"""Brute-force ground truth: exact channel laws by enumerating all 2^n
+retention subsets, the exact estimator expectation that `oracle-check`
+sweeps (`exact_g_expectation`), and the exact power sums that
+`distinguish` reads (`exact_moments`).  Cost guards keep everything under
+a second.
 An exact law is a TraceHistogram without a trace count: its distinct
 padded rows in ascending order, each weighted by the compensated sum
 (math.fsum) of its probability terms.  Estimator expectations are the
@@ -24,8 +26,8 @@ import math
 
 import numpy as np
 
-from .core import BitString, ParameterError, SparseDistribution, eval_poly, power_sum
-from .estimator import MomentEstimates, TraceHistogram, moments_from_values
+from .core import BitString, ParameterError, SparseDistribution, power_sum
+from .estimator import MomentEstimates, TraceHistogram
 
 
 def _law(buckets: dict, norm: float = 1.0) -> TraceHistogram:
@@ -79,19 +81,17 @@ def exact_g_expectation(x: BitString, z: complex, m: int, p: float) -> complex:
     return complex(means[m - 1])
 
 
-def exact_sigma(d: SparseDistribution, z: complex):
-    """Elementary symmetric values of the P(z; x^(i)) by direct expansion
-    over all size-k subsets of the support."""
-    u = [eval_poly(x, z) for x in d.support]
-    out = []
-    for k in range(1, len(u) + 1):
-        out.append(sum(math.prod(c) for c in itertools.combinations(u, k)))
-    return tuple(out)
-
-
 def exact_moments(d: SparseDistribution, grid, k_max: int) -> MomentEstimates:
-    """Oracle-exact MomentEstimates (power sums, no sampling noise)."""
-    return moments_from_values(grid, k_max, lambda z, k: power_sum(d, z, k))
+    """Oracle-exact MomentEstimates: the power sums b_0..b_{k_max} of d at
+    every grid point, with count 1 and zero covariances."""
+    if k_max < 1:
+        raise ParameterError("k_max must be >= 1")
+    grid = np.asarray(grid, dtype=complex)
+    means = np.array(
+        [[1.0] + [complex(power_sum(d, z, k)) for k in range(1, k_max + 1)] for z in grid.tolist()],
+        dtype=complex,
+    ).reshape(len(grid), k_max + 1)
+    return MomentEstimates(grid, means, np.zeros((len(grid), k_max, k_max), complex), 1)
 
 
 # For any 2*sqrt(n) <= t <= n and 0 < p < n^(-1/2), the point masses obey
@@ -137,10 +137,3 @@ def exact_subsample_law(x: BitString, p: float, t: int) -> TraceHistogram:
                 out = sub + (0,) * (n - x_len)
                 buckets.setdefault(out, []).append(prob * len_law[x_len] / len(subs))
     return _law(buckets, math.fsum(accept_terms))
-
-
-def law_tv(a: TraceHistogram, b: TraceHistogram) -> float:
-    """Total-variation distance between two trace laws over the same n."""
-    rows, inverse = np.unique(np.concatenate([a.rows, b.rows]), axis=0, return_inverse=True)
-    diff = np.bincount(inverse.ravel(), np.concatenate([a.weights, -b.weights]), len(rows))
-    return 0.5 * math.fsum(np.abs(diff))

@@ -21,7 +21,7 @@ n, l and eps it reads as arguments.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,7 @@ class RecoveryConfig:
 @dataclass
 class RecoveryResult:
     distribution: SparseDistribution
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
 def support_candidate(ell_prime: int, estimates: MomentEstimates, params: ProblemParams):

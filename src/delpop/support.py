@@ -38,10 +38,6 @@ class MonicIntegerPolynomial:
             raise ParameterError("polynomial must be monic")
         object.__setattr__(self, "coeffs", cs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
 
 def eval_int(coeffs, x: int) -> int:
     """Exact value at integer x of the polynomial with ascending integer

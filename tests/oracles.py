@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from delpop.core import BitString, ParameterError, SparseDistribution
+from delpop.core import BitString, ParameterError, SparseDistribution, eval_poly
 from delpop.estimator import SINGULAR_TOL, SingularGridPointError
 
 
@@ -149,6 +149,12 @@ def law_dict(hist):
     return dict(zip(map(tuple, hist.rows.tolist()), hist.weights.tolist()))
 
 
+def law_tv(a, b) -> float:
+    """Total-variation distance between two trace laws over the same n."""
+    da, db = law_dict(a), law_dict(b)
+    return 0.5 * math.fsum(abs(da.get(r, 0.0) - db.get(r, 0.0)) for r in da.keys() | db.keys())
+
+
 def g_rows(rows, z, k_max, p):
     """g_1..g_{k_max} at z of each row, as a (rows, k_max) array, by the
     paper's sum over compositions (module docstring of `delpop.estimator`),
@@ -175,6 +181,13 @@ def elementary_symmetric(values, k):
     return sum(
         np.prod(c) for c in itertools.combinations([complex(v) for v in values], k)
     )
+
+
+def exact_sigma(d, z) -> tuple:
+    """sigma_1..sigma_l of the mixture d at z: the elementary symmetric
+    values of the P(z; x) over its support."""
+    u = [eval_poly(x, z) for x in d.support]
+    return tuple(elementary_symmetric(u, k) for k in range(1, len(u) + 1))
 
 
 def recurrence_check(b, r) -> float:

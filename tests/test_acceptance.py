@@ -23,10 +23,8 @@ from delpop.oracle import (
     BINOMIAL_REDUCTION_C,
     exact_g_expectation,
     exact_moments,
-    exact_sigma,
     exact_subsample_law,
     exact_trace_law,
-    law_tv,
     threshold_floor,
 )
 from delpop.prony import (
@@ -46,9 +44,11 @@ from delpop.support import (
 from delpop.zgrid import unit_roots
 from oracles import (
     elementary_symmetric,
+    exact_sigma,
     exact_sigma_coeffs,
     f_sum_naive,
     f_sum_rows,
+    law_tv,
     random_bitstring,
     random_distribution,
     random_support,

@@ -6,7 +6,7 @@ import pytest
 from delpop.cli import EXIT_IO, EXIT_OK, EXIT_PARAMETER, EXIT_RECOVERY, emit_report, run
 from delpop.core import BitString, SparseDistribution, save_distribution
 from delpop.channel import read_trace_file
-from delpop.recovery import RecoveryConfig, RecoveryResult
+from delpop.recovery import RecoveryConfig
 
 
 @pytest.fixture
@@ -501,6 +501,15 @@ def test_config_rejects_uncastable_value(tmp_path, dist_file, capsys):
     assert "--samples" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_is_parameter_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"n = 4\n\xff\n")
+    code = run(["oracle-check", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+    assert code == EXIT_PARAMETER
+    assert capsys.readouterr().err.startswith("parameter error: config file is not UTF-8")
+    assert not (tmp_path / "o.json").exists()
+
+
 @pytest.mark.parametrize("points", ["24", "0", "-3"])
 def test_estimate_rejects_grid_it_cannot_build(tmp_path, dist_file, points):
     # an even or nonpositive count is refused rather than rounded
@@ -547,9 +556,8 @@ def test_distinguish_mode(tmp_path):
 
 def test_emit_report_roundtrip(tmp_path):
     d = SparseDistribution((BitString.from_string("11"),), (1.0,))
-    result = RecoveryResult(distribution=d, diagnostics={"grid_points": 9})
     path = tmp_path / "r.json"
-    emit_report(result, path)
+    emit_report(d, {"grid_points": 9}, path)
     payload = json.loads(path.read_text())
     assert set(payload) == {"distribution", "diagnostics"}
     assert SparseDistribution.from_json_dict(payload["distribution"]) == d
@@ -566,12 +574,26 @@ def test_recover_failure_exits_3_and_names_the_stage(tmp_path, capsys):
     )
     dist_path = tmp_path / "dist.json"
     save_distribution(d, dist_path)
+    out = tmp_path / "r.json"
     code = run(["recover", "--dist", str(dist_path), "--ell", "1", "--samples", "20000",
-                "--out", str(tmp_path / "r.json")])
+                "--out", str(out)])
     assert code == EXIT_RECOVERY
     err = capsys.readouterr().err
     assert err.startswith("recovery failed: l'=1: candidate [")
     assert err.endswith(": moment validation failed\n")
+    # the report keeps the error's diagnostics, with a null distribution
+    payload = json.loads(out.read_text())
+    assert payload["distribution"] is None
+    [record] = payload["diagnostics"]["ell_primes"]
+    assert record["ell_prime"] == 1
+    assert record["reason"] == "moment validation failed"
+    with open(str(out) + ".csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == payload["diagnostics"]["grid_points"]
+    assert list(rows[0]) == ["z_real", "z_imag", "stderr_1"]
+    manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+    assert manifest["mode"] == "recover"
+    assert manifest["options"]["ell"] == 1
 
 
 def test_unknown_mode_is_parameter_error():

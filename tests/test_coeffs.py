@@ -12,10 +12,10 @@ from delpop.coeffs import (
     recover_sigmas,
 )
 from delpop.core import BitString, ParameterError, ProblemParams, SparseDistribution
-from delpop.oracle import exact_moments, exact_sigma
+from delpop.oracle import exact_moments
 from delpop.support import eval_int
 from delpop.zgrid import recovery_grid, unit_roots
-from oracles import exact_sigma_coeffs, random_distribution
+from oracles import exact_sigma, exact_sigma_coeffs, random_distribution
 
 
 def sigma_values_for(d, grid, k, noise=0.0, rng=None):

@@ -21,7 +21,7 @@ from delpop.core import (
 
 def test_problem_params_validation():
     p = ProblemParams(8, 2, 0.9, 0.1)
-    assert p.q == 1.0 - 0.9
+    assert (p.n, p.ell, p.p, p.eps) == (8, 2, 0.9, 0.1)
     with pytest.raises(ParameterError):
         ProblemParams(0, 2, 0.9)
     with pytest.raises(ParameterError):

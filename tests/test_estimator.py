@@ -12,9 +12,8 @@ from delpop.estimator import (
     STACK_ROWS,
     SingularGridPointError,
     TraceHistogram,
-    moments_from_values,
 )
-from delpop.oracle import exact_g_expectation, exact_mixture_trace_law
+from delpop.oracle import exact_g_expectation, exact_mixture_trace_law, exact_moments
 from delpop.zgrid import unit_roots
 from oracles import (
     composition_weights,
@@ -634,7 +633,8 @@ def test_moment_json_has_contracted_fields():
     import json
 
     grid = unit_roots(3)
-    est = moments_from_values(grid, 2, lambda z, k: z ** k)
+    # the one-string mixture "1" has power sums z^k
+    est = exact_moments(SparseDistribution((BitString.from_string("1"),), (1.0,)), grid, 2)
     recs = json.loads(est.to_json())
     assert len(recs) == 3 * 3
     for rec in recs:

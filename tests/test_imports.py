@@ -1,6 +1,9 @@
+import ast
 import os
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import delpop
 
@@ -40,3 +43,56 @@ def test_star_import_names_only_what_exists():
     namespace = {}
     exec("from delpop import *", namespace)
     assert set(delpop.__all__) <= set(namespace)
+
+
+# The public functions and classes that nothing in src/delpop/ or tools/
+# uses, each with what it reproduces or checks.  Everything else public
+# must be used there.
+_SHIPPED_UNUSED = {
+    "prony.HankelSystem": "the paper's per-point Prony lemma (ROADMAP item 5)",
+    "prony.PronyThresholds": "the paper's per-point Prony lemma (ROADMAP item 5)",
+    "prony.gate_stage": "the paper's per-point Prony lemma (ROADMAP item 5)",
+    "prony.solve_sigma": "the paper's per-point Prony lemma (ROADMAP item 5)",
+    "coeffs.recover_polynomial": "the paper's coefficient-recovery lemma (ROADMAP item 5)",
+    "oracle.exact_subsample_law": "the paper's small-p reduction lemma",
+    "oracle.threshold_floor": "the paper's small-p reduction lemma",
+    "support.encode_string": "the inverse that checks decode_string",
+    "oracle.exact_mixture_trace_law": "the README's library example, and the exact "
+    "multinomial source of ROADMAP item 1",
+}
+
+
+def _reads(nodes) -> Counter:
+    """How often each name is read in nodes, as a bare name or an attribute."""
+    reads = Counter()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                reads[sub.id] += 1
+            elif isinstance(sub, ast.Attribute):
+                reads[sub.attr] += 1
+    return reads
+
+
+def test_every_public_name_is_used_or_reproduces_a_lemma():
+    # north-star rule: no public function that only the tests use, unless
+    # it reproduces a lemma of the paper.  A name is used when code outside
+    # its own definition reads it; the unused definitions' reads do not
+    # count, so the search repeats until the unused set stops growing.
+    package = Path(delpop.__file__).parent
+    files = [*package.glob("*.py"), *(package.parents[1] / "tools").glob("*.py")]
+    trees = {path: ast.parse(path.read_text()) for path in files}
+    defs = {
+        f"{path.stem}.{node.name}": node
+        for path in package.glob("*.py")
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    own = {key: _reads([node]) for key, node in defs.items()}
+    total = _reads(trees.values())
+    unused, found = None, set()
+    while found != unused:
+        unused = found
+        live = total - sum((own[key] for key in unused), Counter())
+        found = {key for key, node in defs.items() if not (live - own[key])[node.name]}
+    assert unused == set(_SHIPPED_UNUSED)

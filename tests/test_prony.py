@@ -6,8 +6,8 @@ import pytest
 
 from delpop.channel import ChannelConfig, sample_trace_batch
 from delpop.core import ParameterError, SparseDistribution, BitString
-from delpop.estimator import TraceHistogram, moments_from_values
-from delpop.core import power_sum
+from delpop.estimator import TraceHistogram
+from delpop.oracle import exact_moments
 from delpop.zgrid import unit_roots
 from delpop.prony import (
     HankelSystem,
@@ -15,7 +15,7 @@ from delpop.prony import (
     gate_stage,
     solve_sigma,
 )
-from oracles import elementary_symmetric, recurrence_check, sigma_to_recurrence
+from oracles import elementary_symmetric, exact_sigma, recurrence_check, sigma_to_recurrence
 
 
 def separated_instance(rng, lp, min_sep=0.6):
@@ -147,7 +147,7 @@ def _sigma_at(est, ell_prime, th):
 def test_estimate_sigma_at_point_single_string():
     d = SparseDistribution((BitString.from_string("1011"),), (1.0,))
     z = cmath.exp(0.3j)
-    est = moments_from_values([z], 1, lambda z, k: power_sum(d, z, k))
+    est = exact_moments(d, [z], 1)
     th = PronyThresholds(0.9, 0.9, delta=0.01)
     out = _sigma_at(est, 1, th)
     assert out is not None
@@ -161,7 +161,7 @@ def test_estimate_sigma_at_point_degenerate_returns_none():
     d = SparseDistribution(
         (BitString.from_string("1100"), BitString.from_string("0011")), (0.5, 0.5)
     )
-    est = moments_from_values([1.0 + 0j], 3, lambda z, k: power_sum(d, z, k))
+    est = exact_moments(d, [1.0 + 0j], 3)
     th = PronyThresholds(0.25, 0.1, delta=0.05)
     assert _sigma_at(est, 2, th) is None
 
@@ -171,12 +171,10 @@ def test_estimate_sigma_at_point_oracle_exact_two_strings():
         (BitString.from_string("1010"), BitString.from_string("0110")), (0.4, 0.6)
     )
     z = cmath.exp(0.5j)
-    est = moments_from_values([z], 3, lambda zz, k: power_sum(d, zz, k))
+    est = exact_moments(d, [z], 3)
     th = PronyThresholds(0.25, 0.1, delta=0.01)
     out = _sigma_at(est, 2, th)
     assert out is not None
-    from delpop.oracle import exact_sigma
-
     want = exact_sigma(d, z)
     assert out[0] == pytest.approx(want[0])
     assert out[1] == pytest.approx(want[1])

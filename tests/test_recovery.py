@@ -15,10 +15,9 @@ from delpop.core import (
     RecoveryFailedError,
     SparseDistribution,
     eval_poly,
+    power_sum,
     tv_distance,
 )
-from delpop.estimator import moments_from_values
-from delpop.core import power_sum
 from delpop.oracle import exact_g_expectation, exact_mixture_trace_law, exact_moments
 from delpop import prony, recovery
 from delpop.prony import HankelSystem
@@ -492,9 +491,9 @@ def test_exhaustive_distinguisher_margin_zero_with_noise():
         (BitString.from_string("100"), BitString.from_string("011")), (0.5, 0.5)
     )
     grid = unit_roots(9)
-    est = moments_from_values(
-        grid, 3, lambda z, k: power_sum(d, z, k) + 1e-3 * (rng.normal() + 1j * rng.normal())
-    )
+    est = exact_moments(d, grid, 3)
+    noise = rng.normal(size=(len(grid), 3, 2))
+    est.means[:, 1:] += 1e-3 * (noise[..., 0] + 1j * noise[..., 1])
     with pytest.raises(RecoveryFailedError, match="within margin"):
         exhaustive_distinguisher(est, 3, 2, 0.25)
 
