@@ -13,9 +13,7 @@ from .core import (
     BitString,
     SparseDistribution,
     ParameterError,
-    eval_poly,
     tv_distance,
-    power_sum,
 )
 from .channel import ChannelConfig
 from .recovery import RecoveryConfig, RecoveryResult, recover
@@ -25,9 +23,7 @@ __all__ = [
     "BitString",
     "SparseDistribution",
     "ParameterError",
-    "eval_poly",
     "tv_distance",
-    "power_sum",
     "ChannelConfig",
     "RecoveryConfig",
     "RecoveryResult",

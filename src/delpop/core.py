@@ -1,5 +1,6 @@
 """Problem parameters, bit strings, sparse mixtures, and the polynomial
-encoding P(z; x) = sum_i x_i z^i.
+encoding P(z; x) = sum_i x_i z^i, whose powers P(z; x)^k over points z,
+orders k and strings x `moment_powers` gives as one array.
 
 Bits are indexed from 1: the coefficient of z^1 is the first bit.  A
 SparseDistribution is a mixture of distinct n-bit strings with positive
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -140,6 +143,9 @@ class SparseDistribution:
             if isinstance(n, bool) or not isinstance(n, (int, float)) or not float(n).is_integer():
                 raise ValueError(f"n = {n!r} is not an integer")
             n = int(n)
+            for key in ("support", "weights"):
+                if not isinstance(obj[key], list):
+                    raise ValueError(f"{key} must be an array")
             support = tuple(BitString.from_string(s) for s in obj["support"])
             weights = tuple(float(a) for a in obj["weights"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -164,14 +170,6 @@ def save_distribution(d: SparseDistribution, path) -> None:
         fh.write("\n")
 
 
-def eval_poly(x: BitString, z: complex) -> complex:
-    """P(z; x) = sum_{i=1..n} x_i z^i, by Horner from the top coefficient."""
-    acc = 0.0 + 0.0j
-    for b in reversed(x.bits):
-        acc = (acc + b) * z
-    return acc
-
-
 def tv_distance(d0: SparseDistribution, d1: SparseDistribution) -> float:
     """Total-variation distance: half the l1 gap over the support union."""
     if d0.n != d1.n:
@@ -180,8 +178,13 @@ def tv_distance(d0: SparseDistribution, d1: SparseDistribution) -> float:
     return 0.5 * sum(abs(d0.prob(x) - d1.prob(x)) for x in keys)
 
 
-def power_sum(d: SparseDistribution, z: complex, k: int) -> complex:
-    """b_k = sum_i a_i P(z; x^(i))^k; b_0 equals the weight sum (1)."""
-    if k < 0:
-        raise ParameterError("k must be nonnegative")
-    return sum(a * eval_poly(x, z) ** k for x, a in zip(d.support, d.weights))
+def moment_powers(strings, grid, k_max: int) -> np.ndarray:
+    """P(z; x)^k for every point z of grid, k = 1..k_max and string x of
+    strings, as a (points, k_max, strings) complex array: the grid's
+    powers z^1..z^n times the strings' 0/1 bit matrix give P(z; x), and a
+    cumulative product over k its powers."""
+    grid = np.asarray(grid, dtype=complex)
+    bits = np.array([x.bits for x in strings], dtype=float)
+    z_powers = np.cumprod(np.repeat(grid[:, None], bits.shape[1], axis=1), axis=1)
+    u = z_powers @ bits.T
+    return np.cumprod(np.repeat(u[:, None, :], k_max, axis=1), axis=1)

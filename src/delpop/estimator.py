@@ -78,7 +78,16 @@ keep points times the widest level's nodes within STACK_ROWS = 2^14: a
 few distinct rows sweep the whole grid at once, while 10^4 or more keep
 one point per pass and two state buffers of about 2 MB.  Two threads
 over the points ran slower than one pass at a time next to OpenBLAS's
-own two threads (104 against 97 ms for 13 points).
+own two threads (104 against 97 ms for 13 points).  At commit 1a9eb8c
+(2 shared vCPUs), a meet-in-the-middle means sweep, the suffix trie down
+to bit 16 plus a prefix trie from bit 0 reduced toward the root, cut the
+node steps per point of perfbench's estimate-n48-l3 (seed 1) from 58 782
+to 31 569, means equal to 5e-16, but ran at 33.4-33.8 against 30.9-32.2
+ms for 13 points: summing 19 978 weighted rows into 8 026 prefixes costs
+about 0.6 ms per point by reduceat, bincount or cumsum differences alike.
+Splitting the stack only at wide levels was byte-identical and no faster
+(37.2 against 36.6 ms per operation), and STACK_ROWS of 2^15 to 2^18 gave
+488k-539k traces/s against 512k, with peak RSS up to 95.7 MB.
 
 A point where some |W(s)| < 1e-12, s <= k_max, is singular for the
 estimator (the coefficients divide by it) and raises

@@ -1,8 +1,8 @@
 """Brute-force ground truth: exact channel laws by enumerating all 2^n
-retention subsets, the exact estimator expectation that `oracle-check`
-sweeps (`exact_g_expectation`), and the exact power sums that
-`distinguish` reads (`exact_moments`).  Cost guards keep everything under
-a second.
+retention subsets, the exact estimator expectations E[g_1..g_m] at a set
+of points that `oracle-check` sweeps (`exact_g_expectation`), and the
+exact power sums that `distinguish` reads (`exact_moments`, from
+`core.moment_powers`).  Cost guards keep everything under a second.
 An exact law is a TraceHistogram without a trace count: its distinct
 padded rows in ascending order, each weighted by the compensated sum
 (math.fsum) of its probability terms.  Estimator expectations are the
@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .core import BitString, ParameterError, SparseDistribution, power_sum
+from .core import BitString, ParameterError, SparseDistribution, moment_powers
 from .estimator import MomentEstimates, TraceHistogram
 
 
@@ -72,13 +72,13 @@ def exact_mixture_trace_law(d: SparseDistribution, p: float) -> TraceHistogram:
     return _law(buckets)
 
 
-def exact_g_expectation(x: BitString, z: complex, m: int, p: float) -> complex:
-    """E over the channel of g_m(trace, z): the unbiasedness oracle.  Should
-    equal eval_poly(x, z)^m."""
+def exact_g_expectation(x: BitString, zs, m: int, p: float) -> np.ndarray:
+    """E over the channel of g_1..g_m(trace, z) at every z of zs, as a
+    (len(zs), m) array from x's exact trace law: the unbiasedness oracle.
+    It should equal P(z; x)^1..P(z; x)^m, `moment_powers([x], zs, m)[..., 0]`."""
     if x.n > 12:
         raise ParameterError("exact_g_expectation limited to n <= 12")
-    means = exact_trace_law(x, p).g_means(z, m, p)
-    return complex(means[m - 1])
+    return exact_trace_law(x, p).g_means(np.asarray(zs, dtype=complex), m, p)
 
 
 def exact_moments(d: SparseDistribution, grid, k_max: int) -> MomentEstimates:
@@ -87,10 +87,8 @@ def exact_moments(d: SparseDistribution, grid, k_max: int) -> MomentEstimates:
     if k_max < 1:
         raise ParameterError("k_max must be >= 1")
     grid = np.asarray(grid, dtype=complex)
-    means = np.array(
-        [[1.0] + [complex(power_sum(d, z, k)) for k in range(1, k_max + 1)] for z in grid.tolist()],
-        dtype=complex,
-    ).reshape(len(grid), k_max + 1)
+    means = np.ones((len(grid), k_max + 1), dtype=complex)
+    means[:, 1:] = moment_powers(d.support, grid, k_max) @ np.asarray(d.weights)
     return MomentEstimates(grid, means, np.zeros((len(grid), k_max, k_max), complex), 1)
 
 

@@ -13,7 +13,9 @@ moment estimate.  The first mixture that validates is returned.  Each l'
 tried leaves one record in `diagnostics["ell_primes"]`: its support when
 solve and factoring gave one, and the reason it failed, or the
 validation score of the accepted mixture.  Wrong guesses of l' are
-harmless: their candidates fail the validation.  Nothing here reads
+harmless: their candidates fail the validation.  The weight fit, the
+validation and `exhaustive_distinguisher` read a candidate's model
+moments off one array, `core.moment_powers`.  Nothing here reads
 `ProblemParams.eps`; the reference `exhaustive_distinguisher` takes the
 n, l and eps it reads as arguments.
 """
@@ -32,7 +34,7 @@ from .core import (
     ProblemParams,
     RecoveryFailedError,
     SparseDistribution,
-    eval_poly,
+    moment_powers,
 )
 from .channel import ChannelConfig, sample_trace_batch
 from .coeffs import CoefficientRecoveryError, recover_sigmas
@@ -77,15 +79,6 @@ def support_candidate(ell_prime: int, estimates: MomentEstimates, params: Proble
     return factor_support(recover_sigmas(ell_prime, estimates, params), params.n)
 
 
-def _moment_powers(strings, estimates: MomentEstimates) -> np.ndarray:
-    """P(z; x)^k for every grid point z, k = 1..k_max and string x, as a
-    (points, k_max, strings) array."""
-    u = np.array(
-        [[eval_poly(x, z) for x in strings] for z in estimates.grid.tolist()], dtype=complex
-    ).reshape(len(estimates.grid), 1, len(strings))
-    return np.cumprod(np.repeat(u, estimates.k_max, axis=1), axis=1)
-
-
 def _validation_margin(estimates: MomentEstimates) -> np.ndarray:
     """(P, k_max) margin within which a candidate's moments must reproduce
     the estimates b_1..b_{k_max}."""
@@ -105,7 +98,8 @@ def fit_weights(support, estimates: MomentEstimates) -> list:
     if len(set(support)) != len(support):
         raise ParameterError("support strings must be distinct")
     margin = _validation_margin(estimates)
-    cols = (_moment_powers(support, estimates) / margin[:, :, None]).reshape(margin.size, -1)
+    powers = moment_powers(support, estimates.grid, estimates.k_max)
+    cols = (powers / margin[:, :, None]).reshape(margin.size, -1)
     A = cols[:, :-1] - cols[:, -1:]
     b = (estimates.means[:, 1:] / margin).ravel() - cols[:, -1]
     head = np.linalg.lstsq(np.vstack([A.real, A.imag]), np.append(b.real, b.imag), rcond=None)[0]
@@ -126,7 +120,7 @@ def _build_distribution(support, weights) -> SparseDistribution:
 def validate_candidate(d: SparseDistribution, estimates: MomentEstimates) -> float | None:
     """Largest normalized moment residual if the candidate reproduces every
     estimate within its `_validation_margin`, else None."""
-    model = _moment_powers(d.support, estimates) @ np.asarray(d.weights)
+    model = moment_powers(d.support, estimates.grid, estimates.k_max) @ np.asarray(d.weights)
     margin = _validation_margin(estimates)
     resid = np.abs(model - estimates.means[:, 1:])
     if np.any(resid > margin):
@@ -227,7 +221,7 @@ def exhaustive_distinguisher(
     strings = [BitString(bits) for bits in itertools.product((0, 1), repeat=n)]
     strings.sort()
     # one column per (point, k) constraint, one row per string
-    M = _moment_powers(strings, estimates).reshape(-1, len(strings)).T
+    M = moment_powers(strings, estimates.grid, estimates.k_max).reshape(-1, len(strings)).T
     b = estimates.means[:, 1:].ravel()
 
     single = np.flatnonzero(np.all(np.abs(M - b) <= DISTINGUISH_MARGIN, axis=1))

@@ -10,8 +10,23 @@ import math
 
 import numpy as np
 
-from delpop.core import BitString, ParameterError, SparseDistribution, eval_poly
+from delpop.core import BitString, ParameterError, SparseDistribution
 from delpop.estimator import SINGULAR_TOL, SingularGridPointError
+
+
+def eval_poly(x: BitString, z: complex) -> complex:
+    """P(z; x) = sum_{i=1..n} x_i z^i, by Horner from the top coefficient:
+    the scalar reference for `delpop.core.moment_powers`."""
+    acc = 0.0 + 0.0j
+    for b in reversed(x.bits):
+        acc = (acc + b) * z
+    return acc
+
+
+def power_sum(d: SparseDistribution, z: complex, k: int) -> complex:
+    """b_k = sum_i a_i P(z; x^(i))^k by `eval_poly`; b_0 equals the weight
+    sum (1)."""
+    return sum(a * eval_poly(x, z) ** k for x, a in zip(d.support, d.weights))
 
 
 def compositions(m: int):

@@ -15,8 +15,6 @@ from delpop.core import (
     BitString,
     ProblemParams,
     SparseDistribution,
-    eval_poly,
-    power_sum,
     tv_distance,
 )
 from delpop.oracle import (
@@ -44,11 +42,13 @@ from delpop.support import (
 from delpop.zgrid import unit_roots
 from oracles import (
     elementary_symmetric,
+    eval_poly,
     exact_sigma,
     exact_sigma_coeffs,
     f_sum_naive,
     f_sum_rows,
     law_tv,
+    power_sum,
     random_bitstring,
     random_distribution,
     random_support,
@@ -66,12 +66,11 @@ def test_acceptance_1_estimator_unbiasedness():
     for _ in range(50):
         n = int(rng.integers(2, 9))
         x = random_bitstring(rng, n)
-        for m in (1, 2, 3):
-            for p in (0.3, 0.5, 0.9):
-                for z in zs:
-                    got = exact_g_expectation(x, z, m, p)
-                    want = eval_poly(x, z) ** m
-                    worst = max(worst, abs(got - want))
+        for p in (0.3, 0.5, 0.9):
+            got = exact_g_expectation(x, zs, 3, p)
+            for z, row in zip(zs, got):
+                for m in (1, 2, 3):
+                    worst = max(worst, abs(row[m - 1] - eval_poly(x, z) ** m))
     assert worst <= 1e-8
     assert time.monotonic() - start < 60.0
 

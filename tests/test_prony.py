@@ -15,7 +15,9 @@ from delpop.prony import (
     gate_stage,
     solve_sigma,
 )
-from oracles import elementary_symmetric, exact_sigma, recurrence_check, sigma_to_recurrence
+from oracles import (
+    elementary_symmetric, eval_poly, exact_sigma, recurrence_check, sigma_to_recurrence,
+)
 
 
 def separated_instance(rng, lp, min_sep=0.6):
@@ -151,8 +153,6 @@ def test_estimate_sigma_at_point_single_string():
     th = PronyThresholds(0.9, 0.9, delta=0.01)
     out = _sigma_at(est, 1, th)
     assert out is not None
-    from delpop.core import eval_poly
-
     assert out[0] == pytest.approx(eval_poly(d.support[0], z))
 
 
