@@ -146,6 +146,10 @@ class SparseDistribution:
             for key in ("support", "weights"):
                 if not isinstance(obj[key], list):
                     raise ValueError(f"{key} must be an array")
+            if not all(isinstance(s, str) for s in obj["support"]):
+                raise ValueError("support entries must be strings")
+            if any(isinstance(a, bool) or not isinstance(a, (int, float)) for a in obj["weights"]):
+                raise ValueError("weights must be numbers")
             support = tuple(BitString.from_string(s) for s in obj["support"])
             weights = tuple(float(a) for a in obj["weights"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

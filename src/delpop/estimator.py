@@ -40,24 +40,30 @@ with M = I + chain, where chain[s, t] = C(s, t) z^s / (p W(s)) for
     v[j-1] = D [[M, start], [0, 1]] v[j]     if x~_j = 1
 
 and g = v[0] without its last entry.  So CHUNK = 4 positions at a time
-are one (k+1)-square transfer matrix, one per 4-bit pattern, and one
-matmul per pattern advances every row through a chunk.  Rows that end in
-the same chunks share their state up to there: the sweep runs over the
-rows' suffix trie, built once per histogram, whose level j holds the
-distinct (pattern of chunk j, node of level j + 1) pairs; its root is the
-zero state v = (0, 1), which a zero-padded partial last chunk and an
-all-zero suffix leave as it is.  A row's leaf is its node at chunk 0; the
-weights of the rows that share a leaf are summed, and `g_moments` takes
-the means and covariances over the leaves.  Chunks of 4 bits cut the node
-steps per point of 2 x 10^4 distinct 48-bit rows from 365k (single bits)
-to 99k, and their 16 matrices stay cheap to build; wider chunks spend
-more on 2^CHUNK matrices per point than they save on short rows.
+are one (k+1)-square transfer matrix T, one per 4-bit pattern.  The sweep
+runs in real arithmetic: a state is the 2k+1 reals (Re A_1..A_k, 1, Im
+A_1..A_k), the constant having no imaginary part and so no row, and T
+acts on it as its real block form [[Re T, -Im T[:, :k]], [Im T[:k], Re
+T[:k, :k]]].  T's last row is (0, ..., 0, 1), so the constant stays
+exactly 1, and one real matmul (dgemm) per pattern advances every row
+through a chunk.  Rows that end in the same chunks share their state up
+to there: the sweep runs over the rows' suffix trie, built once per
+histogram, whose level j holds the distinct (pattern of chunk j, node of
+level j + 1) pairs; its root is the zero state v = (0, 1), which a
+zero-padded partial last chunk and an all-zero suffix leave as it is.  A
+row's leaf is its node at chunk 0; the weights of the rows that share a
+leaf are summed, and `g_moments` takes the means and covariances over
+the leaves.  Chunks of 4 bits cut the node steps per point of 2 x 10^4
+distinct 48-bit rows from 365k (single bits) to 99k, and their 16
+matrices stay cheap to build; wider chunks spend more on 2^CHUNK
+matrices per point than they save on short rows.
 
 The means alone are linear in the row weights, so `g_means` stops the
 sweep on the same trie two levels short of the leaves, at bit 8.  It sums
 the leaves' weighted states there per first byte of their rows (one
 gather, one multiply, one reduceat), and carries each sum to bit 0
-through the byte's two chunk matrices, T[hi] (T[lo] sum).  The trie
+through the byte's two chunk matrices, T[hi] (T[lo] sum), all in the
+real form; only the (points, k) means become complex.  The trie
 always has the two levels of the first byte, so with n <= 8 the means
 start from the root, and rows of <= 4 bits get one more all-zero chunk,
 which leaves the root state as it is.  Rows part most near their start,
@@ -71,23 +77,34 @@ stop leaves 39 202 node steps but 2 211 prefix groups, and ran at 6.6 ms
 per point against 5.2 ms on 2 shared vCPUs; its 4 096 possible prefix
 products alone, as stacked 6 x 6 products of three chunk matrices, take
 9.4 ms.  The covariance is a weighted sum of outer products g g^H, not
-of states, so `g_moments` sweeps to the leaves.
+of states, so `g_moments` sweeps to the leaves and turns their states into
+complex g once.
 
 Several grid points share one pass on a leading stack axis, as many as
 keep points times the widest level's nodes within STACK_ROWS = 2^14: a
 few distinct rows sweep the whole grid at once, while 10^4 or more keep
-one point per pass and two state buffers of about 2 MB.  Two threads
-over the points ran slower than one pass at a time next to OpenBLAS's
-own two threads (104 against 97 ms for 13 points).  At commit 1a9eb8c
-(2 shared vCPUs), a meet-in-the-middle means sweep, the suffix trie down
-to bit 16 plus a prefix trie from bit 0 reduced toward the root, cut the
-node steps per point of perfbench's estimate-n48-l3 (seed 1) from 58 782
-to 31 569, means equal to 5e-16, but ran at 33.4-33.8 against 30.9-32.2
-ms for 13 points: summing 19 978 weighted rows into 8 026 prefixes costs
-about 0.6 ms per point by reduceat, bincount or cumsum differences alike.
+one point per pass and two float64 state buffers of about 1.8 MB.
+
+On 2 shared vCPUs OpenBLAS ran the 16 pattern ranges of a level of
+20 000 nodes in 408 us as 6-square complex matmuls (zgemm), in 189 us as
+their 11-square real blocks, and in 216 us as 12-square blocks that keep
+a row for the constant's imaginary part; that 12-row form ran
+estimate-n48-l3 at 419k-475k against 468k-503k traces/s.  Two sort-based
+`_trie_plan`s were slower than the bitmap of distinct keys, which takes
+4.8 ms on the 19 978 distinct 48-bit rows of estimate-n48-l3 (seed 1):
+`np.unique(..., return_inverse=True)` per level took 8.4 ms, and
+`np.sort` with `searchsorted` 14.3 ms.  Two threads over the points ran
+slower than one pass at a time next to OpenBLAS's own two threads (104
+against 97 ms for 13 points).  At commit 1a9eb8c (2 shared vCPUs), a
+meet-in-the-middle means sweep, the suffix trie down to bit 16 plus a
+prefix trie from bit 0 reduced toward the root, cut the node steps per
+point of perfbench's estimate-n48-l3 (seed 1) from 58 782 to 31 569,
+means equal to 5e-16, but ran at 33.4-33.8 against 30.9-32.2 ms for 13
+points: summing 19 978 weighted rows into 8 026 prefixes costs about
+0.6 ms per point by reduceat, bincount or cumsum differences alike.
 Splitting the stack only at wide levels was byte-identical and no faster
-(37.2 against 36.6 ms per operation), and STACK_ROWS of 2^15 to 2^18 gave
-488k-539k traces/s against 512k, with peak RSS up to 95.7 MB.
+(37.2 against 36.6 ms per operation), and STACK_ROWS of 2^15 to 2^18
+gave 488k-539k traces/s against 512k, with peak RSS up to 95.7 MB.
 
 A point where some |W(s)| < 1e-12, s <= k_max, is singular for the
 estimator (the coefficients divide by it) and raises
@@ -120,7 +137,7 @@ class SingularGridPointError(ParameterError):
 
 
 CHUNK = 4  # trace positions per trie level, one transfer matrix per pattern; divides 8
-STACK_ROWS = 1 << 14  # grid points times widest-level nodes swept in one pass
+STACK_ROWS = 1 << 14  # grid points times widest-level nodes swept in one pass, 2k + 1 reals each
 
 
 class _TriePlan(NamedTuple):
@@ -163,10 +180,14 @@ def _trie_plan(rows: np.ndarray) -> _TriePlan:
 
 
 def _transfer_matrices(zs: np.ndarray, k_max: int, p: float) -> np.ndarray:
-    """T[i, c]: the (k_max + 1)-square matrix that carries the augmented
-    state (A_1..A_k, 1) from the end of a chunk with bit pattern c back to
-    its start, at zs[i]: the product over the chunk of D = diag(W, 1) per
-    0-bit and D [[M, start], [0, 1]] per 1-bit."""
+    """R[i, c]: the real (2 k_max + 1)-square block form of the matrix T
+    that carries the augmented state (A_1..A_k, 1) from the end of a chunk
+    with bit pattern c back to its start, at zs[i].  T is the product over
+    the chunk of D = diag(W, 1) per 0-bit and D [[M, start], [0, 1]] per
+    1-bit; R = [[Re T, -Im T[:, :k]], [Im T[:k], Re T[:k, :k]]] acts on the
+    real state (Re A_1..A_k, 1, Im A_1..A_k).  Every such T has the last
+    row (0, .., 0, 1), so R keeps the constant exactly 1 and its imaginary
+    part, which gets no row, 0, and the blocks multiply as the T do."""
     if k_max < 1:
         raise ParameterError("m must be >= 1")
     if not 0.0 < p < 1.0:
@@ -190,28 +211,47 @@ def _transfer_matrices(zs: np.ndarray, k_max: int, p: float) -> np.ndarray:
     E[:, 1, diag, diag] += 1
     E[:, 1, :k_max, k_max] = phi[:, :, 0]  # start
     E[:, 1, :k_max] *= W[:, :, None]
-    T = E  # T[:, c] for patterns c of one more bit per step, first bit most significant
+    # the real blocks of the one-bit matrices; the block form of a product
+    # is the product of the blocks, and stacks of small real matmuls ran
+    # about 4x faster than complex ones (57 against 262 us, 17 points, k = 3)
+    K = 2 * k_max + 1
+    R = np.empty((len(zs), 2, K, K))
+    R[..., : k_max + 1, : k_max + 1] = E.real
+    R[..., : k_max + 1, k_max + 1 :] = -E.imag[..., :k_max]
+    R[..., k_max + 1 :, : k_max + 1] = E.imag[..., :k_max, :]
+    R[..., k_max + 1 :, k_max + 1 :] = E.real[..., :k_max, :k_max]
+    T = R  # T[:, c] for patterns c of one more bit per step, first bit most significant
     for _ in range(CHUNK - 1):
-        T = (T[:, :, None] @ E[:, None, :]).reshape(len(zs), -1, k_max + 1, k_max + 1)
+        T = (T[:, :, None] @ R[:, None, :]).reshape(len(zs), -1, K, K)
     return T
 
 
+def _complex_rows(states: np.ndarray, k_max: int) -> np.ndarray:
+    """A_1..A_k as complex numbers from real states (Re A_1..A_k, 1, Im
+    A_1..A_k) laid out along axis 1."""
+    out = states[:, :k_max].astype(complex)
+    out.imag = states[:, k_max + 1 :]
+    return out
+
+
 def _g_sweep(plan: _TriePlan, T: np.ndarray) -> np.ndarray:
-    """The augmented states (A_1..A_k, 1) of the nodes of the plan's last
-    level at every point of a stack, as the columns of a (points, k + 1,
-    nodes) array, by the trie form of the backward sweep in the module
-    docstring; T holds the points' `_transfer_matrices`.  The states are
-    (g_1..g_k, 1) unless the levels stop short of chunk 0.  Nodes lie
-    along the last axis, so each matmul is a small square matrix times a
-    wide block: with nodes along the middle axis (tall blocks) the sweep
-    ran no faster, and OpenBLAS's threaded path raised the peak RSS of
-    2 x 10^4 distinct 48-bit rows by 0.6 MB."""
+    """The real augmented states (Re A_1..A_k, 1, Im A_1..A_k) of the
+    nodes of the plan's last level at every point of a stack, as the
+    columns of a (points, 2k + 1, nodes) float64 array, by the trie form of
+    the backward sweep in the module docstring; T holds the points'
+    `_transfer_matrices`.  The A_m are g_m unless the levels stop short of
+    chunk 0.  Nodes lie along the last axis, so each matmul is a small
+    square matrix times a wide block: with nodes along the middle axis
+    (tall blocks) the 16 matmuls of a level of 20 000 nodes took 294
+    against 196 us, for a gather 24 us faster, and OpenBLAS's threaded
+    path raised the peak RSS of 2 x 10^4 distinct 48-bit rows by 0.6 MB
+    (complex states)."""
     points, _, K, _ = T.shape
     shape = (points, K, -1)
     size = points * plan.width * K
-    states, parents = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    states, parents = np.empty(size), np.empty(size)
     state = states[: points * K].reshape(shape)
-    state[:] = np.eye(K)[:, K - 1 :]  # the root: (A_1..A_k, 1) = (0, 1) after the last bit
+    state[:] = np.eye(K)[:, K // 2 : K // 2 + 1]  # the root: A = 0 and the constant 1 after the last bit
     # every index is in range; mode="clip" lets take write into `out` unbuffered
     for parent, ranges in plan.levels:
         used = points * len(parent) * K
@@ -368,10 +408,11 @@ class TraceHistogram:
         the results gain its shape in front; one sweep serves them all."""
         zs = np.asarray(z, dtype=complex)
         states = _g_sweep(self._plan, _transfer_matrices(zs.ravel(), k_max, p))
-        weights = self._leaf_weights
-        means = states[:, :k_max] @ weights
-        D = states[:, :k_max] - means[:, :, None]
+        g = _complex_rows(states, k_max)
         del states  # free the sweep's buffer before the weighted copy of D
+        weights = self._leaf_weights
+        means = g @ weights
+        D = np.subtract(g, means[:, :, None], out=g)
         Dw = D * weights
         cov = Dw @ np.conjugate(D, out=D).transpose(0, 2, 1)
         return means.reshape(zs.shape + (k_max,)), cov.reshape(zs.shape + (k_max, k_max))
@@ -390,10 +431,10 @@ class TraceHistogram:
         states = _g_sweep(self._plan._replace(levels=self._plan.levels[:-2]), T)
         weighted = np.take(states, columns, axis=2)
         weighted *= self._leaf_weights
-        sums = np.add.reduceat(weighted, starts, axis=2)  # (points, k + 1, bytes)
+        sums = np.add.reduceat(weighted, starts, axis=2)  # (points, 2k + 1, bytes)
         hi, lo = prefixes >> CHUNK, prefixes & (1 << CHUNK) - 1
         carried = np.einsum("pgij,pjg->pgi", T[:, lo], sums)
-        means = np.einsum("pgij,pgj->pi", T[:, hi, :k_max], carried)
+        means = _complex_rows(np.einsum("pgij,pgj->pi", T[:, hi], carried), k_max)
         return means.reshape(zs.shape + (k_max,))
 
     def estimates(self, grid, k_max: int, p: float, covariance: bool = True) -> MomentEstimates:

@@ -111,8 +111,11 @@ def test_trace_modes_refuse_header_p_outside_zero_one(tmp_path, mode, p):
         '{"n": 2.7, "support": ["10"], "weights": [1.0]}',  # int() would read n = 2
         '{"n": true, "support": ["1"], "weights": [1.0]}',  # int() would read n = 1
         '{"n": 2, "support": ["10"], "weights": "1"}',  # float() would read the weight 1.0
+        '{"n": 2, "support": ["10"], "weights": ["1"]}',  # float() would read the weight 1.0
+        '{"n": 2, "support": [["1", "0"]], "weights": [1.0]}',  # a list of bits, not a string
     ],
-    ids=["truncated", "bad-n", "bad-weight", "nan-weight", "fractional-n", "bool-n", "string-weights"],
+    ids=["truncated", "bad-n", "bad-weight", "nan-weight", "fractional-n", "bool-n", "string-weights",
+         "string-weight", "list-support-entry"],
 )
 @pytest.mark.parametrize("mode", ["simulate", "recover", "distinguish"])
 def test_dist_modes_reject_malformed_distribution_file(tmp_path, text, mode):

@@ -186,3 +186,19 @@ def test_distribution_json_rejects_support_or_weights_that_is_not_an_array(key, 
     obj = {"n": 4, "support": ["0101"], "weights": [1.0], key: value}
     with pytest.raises(ParameterError, match=f"malformed distribution object: {key} must be an array"):
         SparseDistribution.from_json_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("weights", ["1"], "weights must be numbers"),  # float() would read 1.0
+        ("weights", [True], "weights must be numbers"),  # float() would read 1.0
+        ("weights", [" 1 "], "weights must be numbers"),  # float() strips the blanks
+        ("support", [["0", "1", "0", "1"]], "support entries must be strings"),  # a list of bits
+    ],
+    ids=["string-weight", "bool-weight", "padded-string-weight", "list-support-entry"],
+)
+def test_distribution_json_rejects_entries_of_the_wrong_type(key, value, message):
+    obj = {"n": 4, "support": ["0101"], "weights": [1.0], key: value}
+    with pytest.raises(ParameterError, match=f"malformed distribution object: {message}"):
+        SparseDistribution.from_json_dict(obj)

@@ -194,6 +194,26 @@ def test_g_moments_stack_of_points_matches_one_point_at_a_time():
         assert np.max(np.abs(cov[0, i] - one_cov)) <= 1e-12 * np.max(np.abs(one_cov))
 
 
+def test_real_points_have_real_moments():
+    # at real z every transfer matrix is real, so the sweep's Im rows stay
+    # 0 and the means and covariance come out real to the last bit; z = 1
+    # is the centre of every grid
+    rng = np.random.default_rng(401)
+    rows = np.unique(rng.integers(0, 2, size=(300, 21)).astype(np.int8), axis=0)
+    assert len(rows) >= 295
+    hist = TraceHistogram(rows, rng.dirichlet(np.ones(len(rows))))
+    p = 0.7
+    zs = np.array([1.0, 0.6, -0.8])
+    means, cov = hist.g_moments(zs, 5, p)
+    only = hist.g_means(zs, 5, p)
+    assert np.all(means.imag == 0.0) and np.all(cov.imag == 0.0) and np.all(only.imag == 0.0)
+    for i, z in enumerate(zs.tolist()):
+        want_means, want_cov = g_moments_rows(rows, hist.weights, z, 5, p)
+        for got in (means[i], only[i]):
+            assert np.all(np.abs(got - want_means) <= 1e-12 * np.abs(want_means))
+        assert np.max(np.abs(cov[i] - want_cov)) <= 1e-12 * np.max(np.abs(want_cov))
+
+
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 7, 8, 9, 12, 16, 21, 48])
 def test_g_means_match_g_moments(n):
     # a directly built histogram: unsorted rows, unequal weights, rows that
