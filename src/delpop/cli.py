@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 
@@ -90,6 +91,7 @@ def _read_config_file(path) -> list:
     return flags
 
 
+@functools.cache  # a pure function of _MODES and _OPTIONS; parsing leaves it as it is
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="delpop", description=__doc__)
     sub = parser.add_subparsers(dest="mode", required=True)

@@ -47,43 +47,49 @@ acts on it as its real block form [[Re T, -Im T[:, :k]], [Im T[:k], Re
 T[:k, :k]]].  T's last row is (0, ..., 0, 1), so the constant stays
 exactly 1, and one real matmul (dgemm) per pattern advances every row
 through a chunk.  Rows that end in the same chunks share their state up
-to there: the sweep runs over the rows' suffix trie, built once per
-histogram, whose level j holds the distinct (pattern of chunk j, node of
-level j + 1) pairs; its root is the zero state v = (0, 1), which a
-zero-padded partial last chunk and an all-zero suffix leave as it is.  A
-row's leaf is its node at chunk 0; the weights of the rows that share a
-leaf are summed, and `g_moments` takes the means and covariances over
-the leaves.  Chunks of 4 bits cut the node steps per point of 2 x 10^4
-distinct 48-bit rows from 365k (single bits) to 99k, and their 16
-matrices stay cheap to build; wider chunks spend more on 2^CHUNK
-matrices per point than they save on short rows.
+to there: the sweep runs over the rows' suffix trie, whose level j holds
+the distinct (pattern of chunk j, node of level j + 1) pairs; its root is
+the zero state v = (0, 1), which a zero-padded partial last chunk and an
+all-zero suffix leave as it is.  Every row passes through every level, so
+a level has at least as many nodes as the one above it.  A row's leaf is
+its node at chunk 0; the weights of the rows that share a leaf are
+summed, and `g_moments` takes the means and covariances over the leaves.
+Chunks of 4 bits cut the node steps per point of 2 x 10^4 distinct 48-bit
+rows from 365k (single bits) to 99k, and their 16 matrices stay cheap to
+build; wider chunks spend more on 2^CHUNK matrices per point than they
+save on short rows.
 
 The means alone are linear in the row weights, so `g_means` stops the
-sweep on the same trie two levels short of the leaves, at bit 8.  It sums
-the leaves' weighted states there per first byte of their rows (one
-gather, one multiply, one reduceat), and carries each sum to bit 0
-through the byte's two chunk matrices, T[hi] (T[lo] sum), all in the
-real form; only the (points, k) means become complex.  The trie
-always has the two levels of the first byte, so with n <= 8 the means
-start from the root, and rows of <= 4 bits get one more all-zero chunk,
-which leaves the root state as it is.  Rows part most near their start,
-so the two chunks next to bit 0 hold the trie's widest levels: for
-2 x 10^4 distinct 48-bit rows, 39 898 of the 98 680 node steps per
-point, which the byte sums replace by 237 groups.  Building those two
-levels, which `g_means` never sweeps, costs about 1.5 ms per histogram
-(a layout of 8.8 against 7.2 ms for about 19 990 distinct 48-bit rows, 2
-shared vCPUs); a second trie stopped at bit 8 would save it.  A 12-bit
-stop leaves 39 202 node steps but 2 211 prefix groups, and ran at 6.6 ms
-per point against 5.2 ms on 2 shared vCPUs; its 4 096 possible prefix
-products alone, as stacked 6 x 6 products of three chunk matrices, take
-9.4 ms.  The covariance is a weighted sum of outer products g g^H, not
-of states, so `g_moments` sweeps to the leaves and turns their states into
-complex g once.
+sweep at bit 8, on a plan whose levels end at chunk 2 and which gives
+each row's node there.  It groups the rows by their first byte (a stable
+sort of np.packbits(rows[:, :8])), sums their weighted states at bit 8
+per group (one gather, one multiply, one reduceat), and carries each sum
+to bit 0 through the byte's two chunk matrices, T[hi] (T[lo] sum), all
+in the real form; only the (points, k) means become complex.  With n <= 8
+no level lies above bit 8, and the means start from the root.  Rows part
+most near their start, so the two chunks next to bit 0 hold the trie's
+widest levels: for 2 x 10^4 distinct 48-bit rows, 39 898 of the 98 680
+node steps per point, which the byte sums replace by 237 groups.  The
+means never build those two levels; `g_moments` extends the means' plan
+by them, so a histogram builds each level once, whichever runs first.  A
+12-bit stop leaves 39 202 node steps but 2 211 prefix groups, and ran at
+6.6 ms per point against 5.2 ms on 2 shared vCPUs; its 4 096 possible
+prefix products alone, as stacked 6 x 6 products of three chunk
+matrices, take 9.4 ms.  The covariance is a weighted sum of outer
+products g g^H, not of states, so `g_moments` sweeps to the leaves and
+turns their states into complex g once.
 
-Several grid points share one pass on a leading stack axis, as many as
-keep points times the widest level's nodes within STACK_ROWS = 2^14: a
-few distinct rows sweep the whole grid at once, while 10^4 or more keep
-one point per pass and two float64 state buffers of about 1.8 MB.
+A sweep builds the transfer matrices of all its points at once and cuts
+its levels into a head and a tail.  The head is the leading levels whose
+nodes times the points stay within STACK_ROWS = 2^14, and it is swept
+once, every point on a leading stack axis.  The tail runs in stacks of
+max(1, STACK_ROWS // nodes of its widest level) points, each from its
+slice of the head's states.  A few distinct rows fit the whole trie in
+the head and sweep the whole grid in one pass.  The 19 978 distinct
+48-bit rows of estimate-n48-l3 sweep the means' five narrow levels (2 to
+492 nodes) once for all 13 points, and the rest one point at a time, with
+two float64 state buffers of about 1.8 MB; the head's buffers hold at
+most 2 x STACK_ROWS x (2k + 1) float64 (2.9 MB at k = 5).
 
 On 2 shared vCPUs OpenBLAS ran the 16 pattern ranges of a level of
 20 000 nodes in 408 us as 6-square complex matmuls (zgemm), in 189 us as
@@ -102,9 +108,22 @@ point of perfbench's estimate-n48-l3 (seed 1) from 58 782 to 31 569,
 means equal to 5e-16, but ran at 33.4-33.8 against 30.9-32.2 ms for 13
 points: summing 19 978 weighted rows into 8 026 prefixes costs about
 0.6 ms per point by reduceat, bincount or cumsum differences alike.
-Splitting the stack only at wide levels was byte-identical and no faster
-(37.2 against 36.6 ms per operation), and STACK_ROWS of 2^15 to 2^18
-gave 488k-539k traces/s against 512k, with peak RSS up to 95.7 MB.
+On the complex sweep, splitting the stack only at wide levels was
+byte-identical and no faster (37.2 against 36.6 ms per operation); on the
+real sweep it pays.  Measured by tools/ab_ops.py (both checkouts in one
+process, 100 alternating operations each, seeds 1-3, 2 shared vCPUs),
+the head and tail with one transfer build, the bit-8 plan and the CLI's
+one parser together ran estimate-n48-l3 1.18-1.20 times as fast as commit
+d7dfde7 (medians 36.9-39.1 against 43.4-46.5 ms), byte-identical; without
+the head sweep 1.11-1.15 times, without the bit-8 plan 1.10-1.14 times,
+and without the one parser 1.13-1.16 times.
+STACK_ROWS of 2^15 to 2^18 gave 488k-539k traces/s against 512k, with
+peak RSS up to 95.7 MB.  At commit d7dfde7 (2 shared vCPUs) these gained
+nothing: a meet-in-the-middle means sweep at bit 12 with grouped
+matmuls, whose reduceat over 2 211 groups costs 325 us against 91 us
+over 237; a trie plan from one sort (8.6 against 8.4 ms for the bitmap
+plan); and a head of up to 4 x STACK_ROWS.  Dropping the constant's row
+from the gather saved 5 % of the sweep time and was not adopted.
 
 A point where some |W(s)| < 1e-12, s <= k_max, is singular for the
 estimator (the coefficients divide by it) and raises
@@ -141,28 +160,36 @@ STACK_ROWS = 1 << 14  # grid points times widest-level nodes swept in one pass, 
 
 
 class _TriePlan(NamedTuple):
-    """The suffix trie of a set of rows, laid out for `_g_sweep`.
+    """The suffix trie of a set of rows down to chunk `stop`, laid out for
+    `_g_sweep`.
 
     The rows are cut into CHUNK-bit chunks, a partial last chunk read as
     zero-padded, and into at least the two chunks of the first byte.
     Level j's nodes are the distinct pairs (pattern of chunk j, node of
     level j + 1), numbered by pattern first; the last chunk's nodes hang
     from one root, the zero state.  `levels` holds, from the last chunk
-    down to chunk 0, each level's parent indices and its non-empty pattern
-    ranges (pattern, lo, hi).  `leaf[i]` is row i's node at chunk 0."""
+    down to chunk `stop`, each level's parent indices and its non-empty
+    pattern ranges (pattern, lo, hi).  A level has at least as many nodes
+    as the one above it.  `node[i]` is row i's node at chunk `stop`, the
+    root when there is no level."""
 
     levels: list
-    leaf: np.ndarray
-    width: int  # nodes on the widest level
+    node: np.ndarray
+    stop: int
 
 
-def _trie_plan(rows: np.ndarray) -> _TriePlan:
-    """The `_TriePlan` of a (U, n) 0/1 array."""
+def _trie_plan(rows: np.ndarray, stop: int, top: _TriePlan | None = None) -> _TriePlan:
+    """The `_TriePlan` of a (U, n) 0/1 array down to chunk `stop`; given
+    `top`, the plan of the same rows down to a later chunk, it builds only
+    the levels below top's and keeps top's."""
     U, n = rows.shape
     packed = np.packbits(rows, axis=1)  # CHUNK divides 8: no chunk spans two bytes
-    node, count = np.zeros(U, dtype=np.int32), 1
-    levels, width = [], 1
-    for lo in range(max(n - 1, CHUNK) // CHUNK * CHUNK, -1, -CHUNK):
+    if top is None:
+        levels, node, first = [], np.zeros(U, dtype=np.int32), max(n - 1, CHUNK) // CHUNK
+    else:
+        levels, node, first = list(top.levels), top.node, top.stop - 1
+    count = len(levels[-1][0]) if levels else 1
+    for lo in range(first * CHUNK, stop * CHUNK - 1, -CHUNK):
         pattern = packed[:, lo // 8] >> (8 - CHUNK - lo % 8) & (1 << CHUNK) - 1
         key = pattern.astype(np.intp) * count + node  # (pattern, parent), pattern first
         seen = np.zeros(count << CHUNK, dtype=bool)  # set entries: distinct keys in order, no sort
@@ -175,8 +202,7 @@ def _trie_plan(rows: np.ndarray) -> _TriePlan:
         ranges = [(c, a, b) for c, (a, b) in enumerate(zip([0] + bounds, bounds)) if a < b]
         levels.append(((keys % count).astype(np.int32), ranges))
         count = len(keys)
-        width = max(width, count)
-    return _TriePlan(levels, node, width)
+    return _TriePlan(levels, node, stop)
 
 
 def _transfer_matrices(zs: np.ndarray, k_max: int, p: float) -> np.ndarray:
@@ -222,7 +248,7 @@ def _transfer_matrices(zs: np.ndarray, k_max: int, p: float) -> np.ndarray:
     R[..., k_max + 1 :, k_max + 1 :] = E.real[..., :k_max, :k_max]
     T = R  # T[:, c] for patterns c of one more bit per step, first bit most significant
     for _ in range(CHUNK - 1):
-        T = (T[:, :, None] @ R[:, None, :]).reshape(len(zs), -1, K, K)
+        T = (T[:, :, None] @ R[:, None, :]).reshape(len(zs), 2 * T.shape[1], K, K)
     return T
 
 
@@ -234,27 +260,31 @@ def _complex_rows(states: np.ndarray, k_max: int) -> np.ndarray:
     return out
 
 
-def _g_sweep(plan: _TriePlan, T: np.ndarray) -> np.ndarray:
+def _g_sweep(levels: list, T: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
     """The real augmented states (Re A_1..A_k, 1, Im A_1..A_k) of the
-    nodes of the plan's last level at every point of a stack, as the
-    columns of a (points, 2k + 1, nodes) float64 array, by the trie form of
-    the backward sweep in the module docstring; T holds the points'
-    `_transfer_matrices`.  The A_m are g_m unless the levels stop short of
-    chunk 0.  Nodes lie along the last axis, so each matmul is a small
-    square matrix times a wide block: with nodes along the middle axis
-    (tall blocks) the 16 matmuls of a level of 20 000 nodes took 294
-    against 196 us, for a gather 24 us faster, and OpenBLAS's threaded
-    path raised the peak RSS of 2 x 10^4 distinct 48-bit rows by 0.6 MB
-    (complex states)."""
+    nodes of the last of a plan's `levels` at every point of a stack, as
+    the columns of a (points, 2k + 1, nodes) float64 array, by the trie form
+    of the backward sweep in the module docstring; T holds the points'
+    `_transfer_matrices`.  The sweep starts from `start`, the states of
+    the nodes above the first level, or from the root; with no levels it
+    returns them.  Its two buffers hold the widest of `levels`.  The A_m are
+    g_m when the levels reach chunk 0.  Nodes lie along the last axis, so
+    each matmul is a small square matrix times a wide block: with nodes
+    along the middle axis (tall blocks) the 16 matmuls of a level of
+    20 000 nodes took 294 against 196 us, for a gather 24 us faster, and
+    OpenBLAS's threaded path raised the peak RSS of 2 x 10^4 distinct
+    48-bit rows by 0.6 MB (complex states)."""
     points, _, K, _ = T.shape
-    shape = (points, K, -1)
-    size = points * plan.width * K
+    if start is None:
+        start = np.zeros((points, K, 1))
+        start[:, K // 2] = 1  # the root: A = 0 and the constant 1 after the last bit
+    size = points * K * max((len(parent) for parent, _ in levels), default=0)
     states, parents = np.empty(size), np.empty(size)
-    state = states[: points * K].reshape(shape)
-    state[:] = np.eye(K)[:, K // 2 : K // 2 + 1]  # the root: A = 0 and the constant 1 after the last bit
+    state = start
     # every index is in range; mode="clip" lets take write into `out` unbuffered
-    for parent, ranges in plan.levels:
-        used = points * len(parent) * K
+    for parent, ranges in levels:
+        shape = (points, K, len(parent))
+        used = points * K * len(parent)
         gathered = np.take(state, parent, axis=2, out=parents[:used].reshape(shape), mode="clip")
         state = states[:used].reshape(shape)
         for c, a, b in ranges:
@@ -285,6 +315,15 @@ def _bit_batches(batches, n: int, limit: int):
         if total >= limit:
             return
     raise ParameterError(f"trace source exhausted after {total} of {limit} traces")
+
+
+def _merge_counts(parts: list) -> tuple:
+    """The distinct keys of a list of (ascending distinct keys, counts)
+    parts, ascending, with their summed counts; one part is its own merge."""
+    if len(parts) == 1:
+        return parts[0]
+    keys, inverse = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+    return keys, np.bincount(inverse, weights=np.concatenate([c for _, c in parts]))
 
 
 _GATHER = np.uint64(0x8040201008040201)
@@ -320,28 +359,31 @@ class TraceHistogram:
     count: int | None = None
 
     @cached_property
+    def _byte_plan(self) -> _TriePlan:
+        """The rows' suffix trie down to bit 2 CHUNK, where the means stop."""
+        return _trie_plan(self.rows, 2)
+
+    @cached_property
     def _plan(self) -> _TriePlan:
-        """The rows' suffix trie, laid out for the moment sweep."""
-        return _trie_plan(self.rows)
+        """The rows' whole suffix trie: `_byte_plan` and its last two levels."""
+        return _trie_plan(self.rows, 0, self._byte_plan)
 
     @cached_property
     def _leaf_weights(self) -> np.ndarray:
         """The summed weight of each leaf of `_plan`."""
-        return np.bincount(self._plan.leaf, self.weights, len(self._plan.levels[-1][0]))
+        return np.bincount(self._plan.node, self.weights, len(self._plan.levels[-1][0]))
 
     @cached_property
-    def _prefix_groups(self) -> tuple:
-        """The leaves of `_plan` as `g_means` reads them: each leaf's node
-        at bit 2 CHUNK, the first leaf of each first byte of the rows, and
-        that byte.  Leaves go by (chunk-0 pattern, chunk-1 node) and
-        chunk-1 nodes by (chunk-1 pattern, node at bit 2 CHUNK), so each
-        byte's leaves are contiguous and the bytes ascend."""
-        (parent_1, ranges_1), (parent_0, ranges_0) = self._plan.levels[-2:]
-        hi = np.concatenate([np.full(b - a, c) for c, a, b in ranges_0])
-        lo = np.concatenate([np.full(b - a, c) for c, a, b in ranges_1])[parent_0]
-        prefix = hi << CHUNK | lo
-        starts = np.flatnonzero(np.diff(prefix, prepend=-1))
-        return parent_1[parent_0], starts, prefix[starts]
+    def _byte_groups(self) -> tuple:
+        """The rows as `g_means` reads them, in a stable sort by their
+        first byte: their nodes at bit 2 CHUNK and their weights, the
+        first row of each first byte, and that byte.  A row of fewer than 8
+        bits reads as zero-padded."""
+        first = np.packbits(self.rows[:, :8], axis=1)[:, 0].astype(np.intp)
+        order = np.argsort(first, kind="stable")
+        first = first[order]
+        starts = np.flatnonzero(np.diff(first, prepend=-1))
+        return self._byte_plan.node[order], self.weights[order], starts, first[starts]
 
     @classmethod
     def from_batches(cls, batches, n: int, limit: int) -> "TraceHistogram":
@@ -365,7 +407,10 @@ class TraceHistogram:
         least 3) are right-aligned in the smallest unsigned integer of 4
         or 8 bytes that holds them and read big-endian, so the integer
         keys sort as the bytes do (rows wider than 64 bits keep a raw
-        byte-string key), and memory is O(distinct rows + one batch)."""
+        byte-string key).  Each batch's distinct keys and counts wait
+        until they outnumber the keys merged so far, and are then merged
+        with them by one `np.unique`, so a lone batch is never merged and
+        memory is O(distinct rows + one batch)."""
         if limit < 1:
             raise ParameterError(f"the trace count must be >= 1, got {limit}")
         if n <= 16:
@@ -388,14 +433,14 @@ class TraceHistogram:
             size = next((b for b in (4, 8) if b >= width), width)
             wire = np.dtype(f">u{size}") if size <= 8 else np.dtype((np.void, size))
             native = wire.newbyteorder("=")  # sort and concatenate in native byte order
-            keys = np.empty(0, dtype=native)
-            counts = np.empty(0)
+            merged, pending = [], []  # (distinct keys, counts) parts
             for batch in _bit_batches(batches, n, limit):
                 packed = np.zeros((len(batch), size), dtype=np.uint8)
                 packed[:, size - width :] = np.packbits(batch, axis=1)
-                new, new_counts = np.unique(packed.view(wire).ravel().astype(native), return_counts=True)
-                keys, inverse = np.unique(np.concatenate([keys, new]), return_inverse=True)
-                counts = np.bincount(inverse, weights=np.concatenate([counts, new_counts]))
+                pending.append(np.unique(packed.view(wire).ravel().astype(native), return_counts=True))
+                if sum(len(k) for k, _ in pending) > sum(len(k) for k, _ in merged):
+                    merged, pending = [_merge_counts(merged + pending)], []
+            keys, counts = _merge_counts(merged + pending)
             packed = keys.astype(wire).view(np.uint8).reshape(-1, size)[:, size - width :]
             rows = np.unpackbits(packed, axis=1, count=n)
         total = int(counts.sum())
@@ -405,71 +450,97 @@ class TraceHistogram:
         """Weighted means of g_1..g_{k_max} at z, and their Hermitian
         covariance over one trace, C[i, j] = E[(g_{i+1} - b_{i+1})
         conj(g_{j+1} - b_{j+1})].  z is one point or an array of them, and
-        the results gain its shape in front; one sweep serves them all."""
+        the results gain its shape in front."""
         zs = np.asarray(z, dtype=complex)
-        states = _g_sweep(self._plan, _transfer_matrices(zs.ravel(), k_max, p))
+        means, cov = self._sweep(zs.ravel(), k_max, p, covariance=True)
+        return means.reshape(zs.shape + (k_max,)), cov.reshape(zs.shape + (k_max, k_max))
+
+    def g_means(self, z, k_max: int, p: float) -> np.ndarray:
+        """The means of `g_moments` alone, with the same shape, from the
+        sweep stopped at bit 2 CHUNK that the module docstring gives."""
+        zs = np.asarray(z, dtype=complex)
+        means, _ = self._sweep(zs.ravel(), k_max, p, covariance=False)
+        return means.reshape(zs.shape + (k_max,))
+
+    def _sweep(self, zs: np.ndarray, k_max: int, p: float, covariance: bool) -> tuple:
+        """(means, cov) of g_1..g_{k_max} at the points of a 1-D array zs,
+        cov None without `covariance`, over `_plan` with it and over
+        `_byte_plan` without.  The transfer matrices are built once.  The
+        head, the leading levels whose nodes times the points stay within
+        STACK_ROWS, is swept once with every point stacked; the tail then
+        runs in stacks of max(1, STACK_ROWS // nodes of its widest level)
+        points, each from its slice of the head's states."""
+        T = _transfer_matrices(zs, k_max, p)
+        levels = (self._plan if covariance else self._byte_plan).levels
+        # levels widen toward the leaves, so the ones that fit lead
+        split = sum(len(parent) * len(zs) <= STACK_ROWS for parent, _ in levels)
+        head, tail = levels[:split], levels[split:]
+        start = _g_sweep(head, T)
+        stack = max(1, STACK_ROWS // len(tail[-1][0]) if tail else len(zs))
+        means = np.empty((len(zs), k_max), dtype=complex)
+        cov = np.empty((len(zs), k_max, k_max), dtype=complex) if covariance else None
+        for i in range(0, len(zs), stack):
+            j = i + stack
+            if covariance:
+                means[i:j], cov[i:j] = self._leaf_moments(_g_sweep(tail, T[i:j], start[i:j]), k_max)
+            else:
+                means[i:j] = self._byte_means(_g_sweep(tail, T[i:j], start[i:j]), T[i:j], k_max)
+        return means, cov
+
+    def _leaf_moments(self, states: np.ndarray, k_max: int) -> tuple:
+        """The weighted means and covariances of g over the leaves, from
+        their (points, 2k + 1, leaves) real states; the covariance is a sum
+        of outer products g g^H, so the states become complex g once."""
         g = _complex_rows(states, k_max)
         del states  # free the sweep's buffer before the weighted copy of D
         weights = self._leaf_weights
         means = g @ weights
         D = np.subtract(g, means[:, :, None], out=g)
         Dw = D * weights
-        cov = Dw @ np.conjugate(D, out=D).transpose(0, 2, 1)
-        return means.reshape(zs.shape + (k_max,)), cov.reshape(zs.shape + (k_max, k_max))
+        return means, Dw @ np.conjugate(D, out=D).transpose(0, 2, 1)
 
-    def g_means(self, z, k_max: int, p: float) -> np.ndarray:
-        """The means of `g_moments` alone, with the same shape, as the
-        module docstring gives them: the sweep stops two levels short of
-        the leaves, at bit 2 CHUNK, the leaves' weighted states there are
-        summed per first byte of their rows, and each sum is carried to bit
-        0 by the byte's two chunk matrices, T[hi] (T[lo] sum): two
-        matrix-vector products per byte took a fifth of the time of the
-        products T[hi] @ T[lo] and their contraction."""
-        zs = np.asarray(z, dtype=complex)
-        columns, starts, prefixes = self._prefix_groups
-        T = _transfer_matrices(zs.ravel(), k_max, p)
-        states = _g_sweep(self._plan._replace(levels=self._plan.levels[:-2]), T)
+    def _byte_means(self, states: np.ndarray, T: np.ndarray, k_max: int) -> np.ndarray:
+        """The weighted means of g from the (points, 2k + 1, nodes) real
+        states at bit 2 CHUNK: the rows' weighted states are summed per
+        first byte, and each sum is carried to bit 0 by the byte's two
+        chunk matrices, T[hi] (T[lo] sum); two matrix-vector products per
+        byte took a fifth of the time of the products T[hi] @ T[lo] and
+        their contraction."""
+        columns, weights, starts, prefixes = self._byte_groups
         weighted = np.take(states, columns, axis=2)
-        weighted *= self._leaf_weights
+        weighted *= weights
         sums = np.add.reduceat(weighted, starts, axis=2)  # (points, 2k + 1, bytes)
         hi, lo = prefixes >> CHUNK, prefixes & (1 << CHUNK) - 1
         carried = np.einsum("pgij,pjg->pgi", T[:, lo], sums)
-        means = _complex_rows(np.einsum("pgij,pgj->pi", T[:, hi], carried), k_max)
-        return means.reshape(zs.shape + (k_max,))
+        return _complex_rows(np.einsum("pgij,pgj->pi", T[:, hi], carried), k_max)
 
     def estimates(self, grid, k_max: int, p: float, covariance: bool = True) -> MomentEstimates:
         """Means of g_0..g_{k_max} (g_0 := 1) at every grid point, with the
-        covariance of (g_1..g_{k_max}) by `g_moments`, or with cov None and
-        the means alone by `g_means` when `covariance` is False.
+        covariance of (g_1..g_{k_max}) as `g_moments` gives it, or with cov
+        None and the means alone as `g_means` gives them when `covariance`
+        is False.
 
         The grid must be conjugate-symmetric in reverse order, as `zgrid`
         builds it: traces and channel parameters are real, so g_k(x~,
         conj(z)) is the conjugate of g_k(x~, z), and only the first half of
         the grid (the Im z <= 0 member of each pair on the roots of unity)
-        is evaluated, in stacks of max(1, STACK_ROWS // width) points per
-        sweep, width being the nodes on the trie's widest level, for the
-        means alone too.  A singular grid point raises
-        SingularGridPointError."""
+        is swept, its head once and its tail in stacks.  A singular grid
+        point raises SingularGridPointError."""
         if k_max < 1:
             raise ParameterError("k_max must be >= 1")
         grid = np.asarray(grid, dtype=complex)
         if grid.ndim != 1 or not np.array_equal(grid, grid[::-1].conj()):
             raise ParameterError("grid must be a conjugate-symmetric array of points")
         P = len(grid)
+        half = (P + 1) // 2
+        half_means, half_cov = self._sweep(grid[:half], k_max, p, covariance)
         means = np.empty((P, k_max + 1), dtype=complex)
         means[:, 0] = 1.0
-        half = (P + 1) // 2
-        cov = np.empty((P, k_max, k_max), dtype=complex) if covariance else None
-        stack = max(1, STACK_ROWS // self._plan.width)
-        for i in range(0, half, stack):
-            j = min(i + stack, half)
-            if covariance:
-                means[i:j, 1:], cov[i:j] = self.g_moments(grid[i:j], k_max, p)
-            else:
-                means[i:j, 1:] = self.g_means(grid[i:j], k_max, p)
-        means[half:, 1:] = means[: P - half, 1:][::-1].conj()
+        means[:half, 1:] = half_means
+        means[half:, 1:] = half_means[: P - half][::-1].conj()
+        cov = None
         if covariance:
-            cov[half:] = cov[: P - half][::-1].conj()
+            cov = np.concatenate([half_cov, half_cov[: P - half][::-1].conj()])
         return MomentEstimates(grid, means, cov, self.count)
 
 

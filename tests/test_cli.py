@@ -143,9 +143,11 @@ def test_estimate_roundtrip(tmp_path, dist_file):
 
 def test_estimate_takes_the_means_alone(tmp_path, monkeypatch):
     # estimate writes means only: it never forms the covariance of
-    # TraceHistogram.g_moments, and its means are that path's
+    # TraceHistogram.g_moments nor builds the trie levels below bit 8, and
+    # its means are that path's
     import numpy as np
 
+    from delpop import estimator
     from delpop.estimator import TraceHistogram
     from delpop.zgrid import unit_roots
 
@@ -162,10 +164,20 @@ def test_estimate_takes_the_means_alone(tmp_path, monkeypatch):
     def refused(*args):
         raise AssertionError("estimate formed the covariance")
 
+    stops = []
+
+    def plan(rows, stop, top=None):
+        stops.append(stop)
+        return trie_plan(rows, stop, top)
+
+    trie_plan = estimator._trie_plan
+    monkeypatch.setattr(estimator, "_trie_plan", plan)
     monkeypatch.setattr(TraceHistogram, "g_moments", refused)
+    monkeypatch.setattr(TraceHistogram, "_leaf_moments", refused)
     out = tmp_path / "moments.json"
     assert run(["estimate", "--traces", str(traces), "--ell", "2", "--samples", "3000",
                 "--grid-points", "9", "--out", str(out)]) == EXIT_OK
+    assert stops == [2]
     recs = json.loads(out.read_text())
     got = np.array([complex(*rec["mean"]) for rec in recs]).reshape(9, 4)
     assert np.all(np.abs(got - want.means) <= 1e-12 * np.abs(want.means))
@@ -411,6 +423,28 @@ def test_estimate_accepts_the_benchmark_argv(tmp_path):
     assert all(rec["count"] == 20000 for rec in json.loads(out.read_text()))
     manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
     assert manifest["options"]["seed"] == 7
+
+
+def test_runs_in_one_process_keep_their_own_options(tmp_path):
+    # the parser is built once per process: a run's flags and defaults do
+    # not carry over into the next run's options
+    given = _one_string_inputs(tmp_path)
+    runs = [("estimate", ["--ell", "3", "--samples", "500", "--grid-points", "9", "--seed", "5"]),
+            ("recover", ["--ell", "1", "--samples", "20000"]),
+            ("estimate", ["--ell", "1"])]
+    options = []
+    for i, (mode, flags) in enumerate(runs):
+        out = tmp_path / f"run{i}.json"
+        assert run([mode, *given[mode], *flags, "--out", str(out)]) == EXIT_OK
+        options.append(json.loads((tmp_path / f"run{i}.json.manifest.json").read_text())["options"])
+    traces = given["estimate"][1]
+    assert options[0] == {"seed": 5, "samples": 500, "p": 0.9, "ell": 3, "grid_points": 9,
+                          "out": str(tmp_path / "run0.json"), "traces": traces, "m": 5, "n": 6}
+    assert options[1] == {"seed": 0, "samples": 20000, "p": 0.9, "ell": 1,
+                          "out": str(tmp_path / "run1.json"), "traces": traces, "dist": None,
+                          "m": 1, "n": 6}
+    assert options[2] == {"seed": 0, "samples": 20000, "p": 0.9, "ell": 1, "grid_points": 25,
+                          "out": str(tmp_path / "run2.json"), "traces": traces, "m": 1, "n": 6}
 
 
 # the options each mode reads besides config, out and seed

@@ -241,25 +241,35 @@ def test_g_means_match_g_moments(n):
 
 
 def test_g_moments_and_g_means_share_one_trie(monkeypatch):
-    # the means stop two levels short of the leaves on the trie that the
-    # covariance sweep uses: one histogram builds one trie
-    calls = []
+    # the means stop at bit 8 and the covariance sweep extends that same
+    # plan by its last two levels: whichever runs first, a histogram builds
+    # each level once
+    built = []
 
-    def counted(rows, *rest):
-        calls.append(len(rows))
-        return plan(rows, *rest)
+    def counted(rows, stop, top=None):
+        out = plan(rows, stop, top)
+        built.append(len(out.levels) - (len(top.levels) if top else 0))
+        return out
 
     plan = estimator._trie_plan
     monkeypatch.setattr(estimator, "_trie_plan", counted)
     rng = np.random.default_rng(17)
     rows = np.unique(rng.integers(0, 2, size=(30, 20)).astype(np.int8), axis=0)
-    hist = TraceHistogram(rows, rng.dirichlet(np.ones(len(rows))))
+    weights = rng.dirichlet(np.ones(len(rows)))
     p = 0.7
     zs = np.exp(-1j * np.arange(1, 4))
-    want, _ = hist.g_moments(zs, 3, p)
-    got = hist.g_means(zs, 3, p)
-    assert calls == [len(rows)]
-    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    for first in ("g_moments", "g_means"):
+        built.clear()
+        hist = TraceHistogram(rows, weights)
+        if first == "g_moments":
+            want, _ = hist.g_moments(zs, 3, p)
+            got = hist.g_means(zs, 3, p)
+        else:
+            got = hist.g_means(zs, 3, p)
+            want, _ = hist.g_moments(zs, 3, p)
+        assert built == [3, 2] and len(hist._plan.levels) == 5
+        assert all(a is b for a, b in zip(hist._plan.levels, hist._byte_plan.levels))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 def test_g_moments_sum_the_weights_of_duplicate_rows():
@@ -307,6 +317,25 @@ def test_histogram_rows_at_every_key_width(n):
     assert np.array_equal(hist.rows, want)
     assert np.array_equal(hist.weights, counts / len(rows))
     assert hist.count == len(rows)
+
+
+@pytest.mark.parametrize("n", [17, 33, 48, 65])
+def test_histogram_merges_batches_of_wide_rows_as_unique_does(n):
+    # batches that repeat earlier keys, bring new ones, are empty, or hold
+    # one row; a lone batch, and many batches of the same rows
+    rng = np.random.default_rng(900 + n)
+    distinct = rng.integers(0, 2, size=(300, n)).astype(np.int8)
+    rows = distinct[rng.integers(0, len(distinct), size=2000)]
+    rows[:500] = distinct[rng.integers(0, 20, size=500)]
+    sizes = [[2000], [500, 1500], [1, 0, 40, 900, 1, 1058], [7] * 285 + [5],
+             list(rng.multinomial(2000, np.ones(30) / 30))]
+    want, counts = np.unique(rows, axis=0, return_counts=True)
+    for size in sizes:
+        batches = np.split(rows, np.cumsum(size)[:-1])
+        hist = TraceHistogram.from_batches(batches, n, len(rows))
+        assert np.array_equal(hist.rows, want)
+        assert np.array_equal(hist.weights, counts / len(rows))
+        assert hist.count == len(rows)
 
 
 def _unequal_batches(n, sizes, seed):
@@ -530,30 +559,96 @@ def test_estimates_rejects_asymmetric_grid():
         hist.estimates([1j, 1.0 + 0j], 1, p, covariance=False)
 
 
+def _spy_sweeps(monkeypatch):
+    """Record each `_g_sweep` call of the estimator: whether it is a head
+    (no start states), its points and the levels it sweeps."""
+    calls = []
+    sweep = estimator._g_sweep
+
+    def counted(levels, T, start=None):
+        calls.append((start is None, len(T), len(levels)))
+        return sweep(levels, T, start)
+
+    monkeypatch.setattr(estimator, "_g_sweep", counted)
+    return calls
+
+
+# tail stacks per estimates call of the 2 rows below, whose trie levels have
+# 1 and 2 nodes: the default STACK_ROWS fits the whole trie in the head; 1
+# fits the 1-node level at one point only; 4 fits both levels at up to 2
+# points, and stacks the tail 2 points at a time
+_TAIL_STACKS = {(1, STACK_ROWS): 1, (1, 1): 1, (1, 4): 1,
+                (3, STACK_ROWS): 1, (3, 1): 2, (3, 4): 1,
+                (25, STACK_ROWS): 1, (25, 1): 13, (25, 4): 7}
+
+
 @pytest.mark.parametrize("count", [1, 3, 25])
 def test_estimates_evaluates_one_point_per_conjugate_pair(monkeypatch, count):
-    # every point in one stack (the default), one point per stack, and two
-    # per stack (the 2 rows' widest trie level has 2 nodes)
+    # the transfer matrices of the grid's first half are built once, its
+    # head swept once, and its tail in stacks by the head/tail rule
     grid = unit_roots(count)
+    half = (count + 1) // 2
     p = 0.8
     batch = np.array([(1, 0, 1, 0), (1, 1, 0, 0)], dtype=np.int8)
-    g_moments = TraceHistogram.g_moments
+    transfer = estimator._transfer_matrices
     for stack_rows in (STACK_ROWS, 1, 4):
-        seen = []
+        built = []
 
-        def counted(self, zs, k_max, p):
-            seen.append(np.array(zs))
-            return g_moments(self, zs, k_max, p)
+        def counted(zs, k_max, p):
+            built.append(np.array(zs))
+            return transfer(zs, k_max, p)
 
-        monkeypatch.setattr(TraceHistogram, "g_moments", counted)
+        monkeypatch.setattr(estimator, "_transfer_matrices", counted)
         monkeypatch.setattr(estimator, "STACK_ROWS", stack_rows)
+        sweeps = _spy_sweeps(monkeypatch)
         est = TraceHistogram.from_batches([batch], batch.shape[1], 2).estimates(grid, 3, p)
-        # the Im z <= 0 member of each pair, each once, over all the calls
-        evaluated = np.concatenate(seen)
-        assert np.array_equal(evaluated, grid[: (count + 1) // 2])
-        assert np.all(evaluated.imag <= 0)
-        assert len(seen) == -(-len(evaluated) // max(1, stack_rows // 2))
+        # the Im z <= 0 member of each pair, each once, in one build
+        assert len(built) == 1 and np.array_equal(built[0], grid[:half])
+        assert np.all(built[0].imag <= 0)
+        heads = [points for head, points, _ in sweeps if head]
+        tails = [points for head, points, _ in sweeps if not head]
+        assert heads == [half]
+        assert sum(tails) == half and len(tails) == _TAIL_STACKS[count, stack_rows]
         assert np.array_equal(est.means[::-1], est.means.conj())
+
+
+@pytest.mark.parametrize("covariance", [True, False])
+def test_narrow_head_and_wide_tail_match_one_point_at_a_time(monkeypatch, covariance):
+    # rows whose last 16 bits take 4 values: the levels above bit 12 have
+    # at most 4 nodes, the level of chunk 1 up to 1 024, and the leaves
+    # more than 3 000; every split of those levels into head and tail gives each
+    # point's one-point results, and sweeps the head once per call
+    rng = np.random.default_rng(71)
+    suffixes = rng.integers(0, 2, size=(4, 16)).astype(np.int8)
+    rows = np.concatenate([rng.integers(0, 2, size=(3600, 12)).astype(np.int8),
+                           suffixes[rng.integers(0, 4, size=3600)]], axis=1)
+    rows = np.unique(rows, axis=0)
+    hist = TraceHistogram(rows, rng.dirichlet(np.ones(len(rows))))
+    widths = [len(parent) for parent, _ in hist._plan.levels]
+    assert len(rows) > 3000 and max(widths[:4]) <= 4
+    grid = unit_roots(25)
+    p = 0.7
+    want = [hist.g_moments(z, 5, p) for z in grid[:13].tolist()]
+    levels = len((hist._plan if covariance else hist._byte_plan).levels)
+    for stack_rows in (STACK_ROWS, 1, 4, 200):
+        monkeypatch.setattr(estimator, "STACK_ROWS", stack_rows)
+        sweeps = _spy_sweeps(monkeypatch)
+        est = hist.estimates(grid, 5, p, covariance)
+        heads = [(points, swept) for head, points, swept in sweeps if head]
+        tails = [(points, swept) for head, points, swept in sweeps if not head]
+        assert len(heads) == 1 and heads[0][0] == 13
+        assert {swept for _, swept in tails} == {levels - heads[0][1]}
+        assert sum(points for points, _ in tails) == 13
+        for i, (want_means, want_cov) in enumerate(want):
+            assert np.all(np.abs(est.means[i, 1:] - want_means) <= 1e-12 * np.abs(want_means))
+            if covariance:
+                assert np.max(np.abs(est.cov[i] - want_cov)) <= 1e-12 * np.max(np.abs(want_cov))
+        if stack_rows == STACK_ROWS and covariance:
+            # the levels down to chunk 1 fit at 13 points, and the leaves
+            # go 5 points at a time
+            assert heads == [(13, levels - 1)] and tails == [(5, 1), (5, 1), (3, 1)]
+        elif stack_rows == STACK_ROWS:
+            assert heads == [(13, levels)] and tails == [(13, 0)]
 
 
 def test_estimates_one_point_per_stack_matches_default(monkeypatch):
@@ -572,9 +667,8 @@ def test_estimates_one_point_per_stack_matches_default(monkeypatch):
 
 @pytest.mark.parametrize("n", [6, 20])
 def test_estimates_means_only(monkeypatch, n):
-    # the means of the covariance path, no covariance, no standard errors;
-    # a stack of points holds STACK_ROWS // (the junction's (prefix, node)
-    # pairs) when they outnumber the widest trie level's nodes
+    # the means of the covariance path, no covariance, no standard errors,
+    # in one stack of points and in one point per stack
     rng = np.random.default_rng(59 + n)
     distinct = rng.integers(0, 2, size=(30, n)).astype(np.int8)
     rows = distinct[rng.integers(0, len(distinct), size=900)]
@@ -590,18 +684,12 @@ def test_estimates_means_only(monkeypatch, n):
         with pytest.raises(ParameterError):
             got.stderrs
     batch = np.array([(1, 0, 1, 0, 0, 1), (1, 1, 0, 0, 1, 0)], dtype=np.int8)
-    g_means = TraceHistogram.g_means
-    seen = []
-
-    def counted(self, zs, k_max, p):
-        seen.append(len(zs))
-        return g_means(self, zs, k_max, p)
-
-    monkeypatch.setattr(TraceHistogram, "g_means", counted)
     monkeypatch.setattr(estimator, "STACK_ROWS", 4)
+    sweeps = _spy_sweeps(monkeypatch)
     TraceHistogram.from_batches([batch], 6, 2).estimates(grid, 3, 0.8, covariance=False)
-    # 6-bit rows leave an empty trie, of width 1, and two (prefix, node) pairs
-    assert seen == [2] * 6 + [1]
+    # 6-bit rows have no level above bit 8: an empty head and an empty
+    # tail, so one stack holds all 13 points
+    assert sweeps == [(True, 13, 0), (False, 13, 0)]
 
 
 def test_estimates_of_a_law_without_a_trace_count_have_no_stderrs():
