@@ -40,8 +40,8 @@ def sample_trace_batch(
     X = sup[which]
     keep = rng.random((count, n)) < cfg.p
     order = np.argsort(~keep, axis=1, kind="stable")
-    packed = np.take_along_axis(X, order, axis=1) * np.take_along_axis(keep, order, axis=1)
-    return packed.astype(np.int8)
+    # int8 times bool stays int8
+    return np.take_along_axis(X, order, axis=1) * np.take_along_axis(keep, order, axis=1)
 
 
 def write_trace_file(path, batches, p: float, seed: int) -> None:
@@ -90,4 +90,4 @@ def read_trace_file(path):
     rows = chars.reshape(-1, n + 1)[:, :n] - ord("0")  # uint8: characters below "0" wrap above 1
     if rows.size and rows.max() > 1:
         raise ParameterError("trace lines may hold only the characters 0 and 1")
-    return fields, rows.astype(np.int8)
+    return fields, rows.view(np.int8)  # fresh, contiguous and 0/1: read as int8 without a copy

@@ -124,6 +124,18 @@ matmuls, whose reduceat over 2 211 groups costs 325 us against 91 us
 over 237; a trie plan from one sort (8.6 against 8.4 ms for the bitmap
 plan); and a head of up to 4 x STACK_ROWS.  Dropping the constant's row
 from the gather saved 5 % of the sweep time and was not adopted.
+At commit a4a2dfc (2 shared vCPUs) these were slower or gained nothing:
+blocking the sorted histogram path (n > 16) as the counted one is
+blocked (10^6 rows of 32 bits in 31.8 against 18.5 ms, of 48 bits in
+105 against 45 ms); checking the bits per block instead of per batch
+(accept-n8's operation 0.3-0.6 ms slower); two threads over the tail's
+point stacks (estimate-n48-l3 at 515k-550k against 577k traces/s, peak
+RSS 71.4 against 64.7 MB); two threads over the histogram blocks
+(accept-n8 at 198M-244M against 202M-233M traces/s for the blocks alone,
+0.3 MB more peak RSS); gathering the parent states of each pattern range
+into a small buffer instead of one level-wide gather (570 against
+420-465 us per wide level); and stacking all 13 points node-major, as
+(nodes, points, 2k + 1) states (23 against 6 ms per wide level).
 
 A point where some |W(s)| < 1e-12, s <= k_max, is singular for the
 estimator (the coefficients divide by it) and raises
@@ -157,6 +169,7 @@ class SingularGridPointError(ParameterError):
 
 CHUNK = 4  # trace positions per trie level, one transfer matrix per pattern; divides 8
 STACK_ROWS = 1 << 14  # grid points times widest-level nodes swept in one pass, 2k + 1 reals each
+HIST_ROWS = 1 << 16  # rows keyed and bincounted at once by a histogram of n <= 16 bits
 
 
 class _TriePlan(NamedTuple):
@@ -396,10 +409,16 @@ class TraceHistogram:
 
         Rows of n <= 16 bits are counted: each row's key is its bits read
         as an unsigned integer, most significant first, and every batch is
-        bincounted into one array of 2^n bins, so memory is O(2^n + one
-        batch).  The key reads each row as two overlapping little-endian
-        8-byte words, its first and its last 8 bytes (a row of fewer than
-        8 bits is first right-aligned in 8 bytes).  A word times
+        keyed and bincounted into one array of 2^n bins in blocks of
+        HIST_ROWS = 2^16 rows, so memory is O(2^n + one batch) and no
+        temporary outgrows a core's L2 cache (a block's keys take 512 KB).
+        On 10^6 random rows (2 shared vCPUs) the blocks cut the count from
+        9.4-9.8 to 8.0-8.2 ms at n = 4, from 3.6-3.7 to 2.7 ms at n = 8,
+        from 8.8-9.9 to 5.9-6.5 ms at n = 12 and from 13.1-13.3 to
+        12.1-12.2 ms at n = 16, against keying each batch whole.  The key
+        reads each row as two overlapping little-endian 8-byte words, its
+        first and its last 8 bytes (a row of fewer than 8 bits is first
+        right-aligned in 8 bytes).  A word times
         0x8040201008040201 moves byte i's bit to bit 63 - i of the
         product, and no other term reaches those bits, so shifting the
         product right by 56 leaves the word's 8 bits, first byte most
@@ -415,16 +434,17 @@ class TraceHistogram:
             raise ParameterError(f"the trace count must be >= 1, got {limit}")
         if n <= 16:
             bins = np.zeros(1 << n, dtype=np.int64)
+            if n < 8:  # rows right-aligned in 8 bytes; the first 8 - n columns stay zero
+                padded = np.zeros((min(limit, HIST_ROWS), 8), dtype=np.int8)
             for batch in _bit_batches(batches, n, limit):
-                if not len(batch):
-                    continue
-                if n < 8:
-                    padded = np.zeros((len(batch), 8), dtype=np.int8)
-                    padded[:, 8 - n :] = batch
-                    batch = padded
-                elif not batch.flags.c_contiguous:  # the word views need contiguous rows
-                    batch = np.ascontiguousarray(batch)
-                bins += np.bincount(_word_keys(batch).view(np.int64), minlength=len(bins))
+                for start in range(0, len(batch), HIST_ROWS):
+                    block = batch[start : start + HIST_ROWS]
+                    if n < 8:
+                        padded[: len(block), 8 - n :] = block
+                        block = padded[: len(block)]
+                    elif not block.flags.c_contiguous:  # the word views need contiguous rows
+                        block = np.ascontiguousarray(block)
+                    bins += np.bincount(_word_keys(block).view(np.int64), minlength=len(bins))
             keys = np.flatnonzero(bins)
             shifts = np.arange(n - 1, -1, -1)
             rows, counts = (keys[:, None] >> shifts) & 1, bins[keys]

@@ -77,6 +77,7 @@ def test_sampling_is_reproducible():
     a = sample_trace_batch(d, ChannelConfig(0.5), 500, np.random.default_rng(7))
     b = sample_trace_batch(d, ChannelConfig(0.5), 500, np.random.default_rng(7))
     assert np.array_equal(a, b)
+    assert a.dtype == np.int8 and a.flags.c_contiguous
 
 
 def test_trace_file_roundtrip(tmp_path):
@@ -86,5 +87,5 @@ def test_trace_file_roundtrip(tmp_path):
     assert path.read_text() == "#n=4 p=0.5 seed=9\n1010\n1100\n0000\n"
     header, traces = read_trace_file(path)
     assert header == {"n": "4", "p": "0.5", "seed": "9"}
-    assert traces.dtype == np.int8
+    assert traces.dtype == np.int8 and traces.flags.c_contiguous
     assert np.array_equal(traces, rows)

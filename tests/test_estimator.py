@@ -9,6 +9,7 @@ from delpop.core import BitString, ParameterError, ProblemParams, SparseDistribu
 from delpop import estimator
 from delpop.estimator import (
     CHUNK,
+    HIST_ROWS,
     STACK_ROWS,
     SingularGridPointError,
     TraceHistogram,
@@ -383,6 +384,28 @@ def test_histogram_word_keys_match_unique_rows(n):
     assert np.array_equal(hist.rows, want)
     assert np.array_equal(hist.weights, counts / limit)
     assert hist.count == limit
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 16])
+def test_histogram_counts_batches_across_blocks(n):
+    # a batch one block and 37 rows long, a Fortran-ordered batch longer
+    # than a block, and a limit inside the second block of the last batch
+    rng = np.random.default_rng(200 + n)
+    sizes = [HIST_ROWS + 37, HIST_ROWS + 1000, 2 * HIST_ROWS]
+    rows = rng.integers(0, 2, size=(sum(sizes), n)).astype(np.int8)
+    batches = np.split(rows, np.cumsum(sizes)[:-1])
+    batches[1] = np.asfortranarray(batches[1])
+    limit = sizes[0] + sizes[1] + HIST_ROWS + 123
+    hist = TraceHistogram.from_batches(batches, n, limit)
+    want, counts = np.unique(rows[:limit], axis=0, return_counts=True)
+    assert np.array_equal(hist.rows, want)
+    assert np.array_equal(hist.weights, counts / limit)
+    assert hist.count == limit
+    # the whole batch is checked, not only its first block
+    bad = batches[0].copy()
+    bad[HIST_ROWS + 5, n - 1] = 2
+    with pytest.raises(ParameterError, match="trace bits must be 0 or 1"):
+        TraceHistogram.from_batches([bad], n, len(bad))
 
 
 @pytest.mark.parametrize("n", [8, 16, 17])
