@@ -60,7 +60,6 @@ _OPTIONS = {
     "p": (float, 0.9, "retention probability of the deletion channel"),
     "n": (int, 8, "string length"),
     "ell": (int, 2, "sparsity bound; moment orders 1..2*ell - 1 are used"),
-    "eps": (float, 0.1, "target TV error; sets the weight pitch"),
     "grid_points": (int, 25, "odd number of grid points, the roots of unity of that order"),
     "out": (str, "out.json", "output file"),
     "dist": (str, None, "distribution JSON file"),
@@ -234,7 +233,7 @@ def _cmd_distinguish(opts) -> int:
         raise ParameterError("distinguish requires --dist")
     d = _load_dist(opts)
     est = exact_moments(d, recovery_grid(d.n, opts["ell"]), opts["m"])
-    out = exhaustive_distinguisher(est, d.n, opts["ell"], opts["eps"])
+    out = exhaustive_distinguisher(est, d.n, opts["ell"])
     save_distribution(out, opts["out"])
     return EXIT_OK
 
@@ -261,7 +260,7 @@ _MODES = {
     "simulate": (_cmd_simulate, ("dist", "p", "samples")),
     "estimate": (_cmd_estimate, ("traces", "ell", "samples", "grid_points")),
     "recover": (_cmd_recover, ("traces", "dist", "p", "ell", "samples")),
-    "distinguish": (_cmd_distinguish, ("dist", "ell", "eps")),
+    "distinguish": (_cmd_distinguish, ("dist", "ell")),
     "oracle-check": (_cmd_oracle_check, ("n", "m", "p")),
 }
 

@@ -17,7 +17,8 @@ harmless: their candidates fail the validation.  The weight fit, the
 validation and `exhaustive_distinguisher` read a candidate's model
 moments off one array, `core.moment_powers`.  Nothing here reads
 `ProblemParams.eps`; the reference `exhaustive_distinguisher` takes the
-n, l and eps it reads as arguments.
+n and l it reads as arguments, and judges its argmin by the same
+validation.
 """
 
 from __future__ import annotations
@@ -49,9 +50,6 @@ VALIDATION_ABS = 0.03
 VALIDATION_SIGMA = 8.0
 # Fitted weights at or below this are dropped.
 WEIGHT_FLOOR = 1e-6
-# `exhaustive_distinguisher` accepts a mixture whose moments all lie
-# within this of the estimates.
-DISTINGUISH_MARGIN = 1e-7
 
 
 @dataclass
@@ -117,15 +115,17 @@ def _build_distribution(support, weights) -> SparseDistribution:
     )
 
 
+def _scaled_residuals(d: SparseDistribution, estimates: MomentEstimates) -> np.ndarray:
+    """(P, k_max) |model - estimate| of d's moments over their margin."""
+    model = moment_powers(d.support, estimates.grid, estimates.k_max) @ np.asarray(d.weights)
+    return np.abs(model - estimates.means[:, 1:]) / _validation_margin(estimates)
+
+
 def validate_candidate(d: SparseDistribution, estimates: MomentEstimates) -> float | None:
     """Largest normalized moment residual if the candidate reproduces every
     estimate within its `_validation_margin`, else None."""
-    model = moment_powers(d.support, estimates.grid, estimates.k_max) @ np.asarray(d.weights)
-    margin = _validation_margin(estimates)
-    resid = np.abs(model - estimates.means[:, 1:])
-    if np.any(resid > margin):
-        return None
-    return float(np.max(resid / margin, initial=0.0))
+    worst = float(np.max(_scaled_residuals(d, estimates), initial=0.0))
+    return worst if worst <= 1.0 else None
 
 
 def recover_histogram(hist: TraceHistogram, params: ProblemParams) -> RecoveryResult:
@@ -197,71 +197,36 @@ def recover_from_channel(
     return recover(channel_trace_source(d, params.p, config), params, config)
 
 
-def exhaustive_distinguisher(
-    estimates: MomentEstimates,
-    n: int,
-    ell: int,
-    eps: float,
-) -> SparseDistribution:
-    """Reference brute-force learner for tiny instances (n <= 8, l <= 2):
-    enumerate all n-bit supports of size <= l and find mixture weights
-    matching every moment estimate within DISTINGUISH_MARGIN.  The weight
-    pitch is eps / (4 l).
-
-    For a fixed pair of strings the moments are linear in the weight a, so
-    the admissible a form an interval per constraint; the intersection over
-    all (z, k) replaces an explicit scan of the weight grid, and the
-    returned weight is snapped to the grid pitch when the snapped value
-    stays admissible."""
+def exhaustive_distinguisher(estimates: MomentEstimates, n: int, ell: int) -> SparseDistribution:
+    """Reference brute-force learner for tiny instances (n <= 8, l <= 2), the
+    paper's sample-complexity learner in small: score every n-bit string and
+    every pair of them by chi^2, the sum over every grid point and k of
+    |model - estimate|^2 / margin^2 that `fit_weights` minimizes, and return
+    the best mixture if `validate_candidate` accepts it.  A pair's weights
+    (a, 1 - a) take the chi^2-least a in closed form, clipped to [0, 1]."""
     if not (1 <= n <= 8 and 1 <= ell <= 2):
         raise ParameterError("exhaustive search limited to 1 <= n <= 8, 1 <= ell <= 2")
-    if not 0.0 < eps < 1.0:
-        raise ParameterError(f"eps must lie in (0,1), got {eps!r}")
-    pitch = eps / (4.0 * ell)
     strings = [BitString(bits) for bits in itertools.product((0, 1), repeat=n)]
-    strings.sort()
-    # one column per (point, k) constraint, one row per string
-    M = moment_powers(strings, estimates.grid, estimates.k_max).reshape(-1, len(strings)).T
-    b = estimates.means[:, 1:].ravel()
-
-    single = np.flatnonzero(np.all(np.abs(M - b) <= DISTINGUISH_MARGIN, axis=1))
-    if single.size:
-        return SparseDistribution((strings[single[0]],), (1.0,))
-
-    if ell >= 2:
-        for si in range(len(strings) - 1):
-            # every pair (si, sj > si) at once: |c a + d| <= margin per
-            # constraint, with c = u_si^k - u_sj^k and d = u_sj^k - b
-            c = M[si] - M[si + 1 :]
-            dd = M[si + 1 :] - b
-            A = np.abs(c) ** 2
-            flat = A < 1e-30
-            cd = c.conj() * dd
-            # |c a + d|^2 <= margin^2 is A a^2 + 2 B a + C <= 0 with B =
-            # Re(conj(c) d) and C = |d|^2 - margin^2; the half-discriminant
-            # B^2 - A C equals A margin^2 - Im(conj(c) d)^2, which avoids
-            # the catastrophic cancellation of the direct form when margin
-            # is tiny against the moment magnitudes.
-            disc = A * DISTINGUISH_MARGIN ** 2 - cd.imag ** 2
-            root = np.sqrt(np.maximum(disc, 0.0))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lo = np.where(flat, 0.0, (-cd.real - root) / A).max(axis=1)
-                hi = np.where(flat, 1.0, (-cd.real + root) / A).min(axis=1)
-            lo = np.maximum(lo, 1e-9)
-            hi = np.minimum(hi, 1.0 - 1e-9)
-            ok = (
-                ~np.any(flat & (np.abs(dd) > DISTINGUISH_MARGIN), axis=1)
-                & ~np.any(~flat & (disc < 0), axis=1)
-                & (lo <= hi)
-            )
-            hits = np.flatnonzero(ok)
-            if not hits.size:
-                continue
-            j = hits[0]
-            lo, hi = float(lo[j]), float(hi[j])
-            a = round(((lo + hi) / 2.0) / pitch) * pitch
-            if not (lo <= a <= hi):
-                a = (lo + hi) / 2.0
-            return SparseDistribution((strings[si], strings[si + 1 + j]), (a, 1.0 - a))
-
-    raise RecoveryFailedError("no enumerated distribution matches the estimates within margin")
+    margin = _validation_margin(estimates).ravel()
+    # one row per string, one column per (point, k) over its margin
+    M = moment_powers(strings, estimates.grid, estimates.k_max).reshape(-1, len(strings)).T / margin
+    resid = M - estimates.means[:, 1:].ravel() / margin
+    chi2 = np.sum(np.abs(resid) ** 2, axis=1)
+    best, support, weights = chi2.min(), (strings[chi2.argmin()],), (1.0,)
+    for i in range(len(strings) - 1 if ell == 2 else 0):
+        # every pair (i, j > i) at once: residual a c + d with c = M_i - M_j, d = M_j - b
+        c, d = M[i] - M[i + 1 :], resid[i + 1 :]
+        cc = np.sum(np.abs(c) ** 2, axis=1)
+        a = np.divide(-np.sum((c.conj() * d).real, axis=1), cc, out=np.zeros_like(cc), where=cc > 0)
+        a = np.clip(a, 0.0, 1.0)
+        scores = np.sum(np.abs(a[:, None] * c + d) ** 2, axis=1)
+        j = scores.argmin()
+        if scores[j] < best:
+            best, support, weights = scores[j], (strings[i], strings[i + 1 + j]), (a[j], 1.0 - a[j])
+    candidate = _build_distribution(support, weights)
+    if validate_candidate(candidate, estimates) is None:
+        worst = float(np.max(_scaled_residuals(candidate, estimates)))
+        raise RecoveryFailedError(
+            f"candidate {[str(x) for x in candidate.support]}: moment validation failed "
+            f"(worst residual {worst:.3g} x margin)")
+    return candidate

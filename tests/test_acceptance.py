@@ -259,7 +259,7 @@ def test_acceptance_10_exhaustive_distinguisher():
         a = float(rng.uniform(0.2, 0.8))
         d = SparseDistribution(support, (a, 1.0 - a))
         est = exact_moments(d, grid, 3)
-        out = exhaustive_distinguisher(est, n, 2, 0.25)
+        out = exhaustive_distinguisher(est, n, 2)
         assert tv_distance(out, d) <= 0.25
 
 

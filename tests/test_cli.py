@@ -452,7 +452,7 @@ _MODE_OPTIONS = {
     "simulate": {"dist", "p", "samples"},
     "estimate": {"traces", "ell", "samples", "grid-points"},
     "recover": {"traces", "dist", "p", "ell", "samples"},
-    "distinguish": {"dist", "ell", "eps"},
+    "distinguish": {"dist", "ell"},
     "oracle-check": {"n", "m", "p"},
 }
 
@@ -583,8 +583,7 @@ def test_distinguish_mode(tmp_path):
     dist_path = tmp_path / "d.json"
     save_distribution(d, dist_path)
     out = tmp_path / "out.json"
-    code = run(["distinguish", "--dist", str(dist_path), "--ell", "2", "--eps", "0.25",
-                "--out", str(out)])
+    code = run(["distinguish", "--dist", str(dist_path), "--ell", "2", "--out", str(out)])
     assert code == EXIT_OK
     got = SparseDistribution.from_json_dict(json.loads(out.read_text()))
     from delpop.core import tv_distance

@@ -16,6 +16,7 @@ from delpop.core import (
     SparseDistribution,
     tv_distance,
 )
+from delpop.estimator import TraceHistogram
 from delpop.oracle import exact_g_expectation, exact_mixture_trace_law, exact_moments
 from delpop import prony, recovery
 from delpop.prony import HankelSystem
@@ -341,8 +342,6 @@ def test_recover_validation_soundness():
     params = ProblemParams(6, 2, 0.9)
     config = RecoveryConfig(sample_count=100_000, seed=5)
     grid = default_grid(params)
-    from delpop.estimator import TraceHistogram
-
     hist = TraceHistogram.from_batches(channel_trace_source(d, params.p, config), 6, config.sample_count)
     est = hist.estimates(grid, 3, params.p)
     result = recover(channel_trace_source(d, params.p, config), params, config)
@@ -470,7 +469,7 @@ def test_exhaustive_distinguisher_exact_single():
     d = SparseDistribution((BitString.from_string("0110"),), (1.0,))
     grid = unit_roots(9)
     est = exact_moments(d, grid, 3)
-    out = exhaustive_distinguisher(est, 4, 2, 0.25)
+    out = exhaustive_distinguisher(est, 4, 2)
     assert out == d
 
 
@@ -480,11 +479,14 @@ def test_exhaustive_distinguisher_exact_pair():
     )
     grid = unit_roots(9)
     est = exact_moments(d, grid, 3)
-    out = exhaustive_distinguisher(est, 4, 2, 0.25)
+    out = exhaustive_distinguisher(est, 4, 2)
     assert tv_distance(out, d) <= 0.25
 
 
-def test_exhaustive_distinguisher_margin_zero_with_noise():
+def _noisy_pair_estimates(scale):
+    """Exact moments of an equal-weight pair of 3-bit strings on the 9th
+    roots of unity, plus complex Gaussian noise of the given scale; exact
+    moments carry no stderrs, so the validation margin is 0.03."""
     rng = np.random.default_rng(13)
     d = SparseDistribution(
         (BitString.from_string("100"), BitString.from_string("011")), (0.5, 0.5)
@@ -492,9 +494,51 @@ def test_exhaustive_distinguisher_margin_zero_with_noise():
     grid = unit_roots(9)
     est = exact_moments(d, grid, 3)
     noise = rng.normal(size=(len(grid), 3, 2))
-    est.means[:, 1:] += 1e-3 * (noise[..., 0] + 1j * noise[..., 1])
-    with pytest.raises(RecoveryFailedError, match="within margin"):
-        exhaustive_distinguisher(est, 3, 2, 0.25)
+    est.means[:, 1:] += scale * (noise[..., 0] + 1j * noise[..., 1])
+    return d, est
+
+
+def test_exhaustive_distinguisher_returns_truth_at_small_noise():
+    d, est = _noisy_pair_estimates(1e-3)
+    out = exhaustive_distinguisher(est, 3, 2)
+    assert out.support == d.support
+    assert tv_distance(out, d) <= 1e-3
+
+
+def test_exhaustive_distinguisher_refuses_large_noise():
+    # the chi^2-best mixture is the truth's support, but 0.2 of noise puts
+    # its moments outside the validation margin
+    _, est = _noisy_pair_estimates(0.2)
+    with pytest.raises(RecoveryFailedError,
+                       match=r"^candidate \['011', '100'\]: moment validation failed "
+                             r"\(worst residual \d+\.?\d* x margin\)$"):
+        exhaustive_distinguisher(est, 3, 2)
+
+
+def test_exhaustive_distinguisher_refuses_three_strings_at_ell_2():
+    # no mixture of at most two strings reproduces the exact moments of three
+    d = SparseDistribution(
+        tuple(BitString.from_string(x) for x in ("00110", "01011", "11100")), (0.4, 0.35, 0.25)
+    )
+    est = exact_moments(d, recovery_grid(5, 2), 3)
+    with pytest.raises(RecoveryFailedError,
+                       match=r"^candidate \['\d{5}'(, '\d{5}')?\]: moment validation failed "
+                             r"\(worst residual [^ ]+ x margin\)$"):
+        exhaustive_distinguisher(est, 5, 2)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_exhaustive_distinguisher_learns_where_the_pipeline_fails(seed):
+    # the probe's (8, 2, 0.3) instance at 10^5 channel traces: the moments
+    # the pipeline estimates fix the mixture, but its decoding does not
+    truth = _envelope_probe().random_instance(8, 2, seed)
+    params = ProblemParams(8, 2, 0.3)
+    source = channel_trace_source(truth, params.p, RecoveryConfig(10**5, seed))
+    hist = TraceHistogram.from_batches(source, params.n, 10**5)
+    est = hist.estimates(recovery_grid(params.n, params.ell), 2 * params.ell - 1, params.p)
+    assert tv_distance(exhaustive_distinguisher(est, 8, 2), truth) <= 0.1
+    with pytest.raises(RecoveryFailedError):
+        recover_histogram(hist, params)
 
 
 def test_exhaustive_distinguisher_guards():
@@ -502,4 +546,4 @@ def test_exhaustive_distinguisher_guards():
     d = SparseDistribution((BitString((0,) * 9),), (1.0,))
     est = exact_moments(d, grid, 3)
     with pytest.raises(ParameterError):
-        exhaustive_distinguisher(est, 9, 2, 0.1)
+        exhaustive_distinguisher(est, 9, 2)
