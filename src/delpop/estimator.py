@@ -53,31 +53,31 @@ the zero state v = (0, 1), which a zero-padded partial last chunk and an
 all-zero suffix leave as it is.  Every row passes through every level, so
 a level has at least as many nodes as the one above it.  A row's leaf is
 its node at chunk 0; the weights of the rows that share a leaf are
-summed, and `g_moments` takes the means and covariances over the leaves.
+summed, and `estimates` takes the means and covariances over the leaves.
 Chunks of 4 bits cut the node steps per point of 2 x 10^4 distinct 48-bit
 rows from 365k (single bits) to 99k, and their 16 matrices stay cheap to
 build; wider chunks spend more on 2^CHUNK matrices per point than they
 save on short rows.
 
-The means alone are linear in the row weights, so `g_means` stops the
-sweep at bit 8, on a plan whose levels end at chunk 2 and which gives
-each row's node there.  It groups the rows by their first byte (a stable
-sort of np.packbits(rows[:, :8])), sums their weighted states at bit 8
-per group (one gather, one multiply, one reduceat), and carries each sum
-to bit 0 through the byte's two chunk matrices, T[hi] (T[lo] sum), all
-in the real form; only the (points, k) means become complex.  With n <= 8
-no level lies above bit 8, and the means start from the root.  Rows part
-most near their start, so the two chunks next to bit 0 hold the trie's
-widest levels: for 2 x 10^4 distinct 48-bit rows, 39 898 of the 98 680
-node steps per point, which the byte sums replace by 237 groups.  The
-means never build those two levels; `g_moments` extends the means' plan
-by them, so a histogram builds each level once, whichever runs first.  A
-12-bit stop leaves 39 202 node steps but 2 211 prefix groups, and ran at
-6.6 ms per point against 5.2 ms on 2 shared vCPUs; its 4 096 possible
-prefix products alone, as stacked 6 x 6 products of three chunk
-matrices, take 9.4 ms.  The covariance is a weighted sum of outer
-products g g^H, not of states, so `g_moments` sweeps to the leaves and
-turns their states into complex g once.
+The means alone are linear in the row weights, so `estimates` without a
+covariance stops the sweep at bit 8, on a plan whose levels end at chunk 2
+and which gives each row's node there.  It groups the rows by their first
+byte (a stable sort of np.packbits(rows[:, :8])), sums their weighted
+states at bit 8 per group (one gather, one multiply, one reduceat), and
+carries each sum to bit 0 through the byte's two chunk matrices, T[hi]
+(T[lo] sum), all in the real form; only the (points, k) means become
+complex.  With n <= 8 no level lies above bit 8, and the means start from
+the root.  Rows part most near their start, so the two chunks next to bit
+0 hold the trie's widest levels: for 2 x 10^4 distinct 48-bit rows, 39 898
+of the 98 680 node steps per point, which the byte sums replace by 237
+groups.  The means never build those two levels; the covariance sweep
+extends the means' plan by them, so a histogram builds each level once,
+whichever runs first.  A 12-bit stop leaves 39 202 node steps but 2 211
+prefix groups, and ran at 6.6 ms per point against 5.2 ms on 2 shared
+vCPUs; its 4 096 possible prefix products alone, as stacked 6 x 6
+products of three chunk matrices, take 9.4 ms.  The covariance is a
+weighted sum of outer products g g^H, not of states, so it sweeps to the
+leaves and turns their states into complex g once.
 
 A sweep builds the transfer matrices of all its points at once and cuts
 its levels into a head and a tail.  The head is the leading levels whose
@@ -388,7 +388,7 @@ class TraceHistogram:
 
     @cached_property
     def _byte_groups(self) -> tuple:
-        """The rows as `g_means` reads them, in a stable sort by their
+        """The rows as `_byte_means` reads them, in a stable sort by their
         first byte: their nodes at bit 2 CHUNK and their weights, the
         first row of each first byte, and that byte.  A row of fewer than 8
         bits reads as zero-padded."""
@@ -439,11 +439,12 @@ class TraceHistogram:
             for batch in _bit_batches(batches, n, limit):
                 for start in range(0, len(batch), HIST_ROWS):
                     block = batch[start : start + HIST_ROWS]
-                    if n < 8:
-                        padded[: len(block), 8 - n :] = block
-                        block = padded[: len(block)]
-                    elif not block.flags.c_contiguous:  # the word views need contiguous rows
+                    if not block.flags.c_contiguous:  # the word and void views need contiguous rows
                         block = np.ascontiguousarray(block)
+                    if n < 8:  # n-byte void items, not strided columns: 23 against 300 us a block at n = 4
+                        right = np.ndarray((len(block),), f"V{n}", padded, 8 - n, (8,))
+                        right[...] = block.view(f"V{n}").ravel()
+                        block = padded[: len(block)]
                     bins += np.bincount(_word_keys(block).view(np.int64), minlength=len(bins))
             keys = np.flatnonzero(bins)
             shifts = np.arange(n - 1, -1, -1)
@@ -465,22 +466,6 @@ class TraceHistogram:
             rows = np.unpackbits(packed, axis=1, count=n)
         total = int(counts.sum())
         return cls(rows.astype(np.int8), counts / total, total)
-
-    def g_moments(self, z, k_max: int, p: float):
-        """Weighted means of g_1..g_{k_max} at z, and their Hermitian
-        covariance over one trace, C[i, j] = E[(g_{i+1} - b_{i+1})
-        conj(g_{j+1} - b_{j+1})].  z is one point or an array of them, and
-        the results gain its shape in front."""
-        zs = np.asarray(z, dtype=complex)
-        means, cov = self._sweep(zs.ravel(), k_max, p, covariance=True)
-        return means.reshape(zs.shape + (k_max,)), cov.reshape(zs.shape + (k_max, k_max))
-
-    def g_means(self, z, k_max: int, p: float) -> np.ndarray:
-        """The means of `g_moments` alone, with the same shape, from the
-        sweep stopped at bit 2 CHUNK that the module docstring gives."""
-        zs = np.asarray(z, dtype=complex)
-        means, _ = self._sweep(zs.ravel(), k_max, p, covariance=False)
-        return means.reshape(zs.shape + (k_max,))
 
     def _sweep(self, zs: np.ndarray, k_max: int, p: float, covariance: bool) -> tuple:
         """(means, cov) of g_1..g_{k_max} at the points of a 1-D array zs,
@@ -536,9 +521,11 @@ class TraceHistogram:
 
     def estimates(self, grid, k_max: int, p: float, covariance: bool = True) -> MomentEstimates:
         """Means of g_0..g_{k_max} (g_0 := 1) at every grid point, with the
-        covariance of (g_1..g_{k_max}) as `g_moments` gives it, or with cov
-        None and the means alone as `g_means` gives them when `covariance`
-        is False.
+        Hermitian covariance of (g_1..g_{k_max}) over one trace, C[i, j] =
+        E[(g_{i+1} - b_{i+1}) conj(g_{j+1} - b_{j+1})], swept to the leaves;
+        or, when `covariance` is False, with cov None and the means alone,
+        from the sweep stopped at bit 2 CHUNK that the module docstring
+        gives.
 
         The grid must be conjugate-symmetric in reverse order, as `zgrid`
         builds it: traces and channel parameters are real, so g_k(x~,

@@ -5,9 +5,10 @@ exact power sums that `distinguish` reads (`exact_moments`, from
 `core.moment_powers`).  Cost guards keep everything under a second.
 An exact law is a TraceHistogram without a trace count: its distinct
 padded rows in ascending order, each weighted by the compensated sum
-(math.fsum) of its probability terms.  Estimator expectations are the
-weighted mean of that histogram, the path sampled moments take, and stay
-far below test tolerances.
+(math.fsum) of its probability terms.  Estimator expectations are that
+histogram's `estimates(covariance=False)` on the conjugate-symmetric grid
+of the points and their conjugates, the path sampled means take, and
+their rounding stays far below test tolerances.
 
 The paper's small-p reduction lemma lives here too.  Discarding traces
 shorter than a threshold t >= `threshold_floor(n)` and keeping a random
@@ -78,7 +79,9 @@ def exact_g_expectation(x: BitString, zs, m: int, p: float) -> np.ndarray:
     It should equal P(z; x)^1..P(z; x)^m, `moment_powers([x], zs, m)[..., 0]`."""
     if x.n > 12:
         raise ParameterError("exact_g_expectation limited to n <= 12")
-    return exact_trace_law(x, p).g_means(np.asarray(zs, dtype=complex), m, p)
+    zs = np.asarray(zs, dtype=complex)
+    grid = np.concatenate([zs, zs[::-1].conj()])  # estimates sweeps its first half: zs
+    return exact_trace_law(x, p).estimates(grid, m, p, covariance=False).means[: len(zs), 1:]
 
 
 def exact_moments(d: SparseDistribution, grid, k_max: int) -> MomentEstimates:

@@ -142,9 +142,9 @@ def test_estimate_roundtrip(tmp_path, dist_file):
 
 
 def test_estimate_takes_the_means_alone(tmp_path, monkeypatch):
-    # estimate writes means only: it never forms the covariance of
-    # TraceHistogram.g_moments nor builds the trie levels below bit 8, and
-    # its means are that path's
+    # estimate writes means only: it never forms the covariance over the
+    # leaves nor builds the trie levels below bit 8, and its means are
+    # that path's
     import numpy as np
 
     from delpop import estimator
@@ -172,7 +172,6 @@ def test_estimate_takes_the_means_alone(tmp_path, monkeypatch):
 
     trie_plan = estimator._trie_plan
     monkeypatch.setattr(estimator, "_trie_plan", plan)
-    monkeypatch.setattr(TraceHistogram, "g_moments", refused)
     monkeypatch.setattr(TraceHistogram, "_leaf_moments", refused)
     out = tmp_path / "moments.json"
     assert run(["estimate", "--traces", str(traces), "--ell", "2", "--samples", "3000",
